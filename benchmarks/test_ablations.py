@@ -8,10 +8,14 @@ amortization, and write pipelining depth.
 import pytest
 
 from repro.bench.ablations import (
+    ablate_degraded_read,
+    ablate_fleet_scaling,
     ablate_flow_control,
     ablate_fragment_size,
     ablate_parity,
+    ablate_read_window,
     ablate_stripe_width,
+    ablate_write_pipeline,
 )
 
 
@@ -81,3 +85,22 @@ def test_server_fragment_cache(benchmark, record):
                                  iterations=1)
     record(**results)
     assert results["cached"] < 0.9 * results["uncached"]
+
+
+@pytest.mark.benchmark(group="ablations")
+@pytest.mark.parametrize("ablation, kwargs", [
+    (ablate_degraded_read, {}),
+    (ablate_degraded_read, {"num_servers": 6, "parity": 2, "coding": "rs"}),
+    (ablate_write_pipeline, {}),
+    (ablate_read_window, {}),
+    (ablate_fleet_scaling, {}),
+], ids=["degraded_read_xor", "degraded_read_rs2", "write_pipeline",
+        "read_window", "fleet_scaling"])
+def test_overlap_and_scaling_ratios(benchmark, record, ablation, kwargs):
+    """Recorded here at full size; their bounds are tier-1 asserts
+    (``tests/test_scatter_gather.py``, ``test_write_pipeline.py``,
+    ``test_read_pipeline.py``, ``test_placement.py``)."""
+    results = benchmark.pedantic(ablation, kwargs=kwargs, rounds=1,
+                                 iterations=1)
+    record(**results)
+    assert all(value > 0 for value in results.values())

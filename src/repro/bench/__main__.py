@@ -2,20 +2,25 @@
 
 Usage::
 
-    python -m repro.bench            # full sweeps (a few minutes)
-    python -m repro.bench --quick    # reduced block counts (~30 s)
+    python -m repro.bench            # full sweeps (~25 s)
+    python -m repro.bench --quick    # reduced block counts (~7 s)
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 
 from repro.bench.ablations import (
+    FLEET_SIZES,
+    ablate_degraded_read,
+    ablate_fleet_scaling,
     ablate_flow_control,
     ablate_fragment_size,
     ablate_parity,
     ablate_read_prefetch,
+    ablate_read_window,
     ablate_stripe_width,
+    ablate_write_pipeline,
 )
 from repro.bench.figures import (
     run_fig3_raw_bandwidth,
@@ -34,8 +39,14 @@ from repro.bench.report import (
 
 def main(argv=None) -> int:
     """Entry point for ``python -m repro.bench``."""
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Run every simulated-testbed experiment and print "
+                    "the paper-vs-measured report.")
+    parser.add_argument("--quick", action="store_true",
+                        help="reduced block counts (a quarter of the "
+                             "run time)")
+    quick = parser.parse_args(argv).quick
     blocks = 2_500 if quick else 10_000
 
     print("== Figure 3: raw write bandwidth (MB/s) ==")
@@ -76,6 +87,27 @@ def main(argv=None) -> int:
     prefetch = ablate_read_prefetch(blocks=300 if quick else 1500)
     print("reads: per-block %.2f MB/s vs fragment-prefetch %.2f MB/s"
           % (prefetch["per_block"], prefetch["prefetch"]))
+    for label, degraded in (
+            ("width-4 xor", ablate_degraded_read()),
+            ("rs(4+2), two down", ablate_degraded_read(
+                num_servers=6, parity=2, coding="rs"))):
+        print("degraded read %-18s %.1f ms vs healthy %.1f ms (%.3fx)"
+              % (label, degraded["reconstruct_ms"],
+                 degraded["single_retrieve_ms"], degraded["ratio"]))
+    write = ablate_write_pipeline()
+    print("stripe stores: pipelined %.1f ms vs serial %.1f ms (%.3fx)"
+          % (write["pipelined_flush_ms"], write["serial_flush_ms"],
+             write["overlap_ratio"]))
+    scan = ablate_read_window()
+    print("log scan: window=4 %.2f MB/s vs window=1 %.2f MB/s (%.3fx time)"
+          % (scan["sequential_read_mb_s"], scan["serial_read_mb_s"],
+             scan["overlap_ratio"]))
+    fleet = ablate_fleet_scaling(blocks=250 if quick else 1500)
+    print("fleet scaling (4 clients, width 8): %s MB/s; "
+          "concurrent/serial elapsed %.3f"
+          % (", ".join("%d servers %.2f" % (n, fleet["servers=%d" % n])
+                       for n in FLEET_SIZES),
+             fleet["client_overlap_ratio"]))
     return 0
 
 

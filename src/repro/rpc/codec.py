@@ -18,8 +18,9 @@ module-level :class:`struct.Struct` — ``struct.pack(">Qqq", ...)``
 re-parses its format string on every call — and the per-type workers
 fold the tag byte into their leading pack so a request head is one
 ``Struct.pack`` plus one concatenation. The codec moves hundreds of
-thousands of messages per second (the ``codec_msgs_s`` floor in
-``BENCH_PERF.json`` gates it).
+thousands of messages per second; its in-system cost is the
+``rpc.codec.self_ms_per_mb`` budget line of the ``swarm-e2e``
+benchmark (``benchmarks/e2e/``).
 """
 
 from __future__ import annotations

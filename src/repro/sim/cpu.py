@@ -13,10 +13,11 @@ per byte and per operation:
 * XOR parity accumulation (read-modify-write over two streams),
 * per-block log bookkeeping and per-RPC protocol overhead.
 
-The default constants were fitted (see ``repro.bench.calibrate``) so a
-single client writing 4 KB blocks through the full log layer sustains
-≈6 MB/s raw, and the server-side per-fragment handling lets one server
-sustain ≈7.7 MB/s under offered load from several clients.
+The default constants were fitted so a single client writing 4 KB
+blocks through the full log layer sustains ≈6 MB/s raw, and the
+server-side per-fragment handling lets one server sustain ≈7.7 MB/s
+under offered load from several clients; the Figure 3 tests
+(``benchmarks/test_fig3_raw_bandwidth.py``) hold both fits.
 """
 
 from __future__ import annotations

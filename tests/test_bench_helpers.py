@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.__main__ import main
 from repro.bench.figures import (
     Fig5Result,
     FigureSweep,
@@ -138,3 +139,19 @@ class TestMabResult:
 
     def test_zero_elapsed(self):
         assert MabResult("x", 0.0, 0.0, 0.0).cpu_utilization == 0.0
+
+
+class TestCommandLine:
+    """``python -m repro.bench`` parses its flags before any sweep runs."""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "--quick" in capsys.readouterr().out
+
+    def test_unknown_flag_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--smoke"])
+        assert exit_info.value.code == 2
+        assert "--smoke" in capsys.readouterr().err

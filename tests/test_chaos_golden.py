@@ -1,0 +1,127 @@
+"""Golden fingerprints and CLI contract of the chaos scenarios CI runs.
+
+Every refactor of the log layer, the wire or the chaos runner is judged
+by "digests unchanged". This module pins them: each scenario variant
+``.github/workflows/ci.yml`` drives through ``python -m repro.chaos`` is
+run here with the CLI's own defaults for two pinned seeds, and its whole
+observable outcome — fault schedule, crash census, per-kill digests,
+recovered-state digest, problems, stats — is hashed to a 16-hex
+fingerprint that must not move. The second half drives the CLI entry
+point itself in-process: every variant exits 0 naming its seed, every
+rejected flag combination exits 2.
+
+A fingerprint that changes means behaviour changed. If that was the
+point of the PR, regenerate with ``_fingerprint`` and say so in the PR.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.chaos.__main__ import main
+from repro.chaos.runner import (
+    generate_ops,
+    run_chaos,
+    run_cleaner_churn,
+    run_crash_sweep,
+    run_kill_server,
+)
+
+#: variant -> (CLI flags, scenario, n_ops, max_blocks, scenario kwargs);
+#: the last four are what ``repro.chaos.__main__`` derives from the flags.
+VARIANTS = {
+    "chaos": (
+        [], run_chaos, 48, 24, {"num_servers": 4, "num_clients": 1}),
+    "chaos-2-clients": (
+        ["--clients", "2"],
+        run_chaos, 48, 24, {"num_servers": 4, "num_clients": 2}),
+    "kill-server": (
+        ["--kill-server"], run_kill_server, 64, 24,
+        {"num_servers": None, "victims": 1, "restart": False,
+         "num_clients": 1}),
+    "kill-2-victims": (
+        ["--kill-server", "--victims", "2"], run_kill_server, 64, 24,
+        {"num_servers": None, "victims": 2, "restart": False,
+         "num_clients": 1}),
+    "kill-restart": (
+        ["--kill-server", "--restart"], run_kill_server, 64, 24,
+        {"num_servers": None, "victims": 1, "restart": True,
+         "num_clients": 1}),
+    "kill-64-servers": (
+        ["--kill-server", "--servers", "64", "--clients", "2"],
+        run_kill_server, 64, 24,
+        {"num_servers": 64, "victims": 1, "restart": False,
+         "num_clients": 2}),
+    "cleaner": (
+        ["--cleaner"], run_cleaner_churn, 64, 12, {"num_servers": 4}),
+    "crash-sweep": (
+        ["--crash-sweep"], run_crash_sweep, 36, 12,
+        {"num_servers": 6, "point": None, "occurrence": None}),
+}
+
+GOLDEN = {
+    ("chaos", 101): "c485a44289582c75",
+    ("chaos", 202): "b7a73836ca98e772",
+    ("chaos-2-clients", 101): "5d04af0a44696990",
+    ("chaos-2-clients", 202): "00a0b36fbd8fe6c4",
+    ("cleaner", 101): "b8aeb48ac3ae471b",
+    ("cleaner", 202): "9d12787ff92dcb2a",
+    ("crash-sweep", 101): "336f60e993ee7936",
+    ("crash-sweep", 202): "e689175fd2264415",
+    ("kill-2-victims", 101): "877dac1565d86028",
+    ("kill-2-victims", 202): "bee3831316d07f47",
+    ("kill-64-servers", 101): "bda741ffd1d8cedc",
+    ("kill-64-servers", 202): "fb326340cd6c44fc",
+    ("kill-restart", 101): "4eb9ddb50e50ec84",
+    ("kill-restart", 202): "06e86b60cc078f15",
+    ("kill-server", 101): "0b89730d43c28277",
+    ("kill-server", 202): "63f436a89bd9c71a",
+}
+
+
+def _fingerprint(report) -> str:
+    """16 hex digits over everything a scenario report exposes."""
+    parts = []
+    for name in ("fault_history", "census", "pairs", "state_digest",
+                 "problems"):
+        value = getattr(report, name, None)
+        if isinstance(value, dict):
+            value = sorted(value.items())
+        parts.append(repr(value))
+    parts.append(repr(sorted(report.stats.items())))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("variant, seed", sorted(GOLDEN))
+def test_fingerprint_is_pinned(variant, seed):
+    _flags, scenario, n_ops, max_blocks, kwargs = VARIANTS[variant]
+    report = scenario(seed, ops=generate_ops(seed, n_ops=n_ops,
+                                             max_blocks=max_blocks),
+                      **kwargs)
+    assert report.ok, report.problems
+    assert _fingerprint(report) == GOLDEN[variant, seed]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_cli_variant_exits_zero_naming_its_seed(variant, capsys):
+    # One variant also takes the --replay path (two runs, compared).
+    replay = ["--replay"] if variant == "chaos" else []
+    assert main(VARIANTS[variant][0] + ["--seed", "101"] + replay) == 0
+    assert "seed=101" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--victims", "2"],
+    ["--restart"],
+    ["--crash-point", "stripe_seal"],
+    ["--crash-sweep", "--occurrence", "1"],
+    ["--crash-sweep", "--crash-point", "stripe_seal", "--occurrence", "0"],
+    ["--clients", "0"],
+    ["--cleaner", "--clients", "2"],
+    ["--net", "--cleaner"],
+], ids=" ".join)
+def test_cli_rejects_flag_combination(flags, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--seed", "101"] + flags)
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -3,12 +3,14 @@
 Covers the :mod:`repro.placement` policies themselves (view history,
 rotation stability, validation), their integration with the log layer
 (grow/shrink mid-stream, view-history persistence and rollforward
-recovery), the bounded location cache, and the multi-client chaos
-scenarios at 64 and 256 servers.
+recovery), the bounded location cache, the multi-client chaos
+scenarios at 64 and 256 servers, and what scale-out costs: the exact
+store bill of a view change and flat throughput as the fleet grows.
 """
 
 import pytest
 
+from repro.bench.ablations import ablate_fleet_scaling
 from repro.chaos.runner import (
     replay_check,
     replay_kill_check,
@@ -354,6 +356,53 @@ class TestLogLayerScaleOut:
         log = cluster.make_log(1)
         assert log.placement.kind == "static"
         assert log.group.servers == tuple(cluster.fleet())
+
+    def test_view_change_bill_is_one_metadata_stripe(self):
+        """Growing 16 -> 64 after a fixed workload costs exactly the
+        VIEW_CHANGE record's own stripe — nothing already written moves,
+        so this is the whole data-movement bill."""
+        cluster = build_local_cluster(num_servers=64, fragment_size=1 << 14,
+                                      server_slots=2048)
+        fleet = cluster.fleet()
+        group = cluster.make_placement(stripe_width=8,
+                                       view_servers=fleet[:16])
+        log = cluster.make_log(client_id=1, group=group)
+        payload = b"\x9c" * 1024
+        for _ in range(96):
+            log.write_block(1, payload)
+        log.flush().wait()
+
+        def store_bill():
+            servers = cluster.servers.values()
+            return (sum(server.store_ops for server in servers),
+                    sum(server.bytes_stored for server in servers))
+
+        rpcs_before, bytes_before = store_bill()
+        log.grow_fleet(fleet[16:])
+        log.flush().wait()
+        rpcs, stored = store_bill()
+        assert (rpcs - rpcs_before, stored - bytes_before) == (2, 2156)
+
+
+# ---------------------------------------------------------------------------
+# Acceptance: a bigger fleet costs no throughput, clients overlap
+# ---------------------------------------------------------------------------
+
+
+class TestFleetScalingBound:
+    @pytest.fixture(scope="class")
+    def scaling(self):
+        return ablate_fleet_scaling(blocks=250)
+
+    @pytest.mark.parametrize("servers", [64, 256])
+    def test_throughput_holds_as_the_fleet_grows(self, scaling, servers):
+        efficiency = scaling["servers=%d" % servers] / scaling["servers=16"]
+        assert efficiency >= 0.95, (
+            "4 clients striping width-8 over %d servers reach %.3f of "
+            "their 16-server throughput" % (servers, efficiency))
+
+    def test_concurrent_clients_beat_serial_rounds(self, scaling):
+        assert scaling["client_overlap_ratio"] < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ Covers the read-side pipelining contract end to end:
   operations are retried, per seed;
 * the cleaner's batched harvest — one flush fence per batch, and an
   unreadable stripe skipped rather than deleted;
+* the exact retrieve bill (RPCs, payload bytes) of a windowed scan, a
+  batched scattered read and a cleaning pass — deterministic counts, so
+  any drift is a protocol change;
 * the acceptance bound: on the simulated testbed a windowed sequential
   scan beats the serial one (overlap ratio below 1.0).
 
@@ -29,7 +32,7 @@ from collections import OrderedDict
 import pytest
 
 from repro import errors
-from repro.bench.perf import bench_read_pipeline
+from repro.bench.ablations import ablate_read_window
 from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.chaos.transport import FaultyTransport
 from repro.cluster import build_local_cluster
@@ -443,12 +446,79 @@ class TestCleanerPipelinedReads:
 
 
 # ----------------------------------------------------------------------
+# Exact retrieve bills of three fixed read paths
+# ----------------------------------------------------------------------
+
+def _retrieve_bill(cluster):
+    """(retrieve RPCs answered, payload bytes shipped) across the fleet."""
+    servers = cluster.servers.values()
+    return (sum(server.retrieve_ops for server in servers),
+            sum(server.bytes_retrieved for server in servers))
+
+
+def _bill_since(cluster, before):
+    rpcs, shipped = _retrieve_bill(cluster)
+    return (rpcs - before[0], shipped - before[1])
+
+
+class TestRetrieveBills:
+    """No clocks anywhere: a fixed workload on a fresh functional
+    cluster costs exactly this many retrieve RPCs and bytes."""
+
+    def test_sequential_scan(self):
+        # The whole log, read-ahead window open.
+        cluster = build_local_cluster(num_servers=4, fragment_size=1 << 14,
+                                      server_slots=2048)
+        log = cluster.make_log(client_id=1)
+        payload = b"\x42" * 1024
+        for _ in range(96):
+            log.write_block(1, payload)
+        log.flush().wait()
+        before = _retrieve_bill(cluster)
+        reader = LogReader(cluster.transport, log.config.principal,
+                           locations=log.locations, max_inflight=4)
+        for _ in reader.fragments_from(make_fid(1, 1)):
+            pass
+        assert _bill_since(cluster, before) == (20, 302132)
+
+    def test_scattered_read(self):
+        # Small reads batched into one multi-range RPC per server.
+        cluster = build_local_cluster(num_servers=4, fragment_size=1 << 14,
+                                      server_slots=2048)
+        stack = cluster.make_stack(client_id=1)
+        disk = stack.push(LogicalDiskService(2))
+        for block in range(48):
+            disk.write(block, bytes([block % 256]) * (512 + 16 * block))
+        stack.flush().wait()
+        before = _retrieve_bill(cluster)
+        disk.read_many(list(range(48)))
+        assert _bill_since(cluster, before) == (3, 42624)
+
+    def test_cleaner_pass(self):
+        # Batched header reads plus the live harvest.
+        cluster = build_local_cluster(num_servers=4, fragment_size=1 << 14,
+                                      server_slots=4096)
+        stack = cluster.make_stack(client_id=1)
+        cleaner = stack.push(CleanerService(1, utilization_threshold=0.95))
+        disk = stack.push(LogicalDiskService(2))
+        for round_no in range(4):
+            for block in range(16):
+                disk.write(block,
+                           bytes([(round_no * 31 + block) % 256]) * 1536)
+        stack.flush().wait()
+        stack.checkpoint_all()
+        before = _retrieve_bill(cluster)
+        cleaner.clean(target_stripes=1 << 20)
+        assert _bill_since(cluster, before) == (7, 13972)
+
+
+# ----------------------------------------------------------------------
 # Acceptance: the windowed scan beats the serial one
 # ----------------------------------------------------------------------
 
 class TestReadOverlapBound:
     def test_windowed_scan_overlaps_on_the_testbed(self):
-        metrics = bench_read_pipeline(fragment_size=1 << 16, stripes=2)
+        metrics = ablate_read_window(fragment_size=1 << 16, stripes=2)
         assert metrics["serial_read_mb_s"] > 0
         assert metrics["sequential_read_mb_s"] > metrics["serial_read_mb_s"]
         assert metrics["overlap_ratio"] < 1.0, (

@@ -12,8 +12,9 @@ Covers the read-side pipelining contract end to end:
 * fan-out reads under :class:`FaultyTransport` — a mid-scatter drop
   fails exactly its own future, the schedule replays bit-identically
   per seed, and a retry wrapper recovers the whole scatter;
-* the acceptance bound: simulated width-4 reconstruction costs less
-  than 2.5× a single healthy fragment retrieve.
+* the acceptance bounds: simulated width-4 reconstruction costs less
+  than 2.5× a single healthy fragment retrieve, and an RS(4+2) double
+  erasure less than 3×.
 
 Seeds come from ``CHAOS_SEEDS`` (comma-separated), matching the chaos
 property suite, so CI exercises fixed seeds plus a per-run one.
@@ -24,7 +25,7 @@ import os
 import pytest
 
 from repro import errors
-from repro.bench.perf import bench_reconstruct_latency
+from repro.bench.ablations import ablate_degraded_read
 from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.chaos.transport import FaultyTransport
 from repro.cluster import ClusterConfig, SimCluster
@@ -230,10 +231,19 @@ class TestScatterUnderChaos:
 
 class TestReconstructLatencyBound:
     def test_width4_reconstruction_under_two_point_five_x(self):
-        metrics = bench_reconstruct_latency()
+        metrics = ablate_degraded_read()
         assert metrics["single_retrieve_ms"] > 0
         assert metrics["reconstruct_ms"] > metrics["single_retrieve_ms"]
         assert metrics["ratio"] < 2.5, (
             "width-4 degraded read cost %.3f× a single retrieve; the "
             "scatter-gather read path should stay under 2.5×" %
             metrics["ratio"])
+
+    def test_rs_double_erasure_under_three_x(self):
+        # Two of six members down: the decode needs four survivors, but
+        # they still arrive as one probe plus one overlapped scatter.
+        ratio = ablate_degraded_read(
+            num_servers=6, parity=2, coding="rs")["ratio"]
+        assert 1.0 < ratio < 3.0, (
+            "RS(4+2) double-erasure read cost %.3f× a single retrieve; "
+            "expected between 1× and 3×" % ratio)

@@ -4,12 +4,14 @@ Covers the four tentpole behaviors: scattered stripe stores
 (``submit_many`` plans), incremental parity (stored parity must equal
 the one-shot oracle), the bounded write-behind window, and group
 commit of small records — plus the late-failure accounting that rides
-the flush ticket.
+the flush ticket, and the acceptance bound that on the simulated
+testbed pipelined stripe stores beat their serial sum.
 """
 
 import pytest
 
 from repro import errors
+from repro.bench.ablations import ablate_write_pipeline
 from repro.log.config import LogConfig
 from repro.log.fragment import Fragment, HEADER_SIZE
 from repro.log.layer import LogLayer
@@ -384,3 +386,17 @@ class TestLateFailureAccounting:
         ticket.wait()
         assert ticket.failures() == []
         assert log.failures() == {}
+
+
+# ----------------------------------------------------------------------
+# Acceptance: pipelined stripe stores beat the serial ones
+# ----------------------------------------------------------------------
+
+class TestWriteOverlapBound:
+    def test_pipelined_stores_overlap_on_the_testbed(self):
+        metrics = ablate_write_pipeline(fragment_size=FRAG, stripes=2)
+        assert metrics["serial_flush_ms"] > 0
+        assert metrics["overlap_ratio"] < 1.0, (
+            "pipelined stripe stores cost %.3f× the serial ones; a "
+            "stripe's stores should travel as one overlapped scatter"
+            % metrics["overlap_ratio"])
