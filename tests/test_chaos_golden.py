@@ -3,10 +3,10 @@
 Every refactor of the log layer, the wire or the chaos runner is judged
 by "digests unchanged". This module pins them: each scenario variant
 ``.github/workflows/ci.yml`` drives through ``python -m repro.chaos`` is
-run here with the CLI's own defaults for two pinned seeds, and its whole
-observable outcome — fault schedule, crash census, per-kill digests,
-recovered-state digest, problems, stats — is hashed to a 16-hex
-fingerprint that must not move. The second half drives the CLI entry
+run here with the CLI's own defaults for two pinned seeds and the
+held-out seed 4242, and its whole observable outcome — fault schedule,
+crash census, per-kill digests, recovered-state digest, problems, stats
+— is hashed to a 16-hex fingerprint that must not move. The second half drives the CLI entry
 point itself in-process: every variant exits 0 naming its seed, every
 rejected flag combination exits 2.
 
@@ -62,20 +62,28 @@ VARIANTS = {
 GOLDEN = {
     ("chaos", 101): "c485a44289582c75",
     ("chaos", 202): "b7a73836ca98e772",
+    ("chaos", 4242): "8e824f9170673ec8",
     ("chaos-2-clients", 101): "5d04af0a44696990",
     ("chaos-2-clients", 202): "00a0b36fbd8fe6c4",
+    ("chaos-2-clients", 4242): "8d27eadfbf46dad1",
     ("cleaner", 101): "b8aeb48ac3ae471b",
     ("cleaner", 202): "9d12787ff92dcb2a",
+    ("cleaner", 4242): "b5cd34af53da1f1d",
     ("crash-sweep", 101): "336f60e993ee7936",
     ("crash-sweep", 202): "e689175fd2264415",
+    ("crash-sweep", 4242): "9582649d38196792",
     ("kill-2-victims", 101): "877dac1565d86028",
     ("kill-2-victims", 202): "bee3831316d07f47",
+    ("kill-2-victims", 4242): "ca8958c2e8c5546d",
     ("kill-64-servers", 101): "bda741ffd1d8cedc",
     ("kill-64-servers", 202): "fb326340cd6c44fc",
+    ("kill-64-servers", 4242): "72c8e2b52d36236d",
     ("kill-restart", 101): "4eb9ddb50e50ec84",
     ("kill-restart", 202): "06e86b60cc078f15",
+    ("kill-restart", 4242): "31dbe80a53ab3a65",
     ("kill-server", 101): "0b89730d43c28277",
     ("kill-server", 202): "63f436a89bd9c71a",
+    ("kill-server", 4242): "c5d04a0783ce40f2",
 }
 
 
