@@ -11,23 +11,30 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.chaos.crashpoints import CRASH_POINTS
-from repro.chaos.runner import (
-    generate_ops,
-    replay_check,
-    replay_cleaner_check,
-    replay_crash_sweep,
-    replay_kill_check,
-    run_chaos,
-    run_cleaner_churn,
-    run_crash_sweep,
-    run_kill_server,
-)
+from repro.chaos.harness import generate_ops, replay
+from repro.chaos.runner import run_chaos, run_cleaner_churn, run_kill_server
+from repro.chaos.sweep import run_crash_sweep
+
+#: scenario flag, in precedence order -> (function, default op count,
+#: block-number space); ``chaos`` is what runs without a flag. The
+#: cleaner and crash-sweep scenarios churn a small block space so early
+#: stripes actually die. Without ``--servers`` each function keeps its
+#: own default server count (scenario-derived for ``--kill-server``).
+SCENARIOS = {
+    "crash_sweep": (run_crash_sweep, 36, 12),
+    "kill_server": (run_kill_server, 64, 24),
+    "cleaner": (run_cleaner_churn, 64, 12),
+    "chaos": (run_chaos, 48, 24),
+}
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def parse_args(argv: Optional[Sequence[str]] = None,
+               ) -> Tuple[Callable, int, Dict[str, object], bool]:
+    """Parse and validate the command line without running anything:
+    ``(scenario, seed, scenario kwargs, replay?)``, or exit status 2."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
         description="Run a deterministic chaos workload against a local "
@@ -104,56 +111,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                      "scenarios")
     if args.net and (args.cleaner or args.crash_sweep or args.kill_server):
         parser.error("--net applies to the plain chaos scenario only")
-    if args.crash_sweep:
-        n_ops = args.ops if args.ops is not None else 36
-        servers = args.servers if args.servers is not None else 6
-        run_one, run_two = run_crash_sweep, replay_crash_sweep
-    elif args.kill_server:
-        n_ops = args.ops if args.ops is not None else 64
-        # Default server count is scenario-derived (5 for one victim,
-        # enough group + spares for more); an explicit --servers wins.
-        servers = args.servers
-        run_one, run_two = run_kill_server, replay_kill_check
-    elif args.cleaner:
-        n_ops = args.ops if args.ops is not None else 64
-        servers = args.servers if args.servers is not None else 4
-        run_one, run_two = run_cleaner_churn, replay_cleaner_check
-    else:
-        n_ops = args.ops if args.ops is not None else 48
-        servers = args.servers if args.servers is not None else 4
-        run_one, run_two = run_chaos, replay_check
-
-    # The cleaner and crash-sweep scenarios churn a small block space so
-    # early stripes actually die; the others use the default spread.
-    max_blocks = 12 if (args.cleaner or args.crash_sweep) else 24
-    ops = generate_ops(args.seed, n_ops=n_ops, max_blocks=max_blocks)
-    kwargs = {"ops": ops, "num_servers": servers}
+    chosen = next((name for name in SCENARIOS if getattr(args, name, False)),
+                  "chaos")
+    scenario, default_ops, max_blocks = SCENARIOS[chosen]
+    n_ops = args.ops if args.ops is not None else default_ops
+    kwargs: Dict[str, object] = {
+        "ops": generate_ops(args.seed, n_ops=n_ops, max_blocks=max_blocks)}
+    if args.servers is not None:
+        kwargs["num_servers"] = args.servers
     if args.kill_server:
-        kwargs["victims"] = args.victims
-        kwargs["restart"] = args.restart
+        kwargs.update(victims=args.victims, restart=args.restart)
     if args.crash_sweep:
-        kwargs["point"] = args.crash_point
-        kwargs["occurrence"] = args.occurrence
+        kwargs.update(point=args.crash_point, occurrence=args.occurrence)
     elif not args.cleaner:
         kwargs["num_clients"] = args.clients
-        if not args.kill_server and args.net:
+        if args.net:
             kwargs["wire"] = "tcp"
-    if args.replay:
-        first, second, identical = run_two(args.seed, **kwargs)
-        print(first.summary())
-        print(second.summary())
-        for problem in first.problems + second.problems:
-            print("  problem: %s" % problem)
-        if not identical:
-            print("REPLAY DIVERGED for seed %d" % args.seed)
-        status = 0 if (first.ok and second.ok and identical) else 1
+    return scenario, args.seed, kwargs, args.replay
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    scenario, seed, kwargs, replay_twice = parse_args(argv)
+    if replay_twice:
+        *reports, identical = replay(scenario, seed, **kwargs)
     else:
-        report = run_one(args.seed, **kwargs)
+        reports, identical = [scenario(seed, **kwargs)], True
+    for report in reports:
         print(report.summary())
+    for report in reports:
         for problem in report.problems:
             print("  problem: %s" % problem)
-        status = 0 if report.ok else 1
-    return status
+    if not identical:
+        print("REPLAY DIVERGED for seed %d" % seed)
+    return 0 if identical and all(r.ok for r in reports) else 1
 
 
 if __name__ == "__main__":

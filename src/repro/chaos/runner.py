@@ -1,4 +1,4 @@
-"""Chaos-run harness: one seed, one hostile workload, hard invariants.
+"""Chaos scenarios: one seed, one hostile workload, hard invariants.
 
 :func:`run_chaos` drives a logical-disk workload against a cluster whose
 transport is wrapped in a :class:`~repro.chaos.transport.FaultyTransport`,
@@ -22,161 +22,39 @@ The run then asserts end-to-end invariants:
 
 Violations are reported, not raised, so a test can print the seed with
 the failure — rerunning with that seed replays the exact schedule.
+
+:func:`run_kill_server` and :func:`run_cleaner_churn` hold the same
+invariants under permanent server loss and under cleaning. Each is a
+plain script of phases over one :class:`~repro.chaos.harness.Harness`;
+the client-kill sweep lives in :mod:`repro.chaos.sweep`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-import dataclasses
-
-from repro.chaos.crashpoints import CRASH_POINTS, ClientCrash, CrashInjector
-from repro.chaos.plan import (
-    FaultEvent,
-    FaultPlan,
-    FaultSpec,
-    choose_kill_victims,
-)
-from repro.chaos.transport import FaultyTransport
-from repro.cluster.cluster import build_local_cluster
-from repro.cluster.failures import FailureInjector
-from repro.health import HealthMonitor, RepairDaemon
-from repro.log.config import LogConfig
-from repro.log.fragment import HEADER_SIZE, MAX_STRIPE_WIDTH
-from repro.log.layer import LogLayer
-from repro.placement import SequentialCheckingPlacement
+from repro.chaos.harness import (ChaosReport, FRAGMENT_SIZE, Harness, Op,
+                                 generate_ops)
+from repro.chaos.plan import FaultSpec, choose_kill_victims
 from repro.errors import SwarmError
+from repro.health import RepairDaemon
+from repro.log.fragment import HEADER_SIZE, MAX_STRIPE_WIDTH
+from repro.placement import SequentialCheckingPlacement
 from repro.rpc import messages as m
-from repro.rpc.retry import RetryPolicy
-from repro.services.cleaner import CleanerService
-from repro.services.logical_disk import LogicalDiskService
-from repro.services.stack import ServiceStack
-from repro.tools.fsck import check_client_log, repair_client_log
+from repro.tools.fsck import check_client_log
 from repro.util.packing import unpack_fids
 
-SERVICE_CLEANER = 9
-SERVICE_DISK = 17
-CLIENT_ID = 1
-
-Op = Tuple[str, int, int, int]  # (kind, block_no, payload_seed, size)
-
-
-def generate_ops(seed: int, n_ops: int = 48, max_blocks: int = 24,
-                 max_size: int = 2048) -> List[Op]:
-    """A seeded logical-disk op sequence (writes, overwrites, trims,
-    reads). Same seed, same sequence."""
-    rng = random.Random(seed ^ 0x5EED)
-    ops: List[Op] = []
-    for _ in range(n_ops):
-        roll = rng.random()
-        block_no = rng.randrange(max_blocks)
-        if roll < 0.65:
-            ops.append(("write", block_no, rng.randrange(1 << 30),
-                        rng.randrange(16, max_size)))
-        elif roll < 0.80:
-            ops.append(("trim", block_no, 0, 0))
-        else:
-            ops.append(("read", block_no, 0, 0))
-    return ops
-
-
-def _payload(payload_seed: int, size: int) -> bytes:
-    return random.Random(payload_seed).randbytes(size)
-
-
-def oracle_state(ops: Sequence[Op]) -> Dict[int, bytes]:
-    """Final logical-disk state of a fault-free run: the oracle."""
-    state: Dict[int, bytes] = {}
-    for kind, block_no, payload_seed, size in ops:
-        if kind == "write":
-            state[block_no] = _payload(payload_seed, size)
-        elif kind == "trim":
-            state.pop(block_no, None)
-    return state
-
-
-def _digest(state: Dict[int, bytes]) -> str:
-    acc = hashlib.sha256()
-    for block_no in sorted(state):
-        acc.update(b"%d:%d:" % (block_no, len(state[block_no])))
-        acc.update(state[block_no])
-    return acc.hexdigest()
-
-
-def _digest_many(states: Sequence[Dict[int, bytes]]) -> str:
-    """Combined digest across clients.
-
-    A single client keeps the historical single-state digest, so every
-    pinned seed digest and replay baseline stays byte-identical.
-    """
-    if len(states) == 1:
-        return _digest(states[0])
-    acc = hashlib.sha256()
-    for index, state in enumerate(states):
-        acc.update(b"client%d:" % index)
-        acc.update(_digest(state).encode("ascii"))
-    return acc.hexdigest()
-
-
-@dataclass
-class _ChaosClient:
-    """One client's full stack inside a (possibly multi-client) run.
-
-    All clients share the same :class:`FaultyTransport` — one seeded
-    fault schedule drives the whole fleet's wire — but each owns its
-    log, services, oracle model, and (in the kill scenario) its own
-    failure detector and repair daemon, exactly like independent Swarm
-    clients sharing a cluster.
-    """
-
-    index: int
-    client_id: int
-    log: LogLayer
-    stack: ServiceStack
-    disk: LogicalDiskService
-    ops: List[Op] = field(default_factory=list)
-    model: Dict[int, bytes] = field(default_factory=dict)
-    monitor: Optional[HealthMonitor] = None
-    daemon: Optional[RepairDaemon] = None
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one chaos run."""
-
-    seed: int
-    problems: List[str] = field(default_factory=list)
-    fault_history: Tuple[FaultEvent, ...] = ()
-    state_digest: str = ""
-    stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """True when every invariant held."""
-        return not self.problems
-
-    def summary(self) -> str:
-        """One-line human summary (always names the seed)."""
-        status = "OK" if self.ok else "FAILED (%d problems)" % len(self.problems)
-        return ("chaos seed=%d: %s — %d faults, %d retries, "
-                "%d ambiguous stores resolved, digest %s"
-                % (self.seed, status, len(self.fault_history),
-                   int(self.stats.get("retries", 0)),
-                   int(self.stats.get("ambiguous_resolutions", 0)),
-                   self.state_digest[:12]))
+DAMAGE_FRAGMENTS = 2     # committed fragments run_chaos damages durably
+KILL_FLUSH_EVERY = 4     # run_kill_server: ops per flush after the kill
+KILL_STRIPE_WIDTH = 8    # ... and its sequential placement's stripe width
+CLEAN_EVERY = 16         # run_cleaner_churn: ops per cleaning pass
+CLEANER_THRESHOLD = 0.9  # ... and its cleaner's utilization threshold
 
 
 def run_chaos(seed: int, ops: Optional[Sequence[Op]] = None,
               spec: Optional[FaultSpec] = None, num_servers: int = 4,
-              fragment_size: int = 1 << 12,
-              damage_fragments: int = 2,
               log_overrides: Optional[Dict[str, object]] = None,
-              num_clients: int = 1,
-              wire: str = "local",
-              ) -> ChaosReport:
+              num_clients: int = 1, wire: str = "local") -> ChaosReport:
     """Execute one seeded chaos run; see the module docstring.
 
     ``log_overrides`` merges extra :class:`LogConfig` fields into the
@@ -200,217 +78,61 @@ def run_chaos(seed: int, ops: Optional[Sequence[Op]] = None,
     test suite, and the acceptance proof that chaos semantics survive
     the move to real sockets.
     """
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    if wire not in ("local", "tcp"):
-        raise ValueError("wire must be 'local' or 'tcp'")
     ops = list(ops) if ops is not None else generate_ops(seed)
-    report = ChaosReport(seed=seed)
+    with Harness(seed, ops, num_servers=num_servers,
+                 num_clients=num_clients, wire=wire) as h:
+        h.start_clients(spec, log_overrides)
+        victim = h.plan.durable_victim
 
-    cluster = build_local_cluster(num_servers=num_servers,
-                                  num_clients=num_clients,
-                                  fragment_size=fragment_size)
-    injector = FailureInjector(cluster)
-    plan = FaultPlan(seed, spec)
-    host = tcp = None
-    if wire == "tcp":
-        # Same in-process servers, but the chaos clients' every RPC now
-        # crosses a real socket; durable damage, fsck, and fresh-client
-        # recovery keep direct access (they model out-of-band repair).
-        host, tcp = cluster.serve_tcp()
-    faulty = FaultyTransport(tcp if tcp is not None else cluster.transport,
-                             plan)
-    clients: List[_ChaosClient] = []
-    for index in range(num_clients):
-        client_id = CLIENT_ID + index
-        log = LogLayer(faulty, cluster.stripe_group(),
-                       LogConfig(client_id=client_id,
-                                 fragment_size=fragment_size,
-                                 **(log_overrides or {})),
-                       retry_policy=RetryPolicy(seed=seed + index),
-                       verify_reads=True)
-        stack = ServiceStack(log)
-        disk = stack.push(LogicalDiskService(SERVICE_DISK))
-        clients.append(_ChaosClient(index=index, client_id=client_id,
-                                    log=log, stack=stack, disk=disk))
-    for position, op in enumerate(ops):
-        clients[position % num_clients].ops.append(op)
-    victim = plan.durable_victim
+        # Phase 1: first half of the workload under wire faults.
+        half = len(ops) // 2
+        for position in range(half):
+            h.apply_op(position)
+        h.flush()
 
-    flush_failures = 0
-    reads_checked = 0
-
-    def tag(client: _ChaosClient) -> str:
-        return "" if num_clients == 1 else "client %d: " % client.index
-
-    def apply_op(client: _ChaosClient, op: Op) -> None:
-        nonlocal reads_checked
-        kind, block_no, payload_seed, size = op
-        if kind == "write":
-            data = _payload(payload_seed, size)
-            client.disk.write(block_no, data)
-            client.model[block_no] = data
-        elif kind == "trim":
-            client.disk.trim(block_no)
-            client.model.pop(block_no, None)
-        else:
-            reads_checked += 1
-            if client.disk.exists(block_no) != (block_no in client.model):
-                report.problems.append(
-                    "%sblock %d existence diverged mid-run"
-                    % (tag(client), block_no))
-            elif (block_no in client.model
-                    and client.disk.read(block_no) != client.model[block_no]):
-                report.problems.append(
-                    "%sread of block %d diverged mid-run"
-                    % (tag(client), block_no))
-
-    def flush_all() -> None:
-        nonlocal flush_failures
-        for client in clients:
-            ticket = client.stack.flush()
-            ticket.wait(allow_degraded=True)
-            flush_failures += len(ticket.failures())
-
-    # Phase 1: first half of the workload under wire faults.
-    half = len(ops) // 2
-    for position, op in enumerate(ops[:half]):
-        apply_op(clients[position % num_clients], op)
-    flush_all()
-
-    # Phase 2: durable damage on the durable victim's committed
-    # fragments — one silent payload bit flip, one torn image.
-    victim_server = (cluster.servers[victim] if victim in cluster.servers
-                     else None)
-    damaged: List[int] = []
-    if victim_server is not None:
-        committed = [fid for fid in sorted(victim_server.slots.fids())
-                     if not (victim_server.slots.info_of(fid) or {})
-                     .get("preallocated")]
-        damaged = committed[:damage_fragments]
+        # Phase 2: durable damage on the durable victim's committed
+        # fragments — one silent payload bit flip, one torn image.
+        slots = h.cluster.servers[victim].slots
+        damaged = [fid for fid in sorted(slots.fids())
+                   if not (slots.info_of(fid) or {}).get("preallocated")
+                   ][:DAMAGE_FRAGMENTS]
         for index, fid in enumerate(damaged):
             if index % 2 == 0:
-                injector.corrupt_fragment(victim, fid,
-                                          bit_index=8 * HEADER_SIZE + 5)
+                h.injector.corrupt_fragment(victim, fid,
+                                            bit_index=8 * HEADER_SIZE + 5)
             else:
-                injector.tear_fragment(victim, fid, keep_fraction=0.5)
+                h.injector.tear_fragment(victim, fid, keep_fraction=0.5)
 
-    # Phase 3: rest of the workload — reads of damaged fragments must
-    # come back correct through verification + reconstruction.
-    for position, op in enumerate(ops[half:], start=half):
-        apply_op(clients[position % num_clients], op)
-    flush_all()
-    for client in clients:
-        ticket = client.stack.checkpoint(client.disk)
-        ticket.wait(allow_degraded=True)
-        flush_failures += len(ticket.failures())
+        # Phase 3: rest of the workload — reads of damaged fragments must
+        # come back correct through verification + reconstruction.
+        for position in range(half, len(ops)):
+            h.apply_op(position)
+        h.checkpoint()
 
-    # Phase 4: crash the damaged server outright; every live block must
-    # still read back correctly (degraded reads). Then bring it back.
-    injector.crash_server(victim)
-    for client in clients:
-        for block_no in sorted(client.model):
-            if client.disk.read(block_no) != client.model[block_no]:
-                report.problems.append(
-                    "%sread of block %d diverged with %s down"
-                    % (tag(client), block_no, victim))
-    injector.restart_server(victim)
+        # Phase 4: crash the damaged server outright; every live block must
+        # still read back correctly (degraded reads). Then bring it back.
+        h.injector.crash_server(victim)
+        h.verify_models("with %s down" % victim)
+        h.injector.restart_server(victim)
 
-    # Phase 5: faults off; fsck must be able to restore full health for
-    # every client's log.
-    plan.stop()
-    restored = 0
-    for client in clients:
-        fsck = check_client_log(cluster.transport, client.client_id)
-        if not fsck.healthy:
-            if fsck.by_status("lost"):
-                report.problems.append("%sdata loss before repair: %s"
-                                       % (tag(client), fsck.summary()))
-            restored += repair_client_log(cluster.transport, client.client_id,
-                                          target_server=victim)
-            fsck = check_client_log(cluster.transport, client.client_id)
-        if not fsck.healthy:
-            report.problems.append("%sfsck unhealthy after repair: %s"
-                                   % (tag(client), fsck.summary()))
+        # Phase 5: faults off; fsck must be able to restore full health
+        # for every client's log.
+        h.plan.stop()
+        restored = h.fsck_repair(target_server=victim)
 
-    # Phase 6: fresh clients (simulated client crash — all in-memory
-    # state lost) recover from the log alone and must reproduce each
-    # oracle exactly.
-    recovered_states: List[Dict[int, bytes]] = []
-    for client in clients:
-        expected = oracle_state(client.ops)
-        fresh_log = LogLayer(cluster.transport, cluster.stripe_group(),
-                             LogConfig(client_id=client.client_id,
-                                       fragment_size=fragment_size,
-                                       **(log_overrides or {})))
-        fresh_stack = ServiceStack(fresh_log)
-        fresh_disk = fresh_stack.push(LogicalDiskService(SERVICE_DISK))
-        fresh_stack.recover_all()
-
-        recovered: Dict[int, bytes] = {}
-        for block_no in fresh_disk.block_numbers():
-            recovered[block_no] = fresh_disk.read(block_no)
-        recovered_states.append(recovered)
-        if set(recovered) != set(expected):
-            report.problems.append(
-                "%srecovered block set %r != oracle %r"
-                % (tag(client), sorted(recovered), sorted(expected)))
-        else:
-            for block_no in sorted(expected):
-                if recovered[block_no] != expected[block_no]:
-                    report.problems.append(
-                        "%srecovered block %d differs from oracle"
-                        % (tag(client), block_no))
-
-    report.fault_history = tuple(plan.history)
-    report.state_digest = _digest_many(recovered_states)
-    report.stats = {
-        "ops": len(ops),
-        "clients": num_clients,
-        "reads_checked": reads_checked,
-        "faults_applied": faulty.faults_applied,
-        "retries": sum(c.log.transport.retries for c in clients),
-        "backoff_charged_s": sum(c.log.transport.backoff_charged_s
-                                 for c in clients),
-        "exhausted": sum(c.log.transport.exhausted for c in clients),
-        "ambiguous_resolutions": sum(c.log.transport.ambiguous_resolutions
-                                     for c in clients),
-        "flush_failures": flush_failures,
-        "damaged_fragments": len(damaged),
-        "fsck_restored": restored,
-    }
-    if tcp is not None:
-        tcp.close()
-        host.close()
-    return report
-
-
-def replay_check(seed: int, **kwargs) -> Tuple[ChaosReport, ChaosReport, bool]:
-    """Run a seed twice; True when the runs are bit-identical.
-
-    Identical means the same fault schedule (event by event) and the
-    same recovered-state digest — the property that makes any chaos
-    failure reproducible from its seed.
-    """
-    first = run_chaos(seed, **kwargs)
-    second = run_chaos(seed, **kwargs)
-    identical = (first.fault_history == second.fault_history
-                 and first.state_digest == second.state_digest
-                 and first.problems == second.problems)
-    return first, second, identical
+        # Phase 6: fresh clients recover from the log alone and must
+        # reproduce each oracle exactly.
+        h.recover()
+        h.finish(clients=num_clients, damaged_fragments=len(damaged),
+                 fsck_restored=restored)
+    return h.report
 
 
 def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
-                    spec: Optional[FaultSpec] = None,
                     num_servers: Optional[int] = None,
-                    fragment_size: int = 1 << 12,
-                    flush_every: int = 4,
-                    victims: int = 1,
+                    fragment_size: int = FRAGMENT_SIZE, victims: int = 1,
                     log_overrides: Optional[Dict[str, object]] = None,
-                    num_clients: int = 1,
-                    placement: Optional[str] = None,
-                    stripe_width: int = 8,
-                    restart: bool = False,
+                    num_clients: int = 1, restart: bool = False,
                     ) -> ChaosReport:
     """The self-healing scenario: crash members, never restart them.
 
@@ -433,13 +155,13 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
        degraded stripe left — full redundancy restored), and a fresh
        client recovers the exact oracle state.
 
-    ``placement`` selects the distribution layer: ``"static"`` (one
-    :class:`StripeGroup`, the historical scenario), ``"sequential"``
-    (a :class:`SequentialCheckingPlacement` of ``stripe_width`` over
-    the whole fleet), or ``None`` to pick sequential automatically
-    whenever the fleet exceeds ``MAX_STRIPE_WIDTH`` — which is what
-    makes the 64- and 256-server versions of this scenario runnable at
-    all. ``num_clients > 1`` deals the op stream round-robin across
+    The distribution layer follows the fleet: one static
+    :class:`StripeGroup` (the historical scenario) up to
+    ``MAX_STRIPE_WIDTH`` servers, beyond that a
+    :class:`SequentialCheckingPlacement` of ``KILL_STRIPE_WIDTH`` over
+    the whole fleet — what makes the 64- and 256-server versions of
+    this scenario runnable at all.
+    ``num_clients > 1`` deals the op stream round-robin across
     independent clients, each with its own detector, daemon, and
     placement instance, all sharing one faulty wire.
 
@@ -460,15 +182,9 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
     """
     if victims < 1:
         raise ValueError("victims must be >= 1")
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
     if num_servers is None:
         num_servers = 5 if victims == 1 else 2 * victims + 4
-    if placement is None:
-        placement = ("sequential" if num_servers > MAX_STRIPE_WIDTH
-                     else "static")
-    if placement not in ("static", "sequential"):
-        raise ValueError("placement must be 'static' or 'sequential'")
+    sequential = num_servers > MAX_STRIPE_WIDTH
     overrides = dict(log_overrides or {})
     if victims > 1:
         # Surviving a simultaneous multi-kill needs one parity member
@@ -476,361 +192,227 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
         overrides.setdefault("coding", "rs")
         overrides.setdefault("parity_fragments", victims)
     ops = list(ops) if ops is not None else generate_ops(seed, n_ops=64)
-    report = ChaosReport(seed=seed)
+    with Harness(seed, ops, num_servers=num_servers,
+                 num_clients=num_clients, fragment_size=fragment_size) as h:
+        all_servers = sorted(h.cluster.servers)
+        group_servers, spares = all_servers[:-victims], all_servers[-victims:]
+        overrides["spare_servers"] = tuple(spares)
 
-    cluster = build_local_cluster(num_servers=num_servers,
-                                  num_clients=num_clients,
-                                  fragment_size=fragment_size)
-    all_servers = sorted(cluster.servers)
-    group_servers, spares = all_servers[:-victims], all_servers[-victims:]
-    eff_width = min(stripe_width, len(group_servers))
-    if placement == "static":
-        kill_list = choose_kill_victims(seed, group_servers, victims)
-        victim: Optional[str] = kill_list[0]
-    else:
+        def make_group():
+            """Fresh placement (or the shared static group) for one client.
+
+            Sequential policies carry per-client view history, so every
+            client — and every fresh-recovery client — gets its own
+            instance over the same fleet.
+            """
+            if not sequential:
+                return h.cluster.stripe_group(group_servers)
+            return SequentialCheckingPlacement(
+                tuple(all_servers),
+                stripe_width=min(KILL_STRIPE_WIDTH, len(group_servers)),
+                parity_fragments=overrides.get("parity_fragments", 1),
+                spare_servers=tuple(spares),
+                view_servers=tuple(group_servers))
+
+        # Static group: the victims are a seeded draw, and durable damage
+        # is pinned to the first server that is going to die — its torn /
+        # flipped fragments vanish with it, so the scenario proves repair
+        # rebuilds them from survivors rather than quietly re-reading them.
         # Reallocation-free placement: a stripe only touches
-        # ``stripe_width`` of the view's servers, so a randomly chosen
-        # fleet member would likely never be in any client's write path
-        # — and a detector fed purely by its own traffic would (rightly)
-        # never indict it. The victims are instead chosen at crash time
-        # from the view positions every client is about to rotate
-        # through; the rotation cursor is seed-deterministic, so the
-        # choice replays bit-identically.
-        kill_list = []
-        victim = None
+        # ``KILL_STRIPE_WIDTH`` of the view's servers, so a randomly
+        # chosen fleet member would likely never be in any client's write
+        # path — and a detector fed purely by its own traffic would
+        # (rightly) never indict it. The victims are instead chosen at
+        # crash time from the view positions every client is about to
+        # rotate through (the rotation cursor is seed-deterministic, so
+        # the choice replays bit-identically), and the durable victim
+        # stays the plan's own seeded draw.
+        kill_list = ([] if sequential
+                     else choose_kill_victims(seed, group_servers, victims))
+        spec = FaultSpec(pinned_victim=kill_list[0]) if kill_list else None
+        clients = h.start_clients(spec, overrides, make_group=make_group,
+                                  monitored=True)
 
-    def make_group():
-        """Fresh placement (or the shared static group) for one client.
-
-        Sequential policies carry per-client view history, so every
-        client — and every fresh-recovery client — gets its own
-        instance over the same fleet.
-        """
-        if placement == "static":
-            return cluster.stripe_group(group_servers)
-        return SequentialCheckingPlacement(
-            tuple(all_servers), stripe_width=eff_width,
-            parity_fragments=overrides.get("parity_fragments", 1),
-            spare_servers=tuple(spares),
-            view_servers=tuple(group_servers))
-
-    # Pin durable damage to the first server that is going to die: its
-    # torn / flipped fragments vanish with it, so the scenario proves
-    # repair rebuilds them from survivors rather than quietly
-    # re-reading them. (Sequential placement picks its victims at crash
-    # time, so there the durable victim stays the plan's own seeded
-    # draw.)
-    base_spec = spec if spec is not None else FaultSpec()
-    if victim is not None:
-        base_spec = dataclasses.replace(base_spec, pinned_victim=victim)
-    plan = FaultPlan(seed, base_spec)
-    injector = FailureInjector(cluster)
-    faulty = FaultyTransport(cluster.transport, plan)
-    clients: List[_ChaosClient] = []
-    for index in range(num_clients):
-        client_id = CLIENT_ID + index
-        monitor = HealthMonitor(seed=seed + index)
-        log = LogLayer(faulty, make_group(),
-                       LogConfig(client_id=client_id,
-                                 fragment_size=fragment_size,
-                                 spare_servers=tuple(spares),
-                                 **overrides),
-                       retry_policy=RetryPolicy(seed=seed + index),
-                       verify_reads=True,
-                       health_monitor=monitor)
-        stack = ServiceStack(log)
-        disk = stack.push(LogicalDiskService(SERVICE_DISK))
-        clients.append(_ChaosClient(index=index, client_id=client_id,
-                                    log=log, stack=stack, disk=disk,
-                                    monitor=monitor))
-    for position, op in enumerate(ops):
-        clients[position % num_clients].ops.append(op)
-
-    flush_failures = 0
-    reads_checked = 0
-
-    def tag(client: _ChaosClient) -> str:
-        return "" if num_clients == 1 else "client %d: " % client.index
-
-    def apply_op(client: _ChaosClient, op: Op) -> None:
-        nonlocal reads_checked
-        kind, block_no, payload_seed, size = op
-        if kind == "write":
-            data = _payload(payload_seed, size)
-            client.disk.write(block_no, data)
-            client.model[block_no] = data
-        elif kind == "trim":
-            client.disk.trim(block_no)
-            client.model.pop(block_no, None)
-        else:
-            reads_checked += 1
-            if client.disk.exists(block_no) != (block_no in client.model):
-                report.problems.append(
-                    "%sblock %d existence diverged mid-run"
-                    % (tag(client), block_no))
-            elif (block_no in client.model
-                    and client.disk.read(block_no) != client.model[block_no]):
-                report.problems.append(
-                    "%sread of block %d diverged mid-run"
-                    % (tag(client), block_no))
-
-    def flush_degraded() -> None:
-        nonlocal flush_failures
-        for client in clients:
-            ticket = client.stack.flush()
-            ticket.wait(allow_degraded=True)
-            flush_failures += len(ticket.failures())
-
-    # Phase 1: first third of the workload under wire faults only.
-    crash_at = len(ops) // 3
-    for position, op in enumerate(ops[:crash_at]):
-        apply_op(clients[position % num_clients], op)
-    flush_degraded()
-
-    # Phase 2: kill the victims — they never come back. Keep the
-    # workload flowing in small flushed chunks: the flushes' failed
-    # stores and the reads' failed retrieves are exactly the evidence
-    # every client's failure detector needs. Measure how many ops land
-    # before the automatic reforms complete on every client.
-    if placement == "sequential":
-        view = clients[0].log.placement.current_servers()
-        cursor = max(c.log.next_stripe_number for c in clients)
-        kill_list.extend(sorted(view[(cursor + 1 + j) % len(view)]
-                                for j in range(victims)))
-        victim = kill_list[0]
-    for dead in kill_list:
-        injector.crash_server(dead)
-    reform_gap_ops: Optional[int] = None
-    ops_since_crash = 0
-    for position, op in enumerate(ops[crash_at:], start=crash_at):
-        apply_op(clients[position % num_clients], op)
-        ops_since_crash += 1
-        if (position - crash_at + 1) % flush_every == 0:
-            flush_degraded()
-        for client in clients:
-            if (client.daemon is None
-                    and len(client.log.reforms) >= victims):
-                # Phase 3 (overlapped): the moment this client's group
-                # has reformed away from every victim, start its
-                # background repair onto the spares and interleave it
-                # with the remaining foreground ops — wire faults on.
-                client.daemon = RepairDaemon(
-                    client.log.transport, client.client_id,
-                    replacement=list(spares),
-                    principal=client.log.config.principal,
-                    locations=client.log.locations)
-                client.daemon.discover(dead_server=victim)
-        if (reform_gap_ops is None
-                and all(len(c.log.reforms) >= victims for c in clients)):
-            reform_gap_ops = ops_since_crash
-        for client in clients:
-            if client.daemon is not None:
-                client.daemon.step()
-    flush_degraded()
-    for client in clients:
-        ticket = client.stack.checkpoint(client.disk)
-        ticket.wait(allow_degraded=True)
-        flush_failures += len(ticket.failures())
-
-    for client in clients:
-        if not client.log.reforms:
-            report.problems.append(
-                "%sno automatic reform: %s died but the group never changed"
-                % (tag(client), victim))
-        elif len(client.log.reforms) < victims:
-            report.problems.append(
-                "%sonly %d reforms for %d killed servers"
-                % (tag(client), len(client.log.reforms), victims))
-        else:
-            for dead in kill_list:
-                if dead in client.log.group.servers:
-                    report.problems.append(
-                        "%sdead server %s still in the stripe group "
-                        "after reform" % (tag(client), dead))
-            for spare in spares:
-                if spare not in client.log.group.servers:
-                    report.problems.append(
-                        "%sspare %s was not drafted into the reformed "
-                        "group" % (tag(client), spare))
-        for dead in kill_list:
-            if client.monitor.status(dead) != "dead":
-                report.problems.append(
-                    "%sdetector verdict for crashed %s is %r, expected dead"
-                    % (tag(client), dead, client.monitor.status(dead)))
-
-    # Drain the repair queues (a final sweep catches stripes flushed
-    # after the first discovery), still under wire faults.
-    repaired = 0
-    for client in clients:
-        if client.daemon is None and client.log.reforms:
+        def start_daemon(client) -> None:
             client.daemon = RepairDaemon(
                 client.log.transport, client.client_id,
                 replacement=list(spares),
                 principal=client.log.config.principal,
                 locations=client.log.locations)
-        if client.daemon is not None:
-            client.daemon.discover(dead_server=victim)
-            while not client.daemon.done:
-                client.daemon.step()
-            repaired += client.daemon.fragments_repaired
 
-    # Phase 4: faults off, victim still crashed. Full redundancy must
-    # be back: every stripe of every client's log healthy — not merely
-    # readable-degraded.
-    plan.stop()
-    for client in clients:
-        fsck = check_client_log(cluster.transport, client.client_id)
-        if not fsck.healthy:
-            report.problems.append(
-                "%sfsck not fully healthy after repair (victim down): %s"
-                % (tag(client), fsck.summary()))
+        # Phase 1: first third of the workload under wire faults only.
+        crash_at = len(ops) // 3
+        for position in range(crash_at):
+            h.apply_op(position)
+        h.flush()
 
-    # Phase 4.5 (restart variant): the victims return with their
-    # pre-crash state. Readmission must go through probation — a
-    # restarted server is evidence, not trust — and the stale copies it
-    # still serves must lose to checksum verification, never win a read.
-    readmitted = 0
-    stale_reads_checked = 0
-    if restart:
+        # Phase 2: kill the victims — they never come back. Keep the
+        # workload flowing in small flushed chunks: the flushes' failed
+        # stores and the reads' failed retrieves are exactly the evidence
+        # every client's failure detector needs. Measure how many ops
+        # land before the automatic reforms complete on every client.
+        if sequential:
+            view = clients[0].log.placement.current_servers()
+            cursor = max(c.log.next_stripe_number for c in clients)
+            kill_list.extend(sorted(view[(cursor + 1 + j) % len(view)]
+                                    for j in range(victims)))
+        victim = kill_list[0]
         for dead in kill_list:
-            injector.restart_server(dead)
+            h.injector.crash_server(dead)
+        reform_gap_ops = -1
+        for position in range(crash_at, len(ops)):
+            h.apply_op(position)
+            ops_since_crash = position - crash_at + 1
+            if ops_since_crash % KILL_FLUSH_EVERY == 0:
+                h.flush()
+            for client in clients:
+                if (client.daemon is None
+                        and len(client.log.reforms) >= victims):
+                    # Phase 3 (overlapped): the moment this client's group
+                    # has reformed away from every victim, start its
+                    # background repair onto the spares and interleave it
+                    # with the remaining foreground ops — wire faults on.
+                    start_daemon(client)
+                    client.daemon.discover(dead_server=victim)
+            if (reform_gap_ops < 0
+                    and all(len(c.log.reforms) >= victims for c in clients)):
+                reform_gap_ops = ops_since_crash
+            for client in clients:
+                if client.daemon is not None:
+                    client.daemon.step()
+        h.checkpoint()
+
         for client in clients:
+            if not client.log.reforms:
+                h.problem(client, "no automatic reform: %s died but the "
+                                  "group never changed" % victim)
+            elif len(client.log.reforms) < victims:
+                h.problem(client, "only %d reforms for %d killed servers"
+                          % (len(client.log.reforms), victims))
+            else:
+                for dead in kill_list:
+                    if dead in client.log.group.servers:
+                        h.problem(client, "dead server %s still in the "
+                                          "stripe group after reform" % dead)
+                for spare in spares:
+                    if spare not in client.log.group.servers:
+                        h.problem(client, "spare %s was not drafted into "
+                                          "the reformed group" % spare)
             for dead in kill_list:
-                for _ in range(4 * client.monitor.config.readmit_probes):
-                    if client.monitor.status(dead) == "healthy":
-                        break
-                    client.monitor.probe(dead)
-                if client.monitor.status(dead) != "healthy":
-                    report.problems.append(
-                        "%srestarted %s never readmitted (status %r)"
-                        % (tag(client), dead, client.monitor.status(dead)))
-                elif ((dead, "dead", "probation")
-                        not in client.monitor.transitions):
-                    report.problems.append(
-                        "%srestarted %s was readmitted without probation"
-                        % (tag(client), dead))
-                else:
-                    readmitted += 1
-            # Forget every placement for a fragment a victim still
-            # holds, so the next read has to re-locate it — and may be
-            # offered the victim's stale (possibly torn) copy. Verified
-            # reads must reject it and fall back to the repaired one.
+                status = client.log.monitor.status(dead)
+                if status != "dead":
+                    h.problem(client, "detector verdict for crashed %s is "
+                                      "%r, expected dead" % (dead, status))
+
+        # Drain the repair queues (a final sweep catches stripes flushed
+        # after the first discovery), still under wire faults.
+        for client in clients:
+            if client.daemon is None and client.log.reforms:
+                start_daemon(client)
+            if client.daemon is not None:
+                client.daemon.discover(dead_server=victim)
+                while not client.daemon.done:
+                    client.daemon.step()
+        daemons = [c.daemon for c in clients if c.daemon is not None]
+
+        # Phase 4: faults off, victim still crashed. Full redundancy must
+        # be back: every stripe of every client's log healthy — not
+        # merely readable-degraded.
+        h.plan.stop()
+        for client in clients:
+            fsck = check_client_log(h.cluster.transport, client.client_id)
+            if not fsck.healthy:
+                h.problem(client, "fsck not fully healthy after repair "
+                                  "(victim down): %s" % fsck.summary())
+
+        # Phase 4.5 (restart variant): the victims return with their
+        # pre-crash state. Readmission must go through probation — a
+        # restarted server is evidence, not trust — and the stale copies it
+        # still serves must lose to checksum verification, never win a read.
+        readmitted = stale_reads_checked = 0
+        if restart:
             for dead in kill_list:
-                try:
-                    response = cluster.transport.call(
-                        dead, m.ListFidsRequest(
-                            client_id=client.client_id,
-                            principal=client.log.config.principal))
-                except SwarmError:
-                    continue
-                stale_fids, _end = unpack_fids(response.payload)
-                for fid in stale_fids:
-                    client.log.locations.evict(fid)
-            for block_no in sorted(client.model):
-                stale_reads_checked += 1
-                if client.disk.read(block_no) != client.model[block_no]:
-                    report.problems.append(
-                        "%sread of block %d diverged after %d restarts"
-                        % (tag(client), block_no, len(kill_list)))
+                h.injector.restart_server(dead)
+            for client in clients:
+                monitor = client.log.monitor
+                for dead in kill_list:
+                    for _ in range(4 * monitor.config.readmit_probes):
+                        if monitor.status(dead) == "healthy":
+                            break
+                        monitor.probe(dead)
+                    if monitor.status(dead) != "healthy":
+                        h.problem(client, "restarted %s never readmitted "
+                                          "(status %r)"
+                                  % (dead, monitor.status(dead)))
+                    elif ((dead, "dead", "probation")
+                            not in monitor.transitions):
+                        h.problem(client, "restarted %s was readmitted "
+                                          "without probation" % dead)
+                    else:
+                        readmitted += 1
+                # Forget every placement for a fragment a victim still
+                # holds, so the next read has to re-locate it — and may be
+                # offered the victim's stale (possibly torn) copy. Verified
+                # reads must reject it and fall back to the repaired one.
+                for dead in kill_list:
+                    try:
+                        response = h.cluster.transport.call(
+                            dead, m.ListFidsRequest(
+                                client_id=client.client_id,
+                                principal=client.log.config.principal))
+                    except SwarmError:
+                        continue
+                    stale_fids, _end = unpack_fids(response.payload)
+                    for fid in stale_fids:
+                        client.log.locations.evict(fid)
+            stale_reads_checked = h.verify_models(
+                "after %d restarts" % len(kill_list))
 
-    # Phase 5: fresh clients recover from the log alone — with every
-    # victim still dead (or, in the restart variant, back up and
-    # serving stale copies) — and must reproduce each oracle exactly. A
-    # sequential-placement fresh client starts from the *initial* view
-    # and must roll its view history forward from the log.
-    recovered_states: List[Dict[int, bytes]] = []
-    for client in clients:
-        expected = oracle_state(client.ops)
-        fresh_group = (client.log.group if placement == "static"
-                       else make_group())
-        fresh_log = LogLayer(cluster.transport, fresh_group,
-                             LogConfig(client_id=client.client_id,
-                                       fragment_size=fragment_size,
-                                       spare_servers=tuple(spares),
-                                       **overrides))
-        fresh_stack = ServiceStack(fresh_log)
-        fresh_disk = fresh_stack.push(LogicalDiskService(SERVICE_DISK))
-        fresh_stack.recover_all()
-        if (placement == "sequential" and client.log.reforms
-                and fresh_log.placement.view_epoch
-                < client.log.placement.view_epoch):
-            report.problems.append(
-                "%splacement view history did not recover: fresh epoch "
-                "%d < writer epoch %d"
-                % (tag(client), fresh_log.placement.view_epoch,
-                   client.log.placement.view_epoch))
-        recovered: Dict[int, bytes] = {}
-        for block_no in fresh_disk.block_numbers():
-            recovered[block_no] = fresh_disk.read(block_no)
-        recovered_states.append(recovered)
-        if set(recovered) != set(expected):
-            report.problems.append(
-                "%srecovered block set %r != oracle %r"
-                % (tag(client), sorted(recovered), sorted(expected)))
-        else:
-            for block_no in sorted(expected):
-                if recovered[block_no] != expected[block_no]:
-                    report.problems.append(
-                        "%srecovered block %d differs from oracle"
-                        % (tag(client), block_no))
+        # Phase 5: fresh clients recover from the log alone — with every
+        # victim still dead (or, in the restart variant, back up and
+        # serving stale copies) — and must reproduce each oracle exactly.
+        # A static-group successor starts from the writer's reformed
+        # group; a sequential-placement one starts from the *initial*
+        # view and must roll its view history forward from the log.
+        fresh_clients = h.recover(
+            None if sequential else lambda client: client.log.group)
+        for client, fresh in zip(clients, fresh_clients):
+            if (sequential and client.log.reforms
+                    and fresh.log.placement.view_epoch
+                    < client.log.placement.view_epoch):
+                h.problem(client, "placement view history did not recover: "
+                                  "fresh epoch %d < writer epoch %d"
+                          % (fresh.log.placement.view_epoch,
+                             client.log.placement.view_epoch))
 
-    monitor_reports = [c.monitor.health_report() for c in clients]
-    report.fault_history = tuple(plan.history)
-    report.state_digest = _digest_many(recovered_states)
-    report.stats = {
-        "ops": len(ops),
-        "clients": num_clients,
-        "reads_checked": reads_checked,
-        "faults_applied": faulty.faults_applied,
-        "retries": sum(c.log.transport.retries for c in clients),
-        "backoff_charged_s": sum(c.log.transport.backoff_charged_s
-                                 for c in clients),
-        "exhausted": sum(c.log.transport.exhausted for c in clients),
-        "ambiguous_resolutions": sum(c.log.transport.ambiguous_resolutions
-                                     for c in clients),
-        "flush_failures": flush_failures,
-        "reform_gap_ops": -1 if reform_gap_ops is None else reform_gap_ops,
-        "victims_killed": len(kill_list),
-        "fragments_repaired": repaired,
-        "bytes_repaired": sum(c.daemon.bytes_repaired for c in clients
-                              if c.daemon is not None),
-        "repair_throttle_s": sum(c.daemon.throttle_charged_s
-                                 for c in clients if c.daemon is not None),
-        "probes": sum(entry["probes"]
-                      for monitor_report in monitor_reports
-                      for entry in monitor_report["servers"].values()),
-        "health_transitions": sum(len(monitor_report["transitions"])
-                                  for monitor_report in monitor_reports),
-        "restarted": len(kill_list) if restart else 0,
-        "readmitted": readmitted,
-        "stale_reads_checked": stale_reads_checked,
-    }
-    return report
-
-
-def replay_kill_check(seed: int, **kwargs,
-                      ) -> Tuple[ChaosReport, ChaosReport, bool]:
-    """Run the kill-server scenario twice; True when bit-identical."""
-    first = run_kill_server(seed, **kwargs)
-    second = run_kill_server(seed, **kwargs)
-    identical = (first.fault_history == second.fault_history
-                 and first.state_digest == second.state_digest
-                 and first.problems == second.problems)
-    return first, second, identical
+        monitor_reports = [c.log.monitor.health_report() for c in clients]
+        h.finish(
+            clients=num_clients,
+            reform_gap_ops=reform_gap_ops,
+            victims_killed=len(kill_list),
+            fragments_repaired=sum(d.fragments_repaired for d in daemons),
+            bytes_repaired=sum(d.bytes_repaired for d in daemons),
+            repair_throttle_s=sum(d.throttle_charged_s for d in daemons),
+            probes=sum(entry["probes"]
+                       for monitor_report in monitor_reports
+                       for entry in monitor_report["servers"].values()),
+            health_transitions=sum(len(monitor_report["transitions"])
+                                   for monitor_report in monitor_reports),
+            restarted=len(kill_list) if restart else 0,
+            readmitted=readmitted,
+            stale_reads_checked=stale_reads_checked)
+    return h.report
 
 
 def run_cleaner_churn(seed: int, ops: Optional[Sequence[Op]] = None,
-                      spec: Optional[FaultSpec] = None, num_servers: int = 4,
-                      fragment_size: int = 1 << 12,
-                      clean_every: int = 16,
-                      utilization_threshold: float = 0.9,
+                      num_servers: int = 4,
                       log_overrides: Optional[Dict[str, object]] = None,
                       ) -> ChaosReport:
     """Cleaner-under-churn scenario: clean live stripes mid-chaos.
 
     A heavily overwriting workload (small block-number space, so early
     stripes die fast) runs under wire faults with a cleaner in the
-    stack. Every ``clean_every`` ops the harness flushes, checkpoints
+    stack. Every ``CLEAN_EVERY`` ops the harness flushes, checkpoints
     every service, and runs a cleaning pass — the cleaner's batched
     multi-range harvest and pipelined re-append therefore execute while
     faults are still being injected. Invariants: mid-run reads match the
@@ -840,529 +422,39 @@ def run_cleaner_churn(seed: int, ops: Optional[Sequence[Op]] = None,
     """
     ops = (list(ops) if ops is not None
            else generate_ops(seed, n_ops=64, max_blocks=12))
-    expected = oracle_state(ops)
-    report = ChaosReport(seed=seed)
+    with Harness(seed, ops, num_servers=num_servers) as h:
+        [client] = h.start_clients(None, log_overrides,
+                                   cleaner_threshold=CLEANER_THRESHOLD)
+        cleaner = client.cleaner
+        clean_passes = 0
 
-    cluster = build_local_cluster(num_servers=num_servers, num_clients=1,
-                                  fragment_size=fragment_size)
-    plan = FaultPlan(seed, spec)
-    faulty = FaultyTransport(cluster.transport, plan)
-    log = LogLayer(faulty, cluster.stripe_group(),
-                   LogConfig(client_id=CLIENT_ID,
-                             fragment_size=fragment_size,
-                             **(log_overrides or {})),
-                   retry_policy=RetryPolicy(seed=seed), verify_reads=True)
-    stack = ServiceStack(log)
-    cleaner = stack.push(CleanerService(
-        SERVICE_CLEANER, utilization_threshold=utilization_threshold))
-    disk = stack.push(LogicalDiskService(SERVICE_DISK))
-
-    model: Dict[int, bytes] = {}
-    flush_failures = 0
-    reads_checked = 0
-    clean_passes = 0
-
-    def checkpoint_degraded() -> None:
-        nonlocal flush_failures
-        for service in stack.layers:
-            ticket = stack.checkpoint(service)
-            ticket.wait(allow_degraded=True)
-            flush_failures += len(ticket.failures())
-
-    for index, op in enumerate(ops):
-        kind, block_no, payload_seed, size = op
-        if kind == "write":
-            data = _payload(payload_seed, size)
-            disk.write(block_no, data)
-            model[block_no] = data
-        elif kind == "trim":
-            disk.trim(block_no)
-            model.pop(block_no, None)
-        else:
-            reads_checked += 1
-            if disk.exists(block_no) != (block_no in model):
-                report.problems.append(
-                    "block %d existence diverged mid-run" % block_no)
-            elif block_no in model and disk.read(block_no) != model[block_no]:
-                report.problems.append(
-                    "read of block %d diverged mid-run" % block_no)
-        if (index + 1) % clean_every == 0:
-            ticket = stack.flush()
-            ticket.wait(allow_degraded=True)
-            flush_failures += len(ticket.failures())
-            checkpoint_degraded()
+        def clean_pass() -> None:
+            nonlocal clean_passes
+            h.checkpoint()
             cleaner.clean(target_stripes=4)
             clean_passes += 1
-            # Cleaning must never disturb the logical state.
-            for block_no in sorted(model):
-                if disk.read(block_no) != model[block_no]:
-                    report.problems.append(
-                        "block %d diverged after cleaning pass %d"
-                        % (block_no, clean_passes))
-                    break
 
-    ticket = stack.flush()
-    ticket.wait(allow_degraded=True)
-    flush_failures += len(ticket.failures())
-    checkpoint_degraded()
-    cleaner.clean(target_stripes=4)
-    clean_passes += 1
+        for position in range(len(ops)):
+            h.apply_op(position)
+            if (position + 1) % CLEAN_EVERY == 0:
+                clean_pass()
+                # Cleaning must never disturb the logical state.
+                h.verify_models("after cleaning pass %d" % clean_passes)
+        clean_pass()
 
-    # Faults off: the surviving log must be fully repairable and a
-    # fresh client (with its own cleaner, so cleaner-state recovery is
-    # exercised too) must reproduce the oracle.
-    plan.stop()
-    fsck = check_client_log(cluster.transport, CLIENT_ID)
-    restored = 0
-    if not fsck.healthy:
-        if fsck.by_status("lost"):
-            report.problems.append("data loss before repair: %s"
-                                   % fsck.summary())
-        restored = repair_client_log(
-            cluster.transport, CLIENT_ID,
-            target_server=sorted(cluster.servers)[0])
-        fsck = check_client_log(cluster.transport, CLIENT_ID)
-    if not fsck.healthy:
-        report.problems.append("fsck unhealthy after repair: %s"
-                               % fsck.summary())
+        # Faults off: the surviving log must be fully repairable and a
+        # fresh client (with its own cleaner, so cleaner-state recovery
+        # is exercised too) must reproduce the oracle.
+        h.plan.stop()
+        restored = h.fsck_repair(target_server=sorted(h.cluster.servers)[0])
+        [fresh] = h.recover()
+        if fresh.cleaner._live != cleaner._live:
+            h.problem(client, "cleaner liveness map did not recover")
 
-    fresh_log = LogLayer(cluster.transport, cluster.stripe_group(),
-                         LogConfig(client_id=CLIENT_ID,
-                                   fragment_size=fragment_size,
-                                   **(log_overrides or {})))
-    fresh_stack = ServiceStack(fresh_log)
-    fresh_cleaner = fresh_stack.push(CleanerService(
-        SERVICE_CLEANER, utilization_threshold=utilization_threshold))
-    fresh_disk = fresh_stack.push(LogicalDiskService(SERVICE_DISK))
-    fresh_stack.recover_all()
-
-    recovered: Dict[int, bytes] = {}
-    for block_no in fresh_disk.block_numbers():
-        recovered[block_no] = fresh_disk.read(block_no)
-    if set(recovered) != set(expected):
-        report.problems.append(
-            "recovered block set %r != oracle %r"
-            % (sorted(recovered), sorted(expected)))
-    else:
-        for block_no in sorted(expected):
-            if recovered[block_no] != expected[block_no]:
-                report.problems.append(
-                    "recovered block %d differs from oracle" % block_no)
-    if fresh_cleaner._live != cleaner._live:
-        report.problems.append("cleaner liveness map did not recover")
-
-    retrying = log.transport
-    report.fault_history = tuple(plan.history)
-    report.state_digest = _digest(recovered)
-    report.stats = {
-        "ops": len(ops),
-        "reads_checked": reads_checked,
-        "faults_applied": faulty.faults_applied,
-        "retries": retrying.retries,
-        "backoff_charged_s": retrying.backoff_charged_s,
-        "exhausted": retrying.exhausted,
-        "ambiguous_resolutions": retrying.ambiguous_resolutions,
-        "flush_failures": flush_failures,
-        "clean_passes": clean_passes,
-        "stripes_cleaned": cleaner.stripes_cleaned,
-        "blocks_moved": cleaner.blocks_moved,
-        "bytes_moved": cleaner.bytes_moved,
-        "deletes_requeued": cleaner.deletes_requeued,
-        "fsck_restored": restored,
-    }
-    return report
-
-
-def replay_cleaner_check(seed: int, **kwargs,
-                         ) -> Tuple[ChaosReport, ChaosReport, bool]:
-    """Run the cleaner-churn scenario twice; True when bit-identical."""
-    first = run_cleaner_churn(seed, **kwargs)
-    second = run_cleaner_churn(seed, **kwargs)
-    identical = (first.fault_history == second.fault_history
-                 and first.state_digest == second.state_digest
-                 and first.problems == second.problems)
-    return first, second, identical
-
-
-# ----------------------------------------------------------------------
-# Crash-point sweep: kill the client at every instrumented write-path
-# step, recover a fresh one, and hold it to a durability oracle.
-# ----------------------------------------------------------------------
-
-#: Record type for the small "note" records the sweep episode appends
-#: through :meth:`LogLayer.write_record`. They exist to keep the
-#: group-commit buffer busy (so ``group_commit_flush`` fires often and
-#: mid-batch kills are exercised); the logical-disk service ignores any
-#: record type it does not know, so they are invisible to the oracle.
-CRASH_NOTE_RTYPE = 96
-
-
-def _run_crash_episode(seed: int, ops: Sequence[Op],
-                       injector: CrashInjector, num_servers: int,
-                       fragment_size: int, stripe_width: int):
-    """Drive the scripted crash-sweep episode against a fresh cluster.
-
-    The script is deliberately eventful so every named crash point
-    fires several times: group-commit fences and note records, three
-    checkpoint generations (each re-embedding the placement view
-    history), a mid-run ``grow_fleet`` view change, a deterministic
-    full-rewrite pass that guarantees the cleaner has dead stripes to
-    reclaim for *any* seed, and one cleaning pass.
-
-    Returns ``(cluster, applied, acked, crashed)``: the cluster (left
-    exactly as the crash found it), every op *attempted* in order, the
-    length of the prefix of ``applied`` known durable (acked by a fence
-    or checkpoint), and whether the injector fired.
-
-    An op is appended to ``applied`` before it executes: a kill inside
-    the op leaves it attempted-but-unacked, which is exactly the window
-    the durability oracle must treat as "may or may not have happened —
-    but never torn".
-    """
-    cluster = build_local_cluster(num_servers=num_servers, num_clients=1,
-                                  fragment_size=fragment_size)
-    all_servers = sorted(cluster.servers)
-    initial_view = tuple(all_servers[:-1])
-    extra = all_servers[-1]
-    placement = SequentialCheckingPlacement(
-        tuple(all_servers), stripe_width=stripe_width,
-        parity_fragments=1, spare_servers=(),
-        view_servers=initial_view)
-    log = LogLayer(cluster.transport, placement,
-                   LogConfig(client_id=CLIENT_ID,
-                             fragment_size=fragment_size),
-                   verify_reads=True, crash_injector=injector)
-    stack = ServiceStack(log)
-    cleaner = stack.push(CleanerService(SERVICE_CLEANER,
-                                        utilization_threshold=0.95))
-    disk = stack.push(LogicalDiskService(SERVICE_DISK))
-
-    applied: List[Op] = []
-    acked = 0
-    crashed = False
-
-    def fence() -> None:
-        nonlocal acked
-        stack.flush().wait()
-        acked = len(applied)
-
-    def checkpoint_all() -> None:
-        nonlocal acked
-        for service in stack.layers:
-            stack.checkpoint(service).wait()
-        acked = len(applied)
-
-    def apply_op(op: Op) -> None:
-        applied.append(op)
-        kind, block_no, payload_seed, size = op
-        if kind == "write":
-            disk.write(block_no, _payload(payload_seed, size))
-        elif kind == "trim":
-            disk.trim(block_no)
-        elif disk.exists(block_no):
-            disk.read(block_no)
-
-    def run_slice(chunk: Sequence[Op], base: int) -> None:
-        for position, op in enumerate(chunk, start=base):
-            apply_op(op)
-            if (position + 1) % 6 == 0:
-                fence()
-            if (position + 1) % 7 == 0:
-                log.write_record(SERVICE_DISK, CRASH_NOTE_RTYPE,
-                                 b"note-%d" % position)
-
-    third = len(ops) // 3
-    try:
-        run_slice(ops[:third], 0)
-        fence()
-        checkpoint_all()
-        log.grow_fleet([extra])
-        run_slice(ops[third:2 * third], third)
-        fence()
-        checkpoint_all()
-        # Deterministic rewrite pass: overwriting every live block kills
-        # the blocks' old log copies, so the stripes holding them decay
-        # below the cleaner's utilization threshold for any seed — the
-        # cleaning pass below always has real work, and the cleaner
-        # crash points always fire.
-        for block_no in sorted(disk.block_numbers()):
-            payload_seed = (seed * 1000003 + block_no) & 0x7FFFFFFF
-            apply_op(("write", block_no, payload_seed, 512))
-        fence()
-        checkpoint_all()
-        cleaner.clean(target_stripes=4)
-        fence()
-        run_slice(ops[2 * third:], 2 * third)
-        fence()
-        checkpoint_all()
-    except ClientCrash:
-        crashed = True
-    return cluster, applied, acked, crashed
-
-
-def _recover_crash_state(cluster, fragment_size: int,
-                         stripe_width: int) -> Dict[int, bytes]:
-    """Fresh-client recovery against whatever the crash left behind.
-
-    The recovering client starts from the *initial* placement view
-    (the view history rolls forward from the log's VIEW_CHANGE records)
-    and an empty location cache — nothing survives from the dead client
-    but the servers' contents.
-    """
-    all_servers = sorted(cluster.servers)
-    placement = SequentialCheckingPlacement(
-        tuple(all_servers), stripe_width=stripe_width,
-        parity_fragments=1, spare_servers=(),
-        view_servers=tuple(all_servers[:-1]))
-    log = LogLayer(cluster.transport, placement,
-                   LogConfig(client_id=CLIENT_ID,
-                             fragment_size=fragment_size))
-    stack = ServiceStack(log)
-    stack.push(CleanerService(SERVICE_CLEANER, utilization_threshold=0.95))
-    disk = stack.push(LogicalDiskService(SERVICE_DISK))
-    stack.recover_all()
-    return {block_no: disk.read(block_no)
-            for block_no in disk.block_numbers()}
-
-
-def _check_crash_oracle(report, ptag: str, recovered: Dict[int, bytes],
-                        applied: Sequence[Op], acked: int) -> None:
-    """The durability oracle for one crash.
-
-    * Every op acked before the kill must be readable after recovery —
-      the recovered value of each block starts from the acked state.
-    * Ops attempted after the last ack may have happened or not
-      (rollforward stops wherever the durable prefix ends), but each
-      block must read back as *some* value it was actually assigned —
-      never a torn hybrid, never a value from a later op without the
-      earlier ones' effects on that block.
-    * A block may be absent only if the acked state did not contain it
-      or an unacked trim could have removed it.
-    """
-    acked_state = oracle_state(applied[:acked])
-    candidates: Dict[int, set] = {
-        block_no: {value} for block_no, value in acked_state.items()}
-    for kind, block_no, payload_seed, size in applied[acked:]:
-        if kind == "write":
-            candidates.setdefault(block_no, {acked_state.get(block_no)})
-            candidates[block_no].add(_payload(payload_seed, size))
-        elif kind == "trim":
-            candidates.setdefault(block_no, {acked_state.get(block_no)})
-            candidates[block_no].add(None)
-    for block_no in sorted(recovered):
-        allowed = candidates.get(block_no)
-        if allowed is None:
-            report.problems.append(
-                "%srecovered block %d was never written" % (ptag, block_no))
-        elif recovered[block_no] not in allowed:
-            report.problems.append(
-                "%srecovered block %d matches no applied value (torn write "
-                "survived recovery)" % (ptag, block_no))
-    for block_no, allowed in candidates.items():
-        if block_no not in recovered and None not in allowed:
-            report.problems.append(
-                "%sacked block %d lost by the crash" % (ptag, block_no))
-
-
-def _pick_occurrences(hits: int, cap: int) -> List[int]:
-    """Which k-th occurrences of a point to arm, given it fired ``hits``
-    times in the census. All of them when few; an evenly spaced sample
-    (always including the first and last) when many."""
-    if hits <= 0:
-        return []
-    if cap <= 1 or hits <= cap:
-        return list(range(1, hits + 1)) if hits <= cap else [1]
-    return sorted({1 + ((hits - 1) * i) // (cap - 1) for i in range(cap)})
-
-
-@dataclass
-class CrashSweepReport:
-    """Outcome of one crash-point sweep."""
-
-    seed: int
-    problems: List[str] = field(default_factory=list)
-    census: Dict[str, int] = field(default_factory=dict)
-    pairs: List[Tuple[str, int, str, int]] = field(default_factory=list)
-    """One ``(point, occurrence, recovered-state digest, fragments
-    restored by repair)`` tuple per armed run, in sweep order."""
-    state_digest: str = ""
-    stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """True when every crash survived its oracle."""
-        return not self.problems
-
-    def summary(self) -> str:
-        """One-line human summary (always names the seed)."""
-        status = ("OK" if self.ok
-                  else "FAILED (%d problems)" % len(self.problems))
-        return ("crash-sweep seed=%d: %s — %d points, %d (point, occurrence) "
-                "pairs, %d fragments repaired, digest %s"
-                % (self.seed, status,
-                   sum(1 for count in self.census.values() if count),
-                   len(self.pairs), int(self.stats.get("repaired", 0)),
-                   self.state_digest[:12]))
-
-
-def run_crash_sweep(seed: int, ops: Optional[Sequence[Op]] = None,
-                    num_servers: int = 6, fragment_size: int = 1 << 12,
-                    stripe_width: int = 4, occ_cap: int = 4,
-                    point: Optional[str] = None,
-                    occurrence: Optional[int] = None,
-                    ) -> CrashSweepReport:
-    """Kill the client at every instrumented crash point; verify recovery.
-
-    The sweep runs the scripted episode once with an unarmed injector
-    (the *census*: identical traffic, counting how often each point
-    fires), then re-runs it from a fresh cluster for each chosen
-    ``(point, occurrence)`` pair with the injector armed to raise
-    :class:`ClientCrash` at exactly that hit. After each kill a fresh
-    client recovers from the servers alone and four invariants are
-    checked:
-
-    1. **durability** — every op acked (fenced or checkpointed) before
-       the kill is readable; every unacked op is atomic: present with
-       one of its actually-applied values, or absent, never torn;
-    2. **idempotence** — recovering twice from the untouched post-crash
-       cluster yields byte-identical states;
-    3. **fsck** — the log the crash left behind is healthy or
-       repairable (never *lost*), repairing it reaches full health, and
-       recovery after repair still equals recovery before it;
-    4. **determinism** — the armed run's hook trace is a prefix of the
-       census trace (the kill changed nothing before the kill), which
-       is what makes any pair replayable from ``(seed, point, k)``.
-
-    ``point``/``occurrence`` restrict the sweep to one point (and
-    optionally one k-th hit) — the replay knob for debugging a single
-    failing triple. ``occ_cap`` bounds the occurrences armed per point;
-    within the cap they are evenly spaced across the census count,
-    always including the first and last hit.
-    """
-    if point is not None and point not in CRASH_POINTS:
-        raise ValueError("unknown crash point %r (have: %s)"
-                         % (point, ", ".join(CRASH_POINTS)))
-    if occurrence is not None and point is None:
-        raise ValueError("occurrence requires a crash point")
-    ops = (list(ops) if ops is not None
-           else generate_ops(seed, n_ops=36, max_blocks=12))
-    report = CrashSweepReport(seed=seed)
-
-    # Census: the same episode end to end, no kill. Establishes the
-    # per-point hit counts, the hook trace armed runs must prefix, and
-    # a clean baseline (its recovery must equal the oracle exactly).
-    census_injector = CrashInjector()
-    cluster, applied, acked, crashed = _run_crash_episode(
-        seed, ops, census_injector, num_servers, fragment_size, stripe_width)
-    report.census = census_injector.census()
-    if crashed:
-        report.problems.append("census run crashed with an unarmed injector")
-        return report
-    if acked != len(applied):
-        report.problems.append("census run ended with unacked ops "
-                               "(episode script bug)")
-    census_ops = len(applied)
-    expected = oracle_state(applied)
-    census_state = _recover_crash_state(cluster, fragment_size, stripe_width)
-    if census_state != expected:
-        report.problems.append("census recovery diverged from the oracle")
-    missing = [name for name in CRASH_POINTS
-               if not report.census.get(name)]
-    if missing:
-        report.problems.append(
-            "crash points never fired in the census: %s"
-            % ", ".join(missing))
-
-    if point is not None:
-        occurrences = ([occurrence] if occurrence is not None
-                       else _pick_occurrences(report.census.get(point, 0),
-                                              occ_cap))
-        targets = [(point, k) for k in occurrences]
-    else:
-        targets = [(name, k) for name in CRASH_POINTS
-                   for k in _pick_occurrences(report.census.get(name, 0),
-                                              occ_cap)]
-
-    crashes = 0
-    repaired_total = 0
-    for name, k in targets:
-        ptag = "%s@%d: " % (name, k)
-        armed = CrashInjector(point=name, occurrence=k)
-        cluster, applied, acked, crashed = _run_crash_episode(
-            seed, ops, armed, num_servers, fragment_size, stripe_width)
-        if not crashed:
-            report.problems.append(ptag + "armed injector never fired")
-            continue
-        crashes += 1
-        if armed.trace != census_injector.trace[:len(armed.trace)]:
-            report.problems.append(
-                ptag + "pre-kill hook trace diverged from the census")
-        try:
-            first = _recover_crash_state(cluster, fragment_size, stripe_width)
-            second = _recover_crash_state(cluster, fragment_size,
-                                          stripe_width)
-        except SwarmError as exc:
-            report.problems.append(ptag + "recovery failed: %s" % (exc,))
-            continue
-        if first != second:
-            report.problems.append(
-                ptag + "recovery is not idempotent (two recoveries of the "
-                "same log differ)")
-        _check_crash_oracle(report, ptag, first, applied, acked)
-        fsck = check_client_log(cluster.transport, CLIENT_ID)
-        pair_repaired = 0
-        if not fsck.healthy:
-            if not fsck.repairable:
-                report.problems.append(
-                    ptag + "crash left the log unrepairable: %s"
-                    % fsck.summary())
-            else:
-                pair_repaired = repair_client_log(
-                    cluster.transport, CLIENT_ID,
-                    target_server=sorted(cluster.servers)[0])
-                fsck = check_client_log(cluster.transport, CLIENT_ID)
-                if not fsck.healthy:
-                    report.problems.append(
-                        ptag + "fsck still unhealthy after repair: %s"
-                        % fsck.summary())
-                else:
-                    third = _recover_crash_state(cluster, fragment_size,
-                                                 stripe_width)
-                    if third != first:
-                        report.problems.append(
-                            ptag + "repair changed the recovered state")
-        report.pairs.append((name, k, _digest(first), pair_repaired))
-        repaired_total += pair_repaired
-
-    acc = hashlib.sha256()
-    for name, k, digest, pair_repaired in report.pairs:
-        acc.update(b"%s:%d:%s:%d;"
-                   % (name.encode("ascii"), k, digest.encode("ascii"),
-                      pair_repaired))
-    report.state_digest = acc.hexdigest()
-    report.stats = {
-        "ops": census_ops,
-        "points_fired": sum(1 for count in report.census.values() if count),
-        "pairs": len(targets),
-        "crashes": crashes,
-        "repaired": repaired_total,
-    }
-    return report
-
-
-def replay_crash_sweep(seed: int, **kwargs,
-                       ) -> Tuple[CrashSweepReport, CrashSweepReport, bool]:
-    """Run a crash sweep twice; True when the runs are bit-identical.
-
-    Identical means the same census counts, the same (point, occurrence,
-    digest, repaired) tuple for every pair, and the same problem list —
-    the property that makes any sweep failure reproducible from its
-    ``(seed, point, occurrence)`` triple alone.
-    """
-    first = run_crash_sweep(seed, **kwargs)
-    second = run_crash_sweep(seed, **kwargs)
-    identical = (first.census == second.census
-                 and first.pairs == second.pairs
-                 and first.state_digest == second.state_digest
-                 and first.problems == second.problems)
-    return first, second, identical
+        h.finish(clean_passes=clean_passes,
+                 stripes_cleaned=cleaner.stripes_cleaned,
+                 blocks_moved=cleaner.blocks_moved,
+                 bytes_moved=cleaner.bytes_moved,
+                 deletes_requeued=cleaner.deletes_requeued,
+                 fsck_restored=restored)
+    return h.report

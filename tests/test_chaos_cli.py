@@ -1,0 +1,42 @@
+"""Every ``python -m repro.chaos`` line CI runs must still parse.
+
+``ci.yml`` drives the chaos scenarios through the CLI, and the CLI picks
+the scenario from its ``SCENARIOS`` table; a flag renamed or a table
+entry dropped would strand a CI job that tier-1 never notices. This
+reads the workflow file, takes every runnable chaos line (comment lines
+only document how to reproduce) and hands it to ``parse_args`` — parse
+and flag-pair validation, no scenario run.
+"""
+
+import pathlib
+import shlex
+
+import pytest
+
+from repro.chaos.__main__ import SCENARIOS, parse_args
+
+CI_YML = pathlib.Path(__file__).parent.parent / ".github/workflows/ci.yml"
+MODULE = "python -m repro.chaos "
+
+
+def _ci_chaos_commands():
+    commands = []
+    for line in CI_YML.read_text().splitlines():
+        if MODULE in line and not line.lstrip().startswith("#"):
+            flags = line.split(MODULE, 1)[1]
+            commands.append(flags.replace("${{ github.run_id }}", "1"))
+    return commands
+
+
+def test_every_ci_chaos_line_parses():
+    commands = _ci_chaos_commands()
+    assert commands, "no chaos lines found in %s" % CI_YML
+    scenarios = {function for function, _ops, _blocks in SCENARIOS.values()}
+    for command in commands:
+        try:
+            scenario, seed, kwargs, _replay = parse_args(shlex.split(command))
+        except SystemExit:
+            pytest.fail("ci.yml line no longer parses: %s%s"
+                        % (MODULE, command))
+        assert scenario in scenarios
+        assert isinstance(seed, int) and kwargs["ops"]

@@ -19,13 +19,9 @@ import hashlib
 import pytest
 
 from repro.chaos.__main__ import main
-from repro.chaos.runner import (
-    generate_ops,
-    run_chaos,
-    run_cleaner_churn,
-    run_crash_sweep,
-    run_kill_server,
-)
+from repro.chaos.harness import generate_ops
+from repro.chaos.runner import run_chaos, run_cleaner_churn, run_kill_server
+from repro.chaos.sweep import run_crash_sweep
 
 #: variant -> (CLI flags, scenario, n_ops, max_blocks, scenario kwargs);
 #: the last four are what ``repro.chaos.__main__`` derives from the flags.

@@ -23,9 +23,8 @@ except ImportError:  # pragma: no cover - hypothesis is in the dev env
     HAVE_HYPOTHESIS = False
 
 from repro.chaos.plan import FaultSpec
-from repro.chaos.runner import generate_ops, oracle_state, replay_check, \
-    replay_cleaner_check, replay_kill_check, run_chaos, run_cleaner_churn, \
-    run_kill_server
+from repro.chaos.harness import generate_ops, oracle_state, replay
+from repro.chaos.runner import run_chaos, run_cleaner_churn, run_kill_server
 
 SEEDS = [int(s) for s in
          os.environ.get("CHAOS_SEEDS", "101,202,303").split(",") if s.strip()]
@@ -54,7 +53,7 @@ def test_chaos_run_zero_data_loss(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chaos_run_replays_identically(seed):
-    first, second, identical = replay_check(seed)
+    first, second, identical = replay(run_chaos, seed)
     if not (first.ok and second.ok):
         _fail(first if not first.ok else second, "invariants violated")
     assert identical, (
@@ -95,7 +94,7 @@ def test_kill_server_self_heals_with_zero_data_loss(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_kill_server_replays_identically(seed):
-    first, second, identical = replay_kill_check(seed)
+    first, second, identical = replay(run_kill_server, seed)
     if not (first.ok and second.ok):
         _fail(first if not first.ok else second,
               "self-healing invariants violated (reproduce with "
@@ -126,7 +125,8 @@ def test_chaos_zero_data_loss_with_write_behind(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_chaos_replays_identically_with_write_behind(seed):
-    first, second, identical = replay_check(seed, log_overrides=WRITE_BEHIND)
+    first, second, identical = replay(run_chaos, seed,
+                                      log_overrides=WRITE_BEHIND)
     if not (first.ok and second.ok):
         _fail(first if not first.ok else second,
               "invariants violated with max_inflight_stripes=4")
@@ -169,8 +169,8 @@ def test_kill_server_self_heals_with_write_behind(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_kill_server_replays_identically_with_write_behind(seed):
-    first, second, identical = replay_kill_check(
-        seed, log_overrides=WRITE_BEHIND)
+    first, second, identical = replay(
+        run_kill_server, seed, log_overrides=WRITE_BEHIND)
     if not (first.ok and second.ok):
         _fail(first if not first.ok else second,
               "self-healing invariants violated with max_inflight_stripes=4")
@@ -200,7 +200,8 @@ def test_chaos_zero_data_loss_with_read_ahead(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_chaos_replays_identically_with_read_ahead(seed):
-    first, second, identical = replay_check(seed, log_overrides=READ_AHEAD)
+    first, second, identical = replay(run_chaos, seed,
+                                      log_overrides=READ_AHEAD)
     if not (first.ok and second.ok):
         _fail(first if not first.ok else second,
               "invariants violated with max_inflight_reads=4")
@@ -245,8 +246,8 @@ def test_kill_server_self_heals_with_read_ahead(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_kill_server_replays_identically_with_both_windows(seed):
-    first, second, identical = replay_kill_check(
-        seed, log_overrides={**WRITE_BEHIND, **READ_AHEAD})
+    first, second, identical = replay(
+        run_kill_server, seed, log_overrides={**WRITE_BEHIND, **READ_AHEAD})
     if not (first.ok and second.ok):
         _fail(first if not first.ok else second,
               "self-healing invariants violated with write-behind + "
@@ -272,7 +273,7 @@ def test_cleaner_churn_zero_data_loss(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_cleaner_churn_replays_identically(seed):
-    first, second, identical = replay_cleaner_check(seed)
+    first, second, identical = replay(run_cleaner_churn, seed)
     if not (first.ok and second.ok):
         _fail(first if not first.ok else second,
               "cleaner-churn invariants violated (reproduce with "

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.chaos.crashpoints import CRASH_POINTS, ClientCrash, CrashInjector
-from repro.chaos.runner import (
-    _pick_occurrences,
-    replay_crash_sweep,
-    run_crash_sweep,
-    run_kill_server,
-)
+from repro.chaos.harness import replay
+from repro.chaos.runner import run_kill_server
+from repro.chaos.sweep import _pick_occurrences, run_crash_sweep
 
 
 class TestRegistry:
@@ -105,7 +102,7 @@ class TestSweep:
         assert report.ok, report.problems
 
     def test_full_sweep_covers_every_point_and_replays(self):
-        first, second, identical = replay_crash_sweep(11, occ_cap=1)
+        first, second, identical = replay(run_crash_sweep, 11, occ_cap=1)
         assert first.ok, first.problems
         assert second.ok, second.problems
         assert identical

@@ -9,13 +9,15 @@ unchanged. Run them with ``pytest -m net``.
 """
 
 import asyncio
+import threading
 import time
 
 import pytest
 
 from repro import errors
 from repro.chaos.plan import FaultPlan
-from repro.chaos.runner import generate_ops, run_chaos
+from repro.chaos.harness import generate_ops
+from repro.chaos.runner import run_chaos
 from repro.chaos.transport import FaultyTransport
 from repro.cluster import build_local_cluster
 from repro.health import HealthMonitor
@@ -383,3 +385,14 @@ class TestChaosOverTcp:
         assert first.ok and second.ok
         assert first.fault_history == second.fault_history
         assert first.state_digest == second.state_digest
+
+    def test_wire_is_torn_down_when_a_run_raises(self):
+        # An op the applier cannot unpack raises after the listeners
+        # and the transport's loop thread are up; the harness must
+        # still close both, not only on the path that reaches its last
+        # line.
+        threads_before = threading.active_count()
+        ops = generate_ops(101, n_ops=8) + [("write", 1)]
+        with pytest.raises(ValueError):
+            run_chaos(101, ops=ops, wire="tcp")
+        assert threading.active_count() == threads_before

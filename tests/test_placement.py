@@ -11,11 +11,8 @@ store bill of a view change and flat throughput as the fleet grows.
 import pytest
 
 from repro.bench.ablations import ablate_fleet_scaling
-from repro.chaos.runner import (
-    replay_check,
-    replay_kill_check,
-    run_kill_server,
-)
+from repro.chaos.harness import replay
+from repro.chaos.runner import run_chaos, run_kill_server
 from repro.cluster.cluster import build_local_cluster
 from repro.errors import ConfigError
 from repro.log.config import LogConfig
@@ -412,7 +409,7 @@ class TestFleetScalingBound:
 
 class TestChaosAtScale:
     def test_two_client_replay_determinism(self):
-        first, second, identical = replay_check(31, num_clients=2)
+        first, second, identical = replay(run_chaos, 31, num_clients=2)
         assert first.ok, first.problems
         assert identical
 
@@ -425,8 +422,8 @@ class TestChaosAtScale:
     def test_kill_server_256_four_clients_replays(self):
         # The view payload for 256 servers needs roomier fragments; the
         # bounded location cache keeps per-client memory flat.
-        first, second, identical = replay_kill_check(
-            202, num_servers=256, num_clients=4, fragment_size=1 << 14,
+        first, second, identical = replay(
+            run_kill_server, 202, num_servers=256, num_clients=4, fragment_size=1 << 14,
             log_overrides={"location_cache_entries": 512})
         assert first.ok, first.problems
         assert identical
@@ -435,6 +432,6 @@ class TestChaosAtScale:
     def test_single_client_static_digest_unchanged(self):
         # The multi-client refactor must not perturb single-client
         # runs: same seed, same digest as a direct replay.
-        first, second, identical = replay_check(7)
+        first, second, identical = replay(run_chaos, 7)
         assert first.ok and identical
         assert first.stats["clients"] == 1

@@ -24,7 +24,8 @@ from repro.chaos.plan import (
     choose_kill_victim,
     choose_kill_victims,
 )
-from repro.chaos.runner import replay_kill_check
+from repro.chaos.harness import replay
+from repro.chaos.runner import run_kill_server
 from repro.chaos.transport import FaultyTransport
 from repro.cluster import build_local_cluster
 from repro.cluster.failures import FailureInjector
@@ -219,13 +220,29 @@ class TestMultiFailure:
         down, fresh-client recovery equals the oracle); this test adds
         the determinism property on top.
         """
-        first, second, identical = replay_kill_check(seed, victims=2)
+        first, second, identical = replay(run_kill_server, seed, victims=2)
         assert first.ok, "seed %d: %s" % (seed, "; ".join(first.problems))
         assert second.ok, "seed %d: %s" % (seed, "; ".join(second.problems))
         assert identical, \
             "seed %d: double-kill run did not replay bit-identically" % seed
         assert first.stats["victims_killed"] == 2
         assert first.stats["fragments_repaired"] > 0
+
+    def test_unrecoverable_double_kill_is_reported_not_raised(self):
+        """Two kills against *single* parity cannot be survived; the
+        scenario must say so in its report — seed line, fault history
+        and wire stats included — instead of escaping with a bare
+        ``UnrecoverableError``. Programming errors still propagate."""
+        report = run_kill_server(
+            101, victims=2,
+            log_overrides={"coding": "xor", "parity_fragments": 1})
+        assert not report.ok
+        assert any("UnrecoverableError" in p for p in report.problems)
+        assert report.fault_history
+        assert report.stats["retries"] > 0
+        assert "seed=101" in report.summary()
+        with pytest.raises(ValueError):
+            run_kill_server(101, ops=[("write", 1)])
 
     def test_choose_kill_victims_deterministic_and_distinct(self):
         candidates = ["s3", "s0", "s2", "s1", "s4"]
