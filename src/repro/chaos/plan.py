@@ -28,7 +28,7 @@ cluster gets exercised over a run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import ConfigError

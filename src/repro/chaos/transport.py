@@ -35,32 +35,24 @@ through untouched on the simulator's true-async path.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro import errors
 from repro.chaos.plan import FaultPlan
 from repro.rpc import messages as m
+from repro.rpc.completion import capture
 from repro.rpc.retry import charge_delay
-from repro.rpc.transport import CompletedFuture, Transport
+from repro.rpc.transport import TransportWrapper
 
 
-class FaultyTransport(Transport):
+class FaultyTransport(TransportWrapper):
     """Applies a :class:`FaultPlan` to every call on ``inner``."""
 
     def __init__(self, inner, plan: FaultPlan) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         plan.attach(inner.server_ids())
         # Statistics (read by the chaos runner and tests).
         self.faults_applied = 0
         self.delay_charged_s = 0.0
-
-    def server_ids(self) -> List[str]:
-        return self.inner.server_ids()
-
-    @property
-    def submit_is_synchronous(self) -> bool:
-        return self.inner.submit_is_synchronous
 
     # ------------------------------------------------------------------
 
@@ -99,14 +91,6 @@ class FaultyTransport(Transport):
             return self._flipped(response, event.arg)
         raise errors.ConfigError("unknown fault kind %r" % kind)
 
-    def submit(self, server_id: str, request):
-        if not self.submit_is_synchronous:
-            return self.inner.submit(server_id, request)
-        try:
-            return CompletedFuture(value=self.call(server_id, request))
-        except errors.SwarmError as exc:
-            return CompletedFuture(exception=exc)
-
     def submit_many(self, plan):
         """Fault each operation of a fan-out independently.
 
@@ -124,11 +108,8 @@ class FaultyTransport(Transport):
             if event is None:
                 clean_indices.append(index)
                 continue
-            try:
-                futures[index] = CompletedFuture(
-                    value=self._apply_fault(event, server_id, request))
-            except errors.SwarmError as exc:
-                futures[index] = CompletedFuture(exception=exc)
+            futures[index] = capture(self._apply_fault, event, server_id,
+                                     request)
         clean_futures = self.inner.submit_many(
             [plan[index] for index in clean_indices])
         for index, future in zip(clean_indices, clean_futures):

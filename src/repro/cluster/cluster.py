@@ -99,7 +99,7 @@ class LocalCluster:
             parity_fragments=config_overrides.get("parity_fragments", 1),
             spare_servers=config_overrides.get("spare_servers", ()))
 
-    def serve_tcp(self, pool_size: int = 2, window: int = 32):
+    def serve_tcp(self):
         """Host every server on loopback TCP; returns ``(host, transport)``.
 
         The servers stay the same in-process objects (so tests keep
@@ -111,9 +111,7 @@ class LocalCluster:
         from repro.rpc.net import InProcessHost, TcpTransport
 
         host = InProcessHost(self.servers).start()
-        transport = TcpTransport(host.addresses,
-                                 pool_size=pool_size, window=window)
-        return host, transport
+        return host, TcpTransport(host.addresses)
 
     def make_log(self, client_id: int,
                  group=None,

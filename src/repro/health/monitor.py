@@ -36,7 +36,7 @@ points and makes identical readmission decisions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, SwarmError

@@ -190,8 +190,6 @@ class RepairDaemon:
         present: Dict[int, str] = {}
         for server_id, future in zip(server_ids, futures):
             if not future.ok:
-                if not isinstance(future.exception, SwarmError):
-                    raise future.exception
                 continue
             fids, _end = unpack_fids(future.value.payload)
             for fid in fids:
@@ -215,8 +213,6 @@ class RepairDaemon:
         shapes: Dict[int, int] = {}
         for (fid, _server_id), future in zip(plan, futures):
             if not future.ok:
-                if not isinstance(future.exception, SwarmError):
-                    raise future.exception
                 continue
             try:
                 header = FragmentHeader.decode(future.value.payload)
@@ -313,13 +309,10 @@ class RepairDaemon:
         images: Dict[int, bytes] = {}
         for fid in todo:
             images[fid] = bytes(self.reconstructor.fetch(fid))
-        pre_futures = scatter_call(self.transport, [
+        # Best-effort: a target that cannot reserve fails its store below.
+        scatter_call(self.transport, [
             (targets[fid], m.PreallocateRequest(
                 fid=fid, principal=self.principal)) for fid in todo])
-        for future in pre_futures:
-            if not future.ok and not isinstance(
-                    future.exception, SwarmError):
-                raise future.exception
         store_futures = scatter_call(self.transport, [
             (targets[fid], m.StoreRequest(
                 fid=fid, data=images[fid], principal=self.principal,

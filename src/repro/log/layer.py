@@ -720,8 +720,6 @@ class LogLayer:
         for (server_id, _request), future in zip(plan, futures):
             if future.ok:
                 continue
-            if not isinstance(future.exception, SwarmError):
-                raise future.exception
             self.preallocate_failures += 1
             self._count_failure(server_id, "preallocates")
 
@@ -1057,8 +1055,6 @@ class LogLayer:
                 # Garbled reply length: re-read these ranges one by one.
                 fallback.extend(indices)
                 continue
-            if not isinstance(future.exception, SwarmError):
-                raise future.exception
             # Stale placements or a downed server: evict so the
             # per-range ladder broadcasts/reconstructs afresh.
             for index in indices:
@@ -1136,14 +1132,11 @@ class LogLayer:
         failed: List[int] = []
         for (fid, server_id), future in zip(targets, futures):
             if not future.ok:
-                if isinstance(future.exception, FragmentNotFoundError):
-                    pass  # already gone: deletion is idempotent
-                elif isinstance(future.exception, SwarmError):
+                # Already gone counts as deleted: deletion is idempotent.
+                if not isinstance(future.exception, FragmentNotFoundError):
                     self.delete_failures += 1
                     self._count_failure(server_id, "deletes")
                     failed.append(fid)
-                else:
-                    raise future.exception
             self.locations.evict(fid)
         return failed
 

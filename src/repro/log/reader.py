@@ -37,34 +37,6 @@ from repro.log.reconstruct import Reconstructor
 from repro.rpc import messages as m
 
 
-class FragmentLocator:
-    """Caches fragment→server placements, learned from headers.
-
-    A thin wrapper (kept for API stability) around the shared
-    :class:`LocationCache`; pass ``locations`` to share placements with
-    a log layer or reconstructor.
-    """
-
-    def __init__(self, transport, principal: str = "",
-                 locations: Optional[LocationCache] = None) -> None:
-        self.transport = transport
-        self.principal = principal
-        self.locations = locations if locations is not None else \
-            LocationCache(transport, principal)
-
-    def locate(self, fid: int) -> Optional[str]:
-        """Best-known server for ``fid``; broadcasts on a cache miss."""
-        return self.locations.locate(fid)
-
-    def learn(self, fragment: Fragment) -> None:
-        """Absorb the stripe descriptor of a fetched fragment."""
-        self.locations.learn(fragment.header)
-
-    def forget(self, fid: int) -> None:
-        """Drop a placement (e.g. after observing a failure)."""
-        self.locations.evict(fid)
-
-
 class LogReader:
     """Reads one client's log in FID order."""
 
@@ -85,21 +57,20 @@ class LogReader:
         # synchronous failures would; the counters are per server.
         self.monitor = monitor
         self.prefetch_failures: Dict[str, int] = {}
-        self.locator = FragmentLocator(transport, principal, locations)
+        self.locations = locations if locations is not None else \
+            LocationCache(transport, principal)
         # Reconstruction shares the same placement cache, so stripe
         # descriptors learned either way serve both paths. The policy is
         # not passed down: self.transport already retries, and wrapping
         # twice would square the attempt count.
         self.reconstructor = Reconstructor(
-            transport, principal, locations=self.locator.locations,
-            verify=verify)
+            transport, principal, locations=self.locations, verify=verify)
 
     def read_fragment(self, fid: int,
                       prefetched=None) -> Optional[Fragment]:
         """Fetch and parse fragment ``fid``; None if it does not exist.
 
-        Uses a ``prefetched`` completion (an in-flight retrieve started
-        by :meth:`prefetch`, or a ``(server_id, future)`` pair from the
+        Uses ``prefetched`` (a ``(server_id, future)`` pair from the
         read-ahead window) when one is given, then the cached/learned
         placement, then a broadcast, then reconstruction from the
         stripe. In verified mode a direct fetch that fails its payload
@@ -108,12 +79,9 @@ class LogReader:
         """
         image: Optional[bytes] = None
         if prefetched is not None:
-            server_id = None
-            if isinstance(prefetched, tuple):
-                server_id, prefetched = prefetched
-            image = self._prefetched_image(fid, prefetched, server_id)
+            image = self._prefetched_image(fid, *prefetched)
         if image is None:
-            server_id = self.locator.locate(fid)
+            server_id = self.locations.locate(fid)
             if server_id is not None:
                 try:
                     response = self.transport.call(
@@ -123,10 +91,10 @@ class LogReader:
                     if self.verify:
                         Fragment.decode(image, verify_crc=True)
                 except CorruptFragmentError:
-                    self.locator.forget(fid)
+                    self.locations.evict(fid)
                     image = None
                 except SwarmError:
-                    self.locator.forget(fid)
+                    self.locations.evict(fid)
         if image is None:
             try:
                 image = self.reconstructor.fetch(fid)
@@ -143,40 +111,18 @@ class LogReader:
                 # the true image from the stripe's parity. Skip
                 # ``fetch``'s direct-retrieve retry — a broadcast would
                 # just find the same corrupt copy again.
-                self.locator.forget(fid)
+                self.locations.evict(fid)
                 try:
                     image = self.reconstructor.reconstruct(fid)
                 except ReconstructionError:
                     return None
                 fragment = Fragment.decode(image)
-        self.locator.learn(fragment)
+        self.locations.learn(fragment.header)
         return fragment
 
-    def prefetch(self, fid: int):
-        """Start fetching ``fid`` without waiting; None when unknown.
-
-        Only fragments with an already-cached placement are prefetched
-        (placements are learned from each stripe descriptor as the
-        reader walks, so the common rollforward case qualifies); an
-        unknown placement would cost a broadcast that the normal path
-        may never need — e.g. one past the end of the log.
-        """
-        server_id = self.locator.locations.get(fid)
-        if server_id is None:
-            return None
-        future = self.transport.submit(server_id, m.RetrieveRequest(
-            fid=fid, principal=self.principal))
-        if not future.triggered:
-            # An abandoned prefetch must not re-raise out of somebody
-            # else's sim.run(); a waiter keeps its failure contained.
-            add_callback = getattr(future, "add_callback", None)
-            if add_callback is not None:
-                add_callback(lambda _event: None)
-        return future
-
-    def _prefetched_image(self, fid: int, prefetched,
-                          server_id: Optional[str] = None) -> Optional[bytes]:
-        """Resolve a prefetch started by :meth:`prefetch` or the window."""
+    def _prefetched_image(self, fid: int, server_id: str,
+                          prefetched) -> Optional[bytes]:
+        """Resolve a prefetch started by the read-ahead window."""
         from repro.rpc.completion import gather
 
         try:
@@ -193,11 +139,11 @@ class LogReader:
             try:
                 Fragment.decode(image, verify_crc=True)
             except CorruptFragmentError:
-                self.locator.forget(fid)
+                self.locations.evict(fid)
                 return None
         return image
 
-    def _note_prefetch_failure(self, fid: int, server_id: Optional[str],
+    def _note_prefetch_failure(self, fid: int, server_id: str,
                                exc: SwarmError) -> None:
         """Account one failed prefetched retrieve.
 
@@ -209,9 +155,7 @@ class LogReader:
         """
         from repro.rpc.retry import TRANSIENT_ERRORS
 
-        self.locator.forget(fid)
-        if server_id is None:
-            return
+        self.locations.evict(fid)
         self.prefetch_failures[server_id] = \
             self.prefetch_failures.get(server_id, 0) + 1
         if self.monitor is not None:
@@ -233,7 +177,7 @@ class LogReader:
         plan = []
         fid = next_fid
         while len(plan) < self.max_inflight:
-            server_id = self.locator.locations.get(fid)
+            server_id = self.locations.get(fid)
             if server_id is None:
                 break
             plan.append((fid, server_id))

@@ -117,8 +117,6 @@ class Reconstructor:
         images: Dict[int, bytes] = {}
         for (fid, server_id), future in zip(targets, futures):
             if not future.ok:
-                if not isinstance(future.exception, SwarmError):
-                    raise future.exception
                 self.locations.evict(fid)
                 continue
             image = future.value.payload

@@ -76,8 +76,6 @@ def find_newest_marked_fid(transport, client_id: int,
     answered = 0
     for future in futures:
         if not future.ok:
-            if not isinstance(future.exception, SwarmError):
-                raise future.exception
             continue
         answered += 1
         newest = max(newest, future.value.value)

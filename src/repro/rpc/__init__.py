@@ -1,7 +1,8 @@
 """Client↔server communication.
 
 Requests and responses are plain dataclasses with a compact binary
-codec. Two transports carry them:
+codec. Three planes carry them, behind one
+:class:`~repro.rpc.transport.Transport` interface:
 
 * :class:`~repro.rpc.transport.LocalTransport` — direct in-process
   calls; used by correctness tests, examples, and anything that does not
@@ -10,6 +11,19 @@ codec. Two transports carry them:
   through the discrete-event testbed (client CPU → network → server CPU
   → server disk → reply), so benchmarks measure contention the way the
   real cluster would experience it. Functional effects are the same.
+* :class:`~repro.rpc.net.TcpTransport` — the same frames over real
+  sockets, to in-process loopback hosts or ``repro.server.netd``
+  daemons (imported from :mod:`repro.rpc.net`, which pulls in asyncio).
+
+A plane implements ``call`` (and ``submit`` / ``submit_many`` where it
+has genuinely overlapped work); the base class derives the rest.
+Middleware — :class:`~repro.rpc.retry.RetryingTransport`, the chaos
+engine's ``FaultyTransport`` — is a
+:class:`~repro.rpc.transport.TransportWrapper` around ``inner``: it
+intercepts ``call`` and ``submit_many`` and inherits everything else.
+Client code fans out through :func:`~repro.rpc.completion.scatter_call`,
+which keeps protocol errors in their futures and re-raises anything
+else.
 """
 
 from repro.rpc.messages import (
@@ -28,9 +42,7 @@ from repro.rpc.messages import (
 from repro.rpc.codec import decode_message, encode_message, wire_size
 from repro.rpc.completion import (
     CompletedFuture,
-    first_of,
     gather,
-    results,
     scatter_call,
 )
 from repro.rpc.retry import RetryPolicy, RetryingTransport, wrap_transport
@@ -42,9 +54,7 @@ from repro.rpc.transport import (
 
 __all__ = [
     "CompletedFuture",
-    "first_of",
     "gather",
-    "results",
     "scatter_call",
     "wrap_transport",
     "CreateAclRequest",

@@ -27,20 +27,23 @@ Combinators
     Resolve a whole fan-out, driving the owning simulator when needed;
     per-operation failures stay *inside* their futures, so one dead
     server never wedges a scatter.
-:func:`first_of`
-    The first (in submission order) successful completion, optionally
-    filtered by a predicate — deterministic racing for paths like the
-    stripe-descriptor probe that can be satisfied by either neighbor.
 :func:`scatter_call`
     Fan a plan of ``(server_id, request)`` operations out through
     ``transport.submit_many`` and gather the results, falling back to
     sequential calls only when the futures cannot be driven (a
-    simulator that is already running under our feet).
+    simulator that is already running under our feet). The one place
+    that classifies a scatter's failures: a protocol error
+    (:class:`~repro.errors.SwarmError`) stays inside its future for
+    the caller to handle per operation, anything else is a programming
+    error and is re-raised.
+:func:`capture`
+    Run one synchronous call and keep its outcome in a completion —
+    how every synchronous ``submit`` is derived from ``call``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError, SwarmError
 
@@ -68,12 +71,21 @@ class CompletedFuture:
         return self.value
 
 
-def call_completed(transport, server_id: str, request) -> CompletedFuture:
-    """One synchronous call, outcome captured as a completion."""
+def capture(fn, *args) -> CompletedFuture:
+    """Run ``fn(*args)`` now; its outcome captured as a completion.
+
+    Only protocol errors are captured — a programming error escapes
+    at once instead of hiding inside a future.
+    """
     try:
-        return CompletedFuture(value=transport.call(server_id, request))
+        return CompletedFuture(value=fn(*args))
     except SwarmError as exc:
         return CompletedFuture(exception=exc)
+
+
+def call_completed(transport, server_id: str, request) -> CompletedFuture:
+    """One synchronous call, outcome captured as a completion."""
+    return capture(transport.call, server_id, request)
 
 
 def _owning_sim(future):
@@ -119,33 +131,6 @@ def gather(futures: Sequence) -> List:
     return futures
 
 
-def results(futures: Sequence) -> List[Any]:
-    """Values of a gathered fan-out; raises the first failure."""
-    values = []
-    for future in gather(futures):
-        if future.exception is not None:
-            raise future.exception
-        values.append(future.value)
-    return values
-
-
-def first_of(futures: Sequence,
-             predicate: Optional[Callable[[Any], bool]] = None):
-    """First successful future, in submission order; None when all failed.
-
-    With ``predicate``, the first successful future whose *value*
-    satisfies it. Order is submission order, not arrival order, so the
-    choice is deterministic — what a replayed chaos schedule needs —
-    while the operations themselves still overlap.
-    """
-    for future in gather(futures):
-        if not future.ok:
-            continue
-        if predicate is None or predicate(future.value):
-            return future
-    return None
-
-
 def can_gather(transport) -> bool:
     """Whether a fan-out through ``transport`` can be gathered here.
 
@@ -174,11 +159,20 @@ def scatter_call(transport, plan: Sequence[Tuple[str, Any]]) -> List:
     futures cannot be driven (a simulator already mid-run), it degrades
     to sequential calls rather than deadlocking, so callers never need
     to know which plane they run on.
+
+    A failure that is not a :class:`~repro.errors.SwarmError` (a
+    programming error surfaced by a simulated process or the event
+    loop) is re-raised here, first in plan order, so no caller has to
+    tell the two kinds apart; protocol errors stay in their futures.
     """
     plan = list(plan)
     if not plan:
         return []
-    if can_gather(transport):
-        return gather(transport.submit_many(plan))
-    return [call_completed(transport, server_id, request)
-            for server_id, request in plan]
+    if not can_gather(transport):
+        return [call_completed(transport, server_id, request)
+                for server_id, request in plan]
+    futures = gather(transport.submit_many(plan))
+    for future in futures:
+        if not (future.ok or isinstance(future.exception, SwarmError)):
+            raise future.exception
+    return futures

@@ -71,6 +71,17 @@ FRAME_HEADER = Struct(">IQ")
 #: plus small headers by configuration).
 MAX_FRAME = 1 << 28
 
+#: Connections a client keeps open per server; requests round-robin
+#: over them.
+POOL_SIZE = 2
+
+#: In-flight requests allowed per connection (the §2.1.2 window).
+WINDOW = 32
+
+#: Seconds a client waits for a TCP connect before calling the server
+#: unreachable.
+CONNECT_TIMEOUT_S = 5.0
+
 
 def frame_parts(request_id: int, msg) -> List:
     """One wire frame as a buffer list ready for ``writer.writelines``.
@@ -170,11 +181,8 @@ class InProcessHost:
 
     def start(self) -> "InProcessHost":
         self._loop_thread = _LoopThread("swarm-host")
-        for server_id, server in self.servers.items():
-            listener = self._loop_thread.run(serve_server(server))
-            self._listeners[server_id] = listener
-            sockname = listener.sockets[0].getsockname()
-            self.addresses[server_id] = (sockname[0], sockname[1])
+        for server in list(self.servers.values()):
+            self.add_server(server)
         return self
 
     def add_server(self, server) -> Tuple[str, int]:
@@ -210,10 +218,10 @@ class _Connection:
     """One multiplexed client connection with a bounded in-flight window."""
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, window: int) -> None:
+                 writer: asyncio.StreamWriter) -> None:
         self.reader = reader
         self.writer = writer
-        self.window = asyncio.Semaphore(window)
+        self.window = asyncio.Semaphore(WINDOW)
         self.pending: Dict[int, asyncio.Future] = {}
         self.next_id = 0
         self.dead = False
@@ -280,25 +288,19 @@ class TcpTransport(Transport):
     """Client transport speaking the frame protocol over real sockets.
 
     ``addresses`` maps server ids to ``(host, port)``. Each server gets
-    a small connection pool (``pool_size``); requests round-robin over
-    the pool and multiplex within each connection, bounded by ``window``
-    in-flight frames per connection. The transport owns a background
+    a small connection pool (:data:`POOL_SIZE`); requests round-robin
+    over the pool and multiplex within each connection, bounded by
+    :data:`WINDOW` in-flight frames per connection. The transport owns a background
     event-loop thread; all socket I/O happens there, and the synchronous
     :class:`Transport` API bridges onto it, so every existing wrapper —
     retry, fault injection, health probes — layers on top unchanged.
     """
 
-    def __init__(self, addresses: Dict[str, Tuple[str, int]],
-                 pool_size: int = 2, window: int = 32,
-                 connect_timeout: float = 5.0) -> None:
-        if pool_size < 1:
-            raise errors.ConfigError("pool_size must be >= 1")
-        if window < 1:
-            raise errors.ConfigError("window must be >= 1")
+    #: Read by the e2e benchmark to warm every pooled connection.
+    pool_size = POOL_SIZE
+
+    def __init__(self, addresses: Dict[str, Tuple[str, int]]) -> None:
         self.addresses = dict(addresses)
-        self.pool_size = pool_size
-        self.window = window
-        self.connect_timeout = connect_timeout
         self._pools: Dict[str, List[_Connection]] = {}
         self._rr: Dict[str, int] = {}
         self._loop_thread = _LoopThread("swarm-client")
@@ -320,11 +322,11 @@ class TcpTransport(Transport):
         try:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(address[0], address[1]),
-                timeout=self.connect_timeout)
+                timeout=CONNECT_TIMEOUT_S)
         except (ConnectionError, OSError, asyncio.TimeoutError, socket.gaierror) as exc:
             raise errors.ServerUnavailableError(
                 "cannot reach %s at %s: %s" % (server_id, address, exc)) from exc
-        connection = _Connection(reader, writer, self.window)
+        connection = _Connection(reader, writer)
         connection.start()
         return connection
 

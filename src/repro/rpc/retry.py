@@ -31,7 +31,8 @@ from typing import Dict, List, Optional
 
 from repro import errors
 from repro.rpc import messages as m
-from repro.rpc.transport import CompletedFuture, Transport
+from repro.rpc.completion import CompletedFuture, capture
+from repro.rpc.transport import TransportWrapper
 
 TRANSIENT_ERRORS = (errors.ServerUnavailableError,)
 """Errors worth retrying: the server may answer the next attempt.
@@ -117,7 +118,7 @@ class RetryPolicy:
         return base
 
 
-class RetryingTransport(Transport):
+class RetryingTransport(TransportWrapper):
     """Applies a :class:`RetryPolicy` to every synchronous call.
 
     Wraps any transport; only transient errors are retried, with the
@@ -130,7 +131,7 @@ class RetryingTransport(Transport):
 
     def __init__(self, inner, policy: RetryPolicy, monitor=None,
                  sleep=None) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy
         self.monitor = monitor
         # Wall-clock backoff: over a real wire (the TCP plane) there is
@@ -150,9 +151,6 @@ class RetryingTransport(Transport):
         self.exhausted = 0
         self.ambiguous_resolutions = 0
         self.per_server: Dict[str, Dict[str, float]] = {}
-
-    def server_ids(self) -> List[str]:
-        return self.inner.server_ids()
 
     # ------------------------------------------------------------------
     # Health accounting
@@ -201,10 +199,6 @@ class RetryingTransport(Transport):
                         for sid, stats in sorted(self.per_server.items())},
         }
 
-    @property
-    def submit_is_synchronous(self) -> bool:
-        return self.inner.submit_is_synchronous
-
     def _wait(self, backoff: float) -> None:
         """Spend one backoff: simulated ledger first, wall clock second."""
         if not charge_delay(self.inner, backoff) and self.sleep is not None:
@@ -213,74 +207,35 @@ class RetryingTransport(Transport):
     # ------------------------------------------------------------------
 
     def call(self, server_id: str, request, _resolving: bool = False):
-        policy = self.policy
-        attempt = 1
-        elapsed = 0.0
-        while True:
-            try:
-                response = self.inner.call(server_id, request)
-            except TRANSIENT_ERRORS as exc:
-                failure: errors.SwarmError = exc
-                self._observe(server_id, ok=False)
-            except errors.FragmentExistsError:
-                self._observe(server_id, ok=True)
-                if attempt > 1 and not _resolving:
-                    resolved = self._resolve_already_exists(server_id, request)
-                    if resolved is not None:
-                        self.ambiguous_resolutions += 1
-                        return resolved
-                raise
-            except errors.FragmentNotFoundError:
-                self._observe(server_id, ok=True)
-                if attempt > 1 and isinstance(request, m.DeleteRequest):
-                    # The earlier attempt deleted it; only the reply
-                    # was lost. Deletion is idempotent.
-                    self.ambiguous_resolutions += 1
-                    return m.Response()
-                raise
-            except errors.SwarmError:
-                # A definitive application error: the server answered.
-                self._observe(server_id, ok=True)
-                raise
-            else:
-                self._observe(server_id, ok=True)
-                return response
-            if attempt >= policy.max_attempts:
-                self._note_exhausted(server_id)
-                raise failure
-            backoff = policy.backoff_for(attempt)
-            if elapsed + backoff > policy.deadline_s:
-                self._note_exhausted(server_id)
-                raise failure
-            elapsed += backoff
-            self.retries += 1
-            stats = self._stats(server_id)
-            stats["retries"] += 1
-            stats["backoff_s"] += backoff
-            self.backoff_charged_s += backoff
-            self._wait(backoff)
-            attempt += 1
-
-    def submit(self, server_id: str, request):
-        if not self.submit_is_synchronous:
-            return self.inner.submit(server_id, request)
+        # The first attempt is inline: an answered call (the common
+        # case by far) must not pay for building a plan, a future list
+        # and a loop it never enters.
         try:
-            return CompletedFuture(value=self.call(server_id, request))
-        except errors.SwarmError as exc:
-            return CompletedFuture(exception=exc)
+            response = self.inner.call(server_id, request)
+        except TRANSIENT_ERRORS as exc:
+            self._observe(server_id, ok=False)
+            failed = CompletedFuture(exception=exc)
+        except errors.SwarmError:
+            # A definitive application error: the server answered.
+            self._observe(server_id, ok=True)
+            raise
+        else:
+            self._observe(server_id, ok=True)
+            return response
+        return self._retry([(server_id, request)], [failed], self._call_each,
+                           resolve=not _resolving)[0].result()
+
+    def _call_each(self, plan) -> List[CompletedFuture]:
+        """One attempt of every operation of ``plan``, one call each."""
+        return [capture(self.inner.call, server_id, request)
+                for server_id, request in plan]
 
     def submit_many(self, plan):
         """Fan out with per-operation retries, keeping the overlap.
 
         The whole plan goes to the inner transport in one scatter;
-        only the operations that failed transiently are re-scattered,
-        in rounds, with the round's backoffs overlapping each other the
-        same way the operations do (the ledger is charged the round's
-        *maximum* backoff, not the sum). A retried operation that
-        collides with its own earlier, reply-lost attempt is resolved
-        per operation exactly like the synchronous path: an existing
-        fragment on a retried preallocate/store, or a missing fragment
-        on a retried delete, means the first attempt won.
+        only the operations that failed transiently are re-scattered
+        (see :meth:`_retry`).
 
         The simulator's true-async path passes through unretried, like
         :meth:`submit` — its drivers model failure at a different
@@ -289,9 +244,28 @@ class RetryingTransport(Transport):
         plan = list(plan)
         if not self.submit_is_synchronous:
             return self.inner.submit_many(plan)
-        policy = self.policy
         futures = list(self.inner.submit_many(plan))
         self._observe_scatter(plan, futures)
+        return self._retry(plan, futures, self.inner.submit_many,
+                           resolve=True)
+
+    def _retry(self, plan, futures, attempt_all, resolve: bool):
+        """The retry loop: re-attempt what failed transiently, in rounds.
+
+        ``futures`` are the observed outcomes of the first attempt of
+        ``plan``; ``attempt_all`` runs one more attempt of a sub-plan.
+        Only the operations that failed transiently are re-attempted,
+        with the round's backoffs overlapping each other the same way
+        the operations do (the ledger is charged the round's *maximum*
+        backoff, not the sum). A retried operation that collides with
+        its own earlier, reply-lost attempt is resolved per operation
+        (:meth:`_disambiguated`): an existing fragment on a retried
+        preallocate/store, or a missing fragment on a retried delete,
+        means the first attempt won. An operation still failing after
+        ``max_attempts``, or whose next backoff would pass the
+        deadline, is counted exhausted and keeps its last failure.
+        """
+        policy = self.policy
         elapsed = [0.0] * len(plan)
         for attempt in range(1, policy.max_attempts):
             retry_indices = []
@@ -315,10 +289,11 @@ class RetryingTransport(Transport):
             self.backoff_charged_s += round_backoff
             self._wait(round_backoff)
             retry_plan = [plan[index] for index, _backoff in retry_indices]
-            retried = self.inner.submit_many(retry_plan)
+            retried = attempt_all(retry_plan)
             self._observe_scatter(retry_plan, retried)
             for (index, _backoff), future in zip(retry_indices, retried):
-                futures[index] = self._disambiguated(plan[index], future)
+                futures[index] = self._disambiguated(plan[index], future,
+                                                     resolve)
         for index, future in enumerate(futures):
             if future.triggered and isinstance(future.exception,
                                                TRANSIENT_ERRORS):
@@ -332,12 +307,18 @@ class RetryingTransport(Transport):
                 self._observe(server_id, not isinstance(
                     future.exception, TRANSIENT_ERRORS))
 
-    def _disambiguated(self, operation, future):
-        """Resolve a retried operation's at-least-once ambiguity."""
+    def _disambiguated(self, operation, future, resolve: bool):
+        """Resolve a retried operation's at-least-once ambiguity.
+
+        ``resolve`` is False inside :meth:`_resolve_already_exists`:
+        that suppresses only the *recursive* exists-resolution — a
+        retried delete that finds nothing has still deleted.
+        """
         server_id, request = operation
         if future.ok:
             return future
-        if isinstance(future.exception, errors.FragmentExistsError):
+        if resolve and isinstance(future.exception,
+                                  errors.FragmentExistsError):
             resolved = self._resolve_already_exists(server_id, request)
             if resolved is not None:
                 self.ambiguous_resolutions += 1

@@ -1,12 +1,13 @@
 """Transports: how client code reaches storage servers.
 
-Both transports expose the same interface, so the log layer and every
+Every plane exposes the same interface, so the log layer and every
 service above it are oblivious to whether they run in plain Python
-(correctness tests, examples) or inside the discrete-event testbed
-(benchmarks). Asynchronous operations return *future-like* objects with
-``triggered`` / ``ok`` / ``value`` / ``exception`` attributes — the same
-shape as simulator events, so simulated drivers can ``yield`` them
-directly while synchronous callers just read the result.
+(correctness tests, examples), inside the discrete-event testbed
+(benchmarks) or over real sockets (:mod:`repro.rpc.net`). Asynchronous
+operations return *future-like* objects with ``triggered`` / ``ok`` /
+``value`` / ``exception`` attributes — the same shape as simulator
+events, so simulated drivers can ``yield`` them directly while
+synchronous callers just read the result.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro import errors
 from repro.rpc import messages as m
 from repro.rpc.codec import decode_message, encode_message, wire_size
-from repro.rpc.completion import CompletedFuture, scatter_call
+from repro.rpc.completion import CompletedFuture, capture, scatter_call
 from repro.util.packing import pack_fids, unpack_fids
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "LocalTransport",
     "SimTransport",
     "Transport",
+    "TransportWrapper",
     "dispatch",
     "raise_error_response",
 ]
@@ -115,9 +117,16 @@ class Transport(ABC):
     def call(self, server_id: str, request) -> m.Response:
         """Perform one operation synchronously; raises on error."""
 
-    @abstractmethod
     def submit(self, server_id: str, request):
-        """Start one operation; returns a future-like object."""
+        """Start one operation; returns a future-like object.
+
+        The default is the synchronous one — :meth:`call` now, outcome
+        captured — which is right for every transport whose
+        submissions resolve at once; only a plane with genuinely
+        asynchronous work (the simulator's process path, the socket
+        loop) overrides it.
+        """
+        return capture(self.call, server_id, request)
 
     @abstractmethod
     def server_ids(self) -> List[str]:
@@ -244,11 +253,33 @@ class LocalTransport(Transport):
             raise_error_response(response)
         return response
 
-    def submit(self, server_id: str, request) -> CompletedFuture:
-        try:
-            return CompletedFuture(value=self.call(server_id, request))
-        except errors.SwarmError as exc:
-            return CompletedFuture(exception=exc)
+
+class TransportWrapper(Transport):
+    """Base for middleware (retry, fault injection) around ``inner``.
+
+    A wrapper intercepts :meth:`call` — and ``submit_many`` where it
+    must decide per operation — and inherits everything else: the
+    server list and the synchrony flag are the inner transport's, and
+    a single :meth:`submit` goes through the wrapper's own ``call``
+    whenever the inner transport resolves submissions synchronously.
+    The simulator's true-async path passes through untouched — its
+    drivers model failure at a different layer.
+    """
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def server_ids(self) -> List[str]:
+        return self.inner.server_ids()
+
+    @property
+    def submit_is_synchronous(self) -> bool:
+        return self.inner.submit_is_synchronous
+
+    def submit(self, server_id: str, request):
+        if not self.submit_is_synchronous:
+            return self.inner.submit(server_id, request)
+        return capture(self.call, server_id, request)
 
 
 class SimTransport(Transport):
@@ -344,10 +375,7 @@ class SimTransport(Transport):
             # modeled service time into the ledger. Used by sequential
             # single-client workloads (e.g. the Andrew benchmark), whose
             # drivers cannot yield from inside synchronous FS code.
-            try:
-                return CompletedFuture(value=self.call(server_id, request))
-            except errors.SwarmError as exc:
-                return CompletedFuture(exception=exc)
+            return super().submit(server_id, request)
         return self.sim.process(self._operation(server_id, request),
                                 name="rpc %s" % type(request).__name__)
 
@@ -366,14 +394,11 @@ class SimTransport(Transport):
         from the model; nothing here guesses at it.
         """
         plan = list(plan)
-        if not self.deferred_mode or len(plan) <= 1:
-            return [self.submit(server_id, request)
-                    for server_id, request in plan]
-        if self.sim._running:
-            # Re-entrant batch from inside a driven simulation: fall
-            # back to the serial deferred estimate rather than nesting.
-            return [self.submit(server_id, request)
-                    for server_id, request in plan]
+        if not self.deferred_mode or len(plan) <= 1 or self.sim._running:
+            # The last case is a re-entrant batch from inside a driven
+            # simulation: fall back to the serial deferred estimate
+            # rather than nesting.
+            return super().submit_many(plan)
         started = self.sim.now
         processes = []
         for server_id, request in plan:

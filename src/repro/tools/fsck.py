@@ -129,8 +129,6 @@ def _list_client_fids(transport, client_id: int,
     locations: Dict[int, str] = {}
     for server_id, future in zip(server_ids, futures):
         if not future.ok:
-            if not isinstance(future.exception, SwarmError):
-                raise future.exception
             continue
         fids, _end = unpack_fids(future.value.payload)
         for fid in fids:
@@ -149,8 +147,6 @@ def _fetch_all(transport, targets: Dict[int, str],
     images: Dict[int, bytes] = {}
     for (fid, _server_id), future in zip(plan, futures):
         if not future.ok:
-            if not isinstance(future.exception, SwarmError):
-                raise future.exception
             continue
         images[fid] = bytes(future.value.payload)
     return images
@@ -258,13 +254,11 @@ def repair_client_log(transport, client_id: int,
     # Purge every corrupt fragment in one scatter before rebuilding: a
     # rebuilt image must never race its damaged predecessor.
     purge = sorted(corrupt_holders.items())
-    purge_futures = scatter_call(
+    scatter_call(
         transport,
         [(server_id, m.DeleteRequest(fid=fid, principal=principal))
          for fid, server_id in purge])
-    for (fid, _server_id), future in zip(purge, purge_futures):
-        if not future.ok and not isinstance(future.exception, SwarmError):
-            raise future.exception
+    for fid, _server_id in purge:
         locations.evict(fid)
     for finding in degraded:
         for position, fid in enumerate(sorted(finding.corrupt

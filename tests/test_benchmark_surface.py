@@ -56,6 +56,17 @@ def test_wait_spans_are_traced_methods():
     assert tracing.WAIT_SPANS <= span_names
 
 
+def test_rpc_spans_are_own_methods():
+    # The tracer wraps only what a class defines itself (``vars(cls)``):
+    # a method hoisted into a shared base silently loses its span.
+    classes = _layer_classes()
+    assert {"call", "submit_many"} <= set(vars(classes["RetryingTransport"]))
+    assert "call" in vars(classes["LocalTransport"])
+    for span in tracing.WAIT_SPANS:
+        class_name, attr = span.split(".")
+        assert attr in vars(classes[class_name]), span
+
+
 def test_frame_parts_is_a_traced_function():
     by_display = {display: (owner, attr)
                   for _layer, owner, attr, display in tracing.iter_targets()}

@@ -6,11 +6,16 @@ import pytest
 from repro import errors
 from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.chaos.transport import FaultyTransport
-from repro.cluster import ClusterConfig, FailureInjector, SimCluster
+from repro.cluster import (
+    ClusterConfig,
+    FailureInjector,
+    SimCluster,
+    build_local_cluster,
+)
 from repro.log.fragment import Fragment, HEADER_SIZE
 from repro.rpc import RetryPolicy, RetryingTransport, messages as m
 from repro.rpc.retry import charge_delay
-from repro.rpc.transport import CompletedFuture, Transport
+from repro.rpc.transport import TransportWrapper
 
 SVC = 3
 
@@ -28,16 +33,13 @@ def store(transport, fid, data=b"payload", **kwargs):
     return transport.call("s0", m.StoreRequest(fid=fid, data=data, **kwargs))
 
 
-class FlakyTransport(Transport):
+class FlakyTransport(TransportWrapper):
     """Raises a transient error for the first ``failures`` calls."""
 
     def __init__(self, inner, failures):
-        self.inner = inner
+        super().__init__(inner)
         self.failures = failures
         self.calls = 0
-
-    def server_ids(self):
-        return self.inner.server_ids()
 
     def call(self, server_id, request):
         self.calls += 1
@@ -45,11 +47,21 @@ class FlakyTransport(Transport):
             raise errors.ServerUnavailableError("flaky")
         return self.inner.call(server_id, request)
 
-    def submit(self, server_id, request):
-        try:
-            return CompletedFuture(value=self.call(server_id, request))
-        except errors.SwarmError as exc:
-            return CompletedFuture(exception=exc)
+
+class RecordingMonitor:
+    """The three hooks the retry layer feeds, kept as a list."""
+
+    def __init__(self):
+        self.seen = []
+
+    def attach(self, transport):
+        pass
+
+    def observe(self, server_id, ok):
+        self.seen.append((server_id, ok))
+
+    def note_exhausted(self, server_id):
+        self.seen.append((server_id, "exhausted"))
 
 
 class TestFaultPlan:
@@ -316,6 +328,71 @@ class TestRetryingTransport:
         retrying = RetryingTransport(faulty, RetryPolicy(max_attempts=5))
         retrying.call(plan.current_victim, m.DeleteRequest(fid=1))
         assert not cluster4.servers[plan.current_victim].holds(1)
+
+    def test_lost_delete_reply_inside_a_resolution_still_deleted(
+            self, cluster4):
+        # Resolving a torn store deletes the damaged fragment with
+        # exists-resolution switched off; that must not switch off the
+        # delete's own idempotence when *its* reply is lost.
+        class LoseDeleteReply(TransportWrapper):
+            lost = 0
+
+            def call(self, server_id, request):
+                response = self.inner.call(server_id, request)
+                if isinstance(request, m.DeleteRequest) and not self.lost:
+                    self.lost += 1
+                    raise errors.ServerUnavailableError("reply lost")
+                return response
+
+        data = bytes(range(256)) * 4
+        cluster4.servers["s0"].store(1, data[:100])  # the torn prefix
+        lossy = LoseDeleteReply(cluster4.transport)
+        retrying = RetryingTransport(lossy, RetryPolicy(max_attempts=5))
+        resolved = retrying._resolve_already_exists(
+            "s0", m.StoreRequest(fid=1, data=data))
+        assert resolved is not None and lossy.lost == 1
+        assert bytes(cluster4.servers["s0"].retrieve(1)) == data
+        assert retrying.ambiguous_resolutions == 1  # the delete's
+        assert retrying.retries == 1
+
+    @pytest.mark.parametrize("seed", [7, 101, 202, 555, 4242])
+    def test_call_and_single_op_scatter_retry_identically(self, seed):
+        # One retry loop: the same fault schedule gives the same
+        # outcomes, counters and failure-detector feed whichever entry
+        # point carried the operation.
+        spec = FaultSpec(drop_request=0.3, drop_response=0.3, delay=0.0,
+                         duplicate=0.1, torn_store=0.5, bit_flip=0.0,
+                         pinned_victim="s0", max_consecutive=4)
+        ops = []
+        for fid in range(1, 9):
+            ops += [m.PreallocateRequest(fid=fid),
+                    m.StoreRequest(fid=fid, data=bytes([fid]) * 64),
+                    m.RetrieveRequest(fid=fid),
+                    m.StoreRequest(fid=fid, data=b"collides"),
+                    m.DeleteRequest(fid=fid),
+                    m.DeleteRequest(fid=fid)]
+
+        def run(through_scatter):
+            cluster = build_local_cluster(num_servers=1)
+            monitor = RecordingMonitor()
+            retrying = RetryingTransport(
+                FaultyTransport(cluster.transport, FaultPlan(seed, spec)),
+                RetryPolicy(max_attempts=3, seed=seed), monitor=monitor)
+            outcomes = []
+            for op in ops:
+                if through_scatter:
+                    future = retrying.submit_many([("s0", op)])[0]
+                else:
+                    future = retrying.submit("s0", op)
+                outcomes.append(
+                    (type(future.exception), future.ok
+                     and (future.value.value, bytes(future.value.payload))))
+            return outcomes, retrying.health_report(), monitor.seen
+
+        via_call, via_scatter = run(False), run(True)
+        assert via_call == via_scatter
+        totals = via_call[1]["totals"]
+        assert totals["retries"] and totals["ambiguous_resolutions"]
 
     def test_genuine_duplicate_store_still_errors(self, cluster4):
         retrying = RetryingTransport(cluster4.transport, RetryPolicy())

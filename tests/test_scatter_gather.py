@@ -3,8 +3,8 @@ and the degraded-read latency bound.
 
 Covers the read-side pipelining contract end to end:
 
-* ``gather``/``results``/``first_of`` over mixed success/failure
-  completions and over live simulator processes;
+* ``gather`` over mixed success/failure completions and over live
+  simulator processes; ``scatter_call``'s failure classification;
 * ``submit_many`` on the local transport (mixed outcomes stay inside
   their futures) and on the simulated transport in deferred mode
   (a scatter charges roughly one overlapped round trip, not W serial
@@ -32,9 +32,7 @@ from repro.cluster import ClusterConfig, SimCluster
 from repro.rpc import messages as m
 from repro.rpc.completion import (
     CompletedFuture,
-    first_of,
     gather,
-    results,
     scatter_call,
 )
 from repro.rpc.retry import RetryPolicy, RetryingTransport
@@ -84,27 +82,23 @@ class TestGatherCombinators:
         assert gathered[1].exception.args == ("down",)
         assert gathered[0].value + gathered[2].value == 4
 
-    def test_results_raises_the_first_failure(self):
-        futures = [
-            CompletedFuture(value=1),
-            CompletedFuture(exception=errors.FragmentNotFoundError("gone")),
-            CompletedFuture(exception=errors.ServerUnavailableError("down")),
-        ]
-        with pytest.raises(errors.FragmentNotFoundError):
-            results(futures)
-        assert results([CompletedFuture(value=v) for v in (7, 8)]) == [7, 8]
+    def test_scatter_call_reraises_only_programming_errors(self):
+        class Scripted(LocalTransport):
+            def submit_many(self, plan):
+                return [CompletedFuture(exception=exc) for exc in self.script]
 
-    def test_first_of_is_submission_ordered_and_filtered(self):
-        futures = [
-            CompletedFuture(exception=errors.ServerUnavailableError("down")),
-            CompletedFuture(value="early"),
-            CompletedFuture(value="late"),
-        ]
-        assert first_of(futures).value == "early"
-        assert first_of(futures, lambda v: v == "late").value == "late"
-        assert first_of(futures, lambda v: v == "never") is None
-        assert first_of([CompletedFuture(
-            exception=errors.ServerUnavailableError("x"))]) is None
+        transport = Scripted({})
+        plan = [("s0", m.HoldsRequest(fids=())),
+                ("s1", m.HoldsRequest(fids=()))]
+        transport.script = [errors.ServerUnavailableError("down"),
+                            errors.FragmentNotFoundError("gone")]
+        futures = scatter_call(transport, plan)
+        assert [type(f.exception) for f in futures] == [
+            errors.ServerUnavailableError, errors.FragmentNotFoundError]
+        transport.script = [errors.ServerUnavailableError("down"),
+                            ValueError("bug"), TypeError("later bug")]
+        with pytest.raises(ValueError, match="bug"):
+            scatter_call(transport, plan + plan[:1])
 
     def test_gather_drives_simulator_processes(self):
         cluster = SimCluster(ClusterConfig(num_servers=2, num_clients=1))
