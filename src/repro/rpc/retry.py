@@ -349,17 +349,23 @@ class RetryingTransport(TransportWrapper):
         if not isinstance(request, m.StoreRequest):
             return None
         try:
-            probe = self.call(server_id, m.RetrieveRequest(
-                fid=request.fid, principal=request.principal),
-                _resolving=True)
-        except errors.SwarmError:
-            return None
-        if bytes(probe.payload) == bytes(request.data):
-            return m.Response()
-        try:
+            if self._committed(server_id, request):
+                return m.Response()
             self.call(server_id, m.DeleteRequest(
                 fid=request.fid, principal=request.principal),
                 _resolving=True)
-            return self.call(server_id, request, _resolving=True)
+            try:
+                return self.call(server_id, request, _resolving=True)
+            except errors.FragmentExistsError:
+                # The re-store's own reply was lost and its retry
+                # collided with itself; compare once more, no further.
+                return m.Response() if self._committed(
+                    server_id, request) else None
         except errors.SwarmError:
             return None
+
+    def _committed(self, server_id: str, request: m.StoreRequest) -> bool:
+        """Whether the server holds exactly the bytes ``request`` stores."""
+        probe = self.call(server_id, m.RetrieveRequest(
+            fid=request.fid, principal=request.principal), _resolving=True)
+        return bytes(probe.payload) == bytes(request.data)

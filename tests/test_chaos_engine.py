@@ -48,6 +48,26 @@ class FlakyTransport(TransportWrapper):
         return self.inner.call(server_id, request)
 
 
+class ScriptedStores(TransportWrapper):
+    """Faults the n-th store as ``script[n]`` says; all else is clean."""
+
+    def __init__(self, inner, script):
+        super().__init__(inner)
+        self.script = list(script)
+
+    def call(self, server_id, request):
+        fault = None
+        if isinstance(request, m.StoreRequest) and self.script:
+            fault = self.script.pop(0)
+        if fault == "torn":
+            self.inner.call(server_id, FaultyTransport._torn_copy(request))
+            raise errors.ServerUnavailableError("torn mid-write")
+        response = self.inner.call(server_id, request)
+        if fault == "lost reply":
+            raise errors.ServerUnavailableError("reply lost")
+        return response
+
+
 class RecordingMonitor:
     """The three hooks the retry layer feeds, kept as a list."""
 
@@ -328,6 +348,25 @@ class TestRetryingTransport:
         retrying = RetryingTransport(faulty, RetryPolicy(max_attempts=5))
         retrying.call(plan.current_victim, m.DeleteRequest(fid=1))
         assert not cluster4.servers[plan.current_victim].holds(1)
+
+    @pytest.mark.parametrize("entry", ["call", "submit_many"])
+    def test_lost_reply_on_the_repairing_restore_is_success(
+            self, cluster4, entry):
+        # torn -> retry collides -> probe differs -> delete -> re-store,
+        # whose reply is lost -> its retry collides with *itself*. The
+        # bytes are fully committed; the store must not report "exists".
+        scripted = ScriptedStores(cluster4.transport,
+                                  ["torn", None, "lost reply"])
+        retrying = RetryingTransport(scripted, RetryPolicy(max_attempts=5))
+        data = bytes(range(256)) * 4
+        request = m.StoreRequest(fid=1, data=data)
+        if entry == "call":
+            retrying.call("s0", request)
+        else:
+            assert retrying.submit_many([("s0", request)])[0].ok
+        assert scripted.script == []
+        assert bytes(cluster4.servers["s0"].retrieve(1)) == data
+        assert retrying.ambiguous_resolutions == 1
 
     def test_lost_delete_reply_inside_a_resolution_still_deleted(
             self, cluster4):

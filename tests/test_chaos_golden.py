@@ -65,6 +65,9 @@ GOLDEN = {
     ("cleaner", 101): "b8aeb48ac3ae471b",
     ("cleaner", 202): "9d12787ff92dcb2a",
     ("cleaner", 4242): "b5cd34af53da1f1d",
+    # Regression seed: a lost reply on the re-store that repairs a torn
+    # fragment used to abort the scenario with FragmentExistsError.
+    ("cleaner", 555): "7a3d23f88f78f641",
     ("crash-sweep", 101): "336f60e993ee7936",
     ("crash-sweep", 202): "e689175fd2264415",
     ("crash-sweep", 4242): "9582649d38196792",
