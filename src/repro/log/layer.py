@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     BlockNotFoundError,
-    CorruptFragmentError,
     FragmentNotFoundError,
     LogError,
     SwarmError,
@@ -968,7 +967,7 @@ class LogLayer:
                 return bytes(response.payload)
             except LogError:
                 raise
-            except Exception:
+            except SwarmError:
                 # Stale placement or downed server: forget it so later
                 # reads do not keep retrying the dead location, and
                 # fall through to reconstruction.
@@ -1090,9 +1089,8 @@ class LogLayer:
                 if self.verify_reads:
                     Fragment.decode(image, verify_crc=True)
                 return image
-            except CorruptFragmentError:
-                self.locations.evict(fid)
-            except Exception:
+            except SwarmError:
+                # Corrupt, stale or unreachable alike: rebuild below.
                 self.locations.evict(fid)
         return Reconstructor(self.transport, self.config.principal,
                              locations=self.locations,

@@ -233,6 +233,29 @@ class TestReads:
             assert log.known_location(addr.fid) != "s1"
 
 
+    def test_programming_error_in_transport_is_not_a_degraded_read(
+            self, cluster4):
+        """Only protocol errors fall back to parity; a bug propagates."""
+        class BuggyOnce(type(cluster4.transport)):
+            armed = False
+
+            def call(self, server_id, request):
+                if self.armed and isinstance(request, m.RetrieveRequest):
+                    self.armed = False  # parity could still rebuild it
+                    raise TypeError("transport bug")
+                return super().call(server_id, request)
+
+        transport = BuggyOnce(cluster4.servers)
+        log = cluster4.make_log(client_id=1, transport=transport)
+        addr = log.write_block(SVC, b"x" * 100)
+        log.flush().wait()
+        for read in (lambda: log.read_range(addr.fid, addr.offset, 10),
+                     lambda: log.read_fragment(addr.fid)):
+            transport.armed = True
+            with pytest.raises(TypeError, match="transport bug"):
+                read()
+
+
 class TestFlowControlSurface:
     def test_pending_events_exposed(self, cluster4):
         log = cluster4.make_log(client_id=1)
