@@ -32,10 +32,8 @@ Combinators
     ``transport.submit_many`` and gather the results, falling back to
     sequential calls only when the futures cannot be driven (a
     simulator that is already running under our feet). The one place
-    that classifies a scatter's failures: a protocol error
-    (:class:`~repro.errors.SwarmError`) stays inside its future for
-    the caller to handle per operation, anything else is a programming
-    error and is re-raised.
+    that classifies a scatter's failures: protocol errors stay inside
+    their futures, anything else is re-raised.
 :func:`capture`
     Run one synchronous call and keep its outcome in a completion —
     how every synchronous ``submit`` is derived from ``call``.

@@ -290,10 +290,11 @@ class TcpTransport(Transport):
     ``addresses`` maps server ids to ``(host, port)``. Each server gets
     a small connection pool (:data:`POOL_SIZE`); requests round-robin
     over the pool and multiplex within each connection, bounded by
-    :data:`WINDOW` in-flight frames per connection. The transport owns a background
-    event-loop thread; all socket I/O happens there, and the synchronous
-    :class:`Transport` API bridges onto it, so every existing wrapper —
-    retry, fault injection, health probes — layers on top unchanged.
+    :data:`WINDOW` in-flight frames per connection. The transport owns
+    a background event-loop thread; all socket I/O happens there, and
+    the synchronous :class:`Transport` API bridges onto it, so every
+    existing wrapper — retry, fault injection, health probes — layers
+    on top unchanged.
     """
 
     #: Read by the e2e benchmark to warm every pooled connection.

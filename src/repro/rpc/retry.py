@@ -122,11 +122,9 @@ class RetryingTransport(TransportWrapper):
     """Applies a :class:`RetryPolicy` to every synchronous call.
 
     Wraps any transport; only transient errors are retried, with the
-    at-least-once resolutions described in the module docstring.
-    ``submit`` is intercepted (call + retry, wrapped in a completed
-    future) whenever the inner transport resolves submissions
-    synchronously; the simulator's true-async path passes through
-    unretried — its drivers model failure at a different layer.
+    at-least-once resolutions described in the module docstring. The
+    simulator's true-async path passes through unretried (see
+    :class:`~repro.rpc.transport.TransportWrapper`).
     """
 
     def __init__(self, inner, policy: RetryPolicy, monitor=None,
@@ -235,11 +233,8 @@ class RetryingTransport(TransportWrapper):
 
         The whole plan goes to the inner transport in one scatter;
         only the operations that failed transiently are re-scattered
-        (see :meth:`_retry`).
-
-        The simulator's true-async path passes through unretried, like
-        :meth:`submit` — its drivers model failure at a different
-        layer.
+        (see :meth:`_retry`). The simulator's true-async path passes
+        through unretried, like :meth:`submit`.
         """
         plan = list(plan)
         if not self.submit_is_synchronous:

@@ -411,13 +411,9 @@ class SimTransport(Transport):
             processes.append(process)
         self.sim.run()
         self.deferred_time += self.sim.now - started
-        futures = []
-        for process in processes:
-            if process.exception is not None:
-                futures.append(CompletedFuture(exception=process.exception))
-            else:
-                futures.append(CompletedFuture(value=process.value))
-        return futures
+        return [CompletedFuture(value=process.value,
+                                exception=process.exception)
+                for process in processes]
 
     def _operation(self, server_id: str, request):
         node = self._node(server_id)
