@@ -171,6 +171,7 @@ def scatter_call(transport, plan: Sequence[Tuple[str, Any]]) -> List:
                 for server_id, request in plan]
     futures = gather(transport.submit_many(plan))
     for future in futures:
-        if not (future.ok or isinstance(future.exception, SwarmError)):
-            raise future.exception
+        exc = future.exception
+        if exc is not None and not isinstance(exc, SwarmError):
+            raise exc
     return futures

@@ -40,6 +40,12 @@ Everything else (not found, exists, ACL denials, bad requests) is a
 definitive answer and is surfaced immediately."""
 
 
+def _failed_transiently(future) -> bool:
+    """Whether ``future`` resolved to an error worth retrying."""
+    return future.triggered and isinstance(future.exception,
+                                           TRANSIENT_ERRORS)
+
+
 def wrap_transport(transport, policy: Optional["RetryPolicy"], monitor=None,
                    sleep=None):
     """Interpose a :class:`RetryingTransport` when a policy is given.
@@ -204,7 +210,7 @@ class RetryingTransport(TransportWrapper):
 
     # ------------------------------------------------------------------
 
-    def call(self, server_id: str, request, _resolving: bool = False):
+    def call(self, server_id: str, request, _resolve: bool = True):
         # The first attempt is inline: an answered call (the common
         # case by far) must not pay for building a plan, a future list
         # and a loop it never enters.
@@ -221,7 +227,7 @@ class RetryingTransport(TransportWrapper):
             self._observe(server_id, ok=True)
             return response
         return self._retry([(server_id, request)], [failed], self._call_each,
-                           resolve=not _resolving)[0].result()
+                           _resolve)[0].result()
 
     def _call_each(self, plan) -> List[CompletedFuture]:
         """One attempt of every operation of ``plan``, one call each."""
@@ -241,8 +247,7 @@ class RetryingTransport(TransportWrapper):
             return self.inner.submit_many(plan)
         futures = list(self.inner.submit_many(plan))
         self._observe_scatter(plan, futures)
-        return self._retry(plan, futures, self.inner.submit_many,
-                           resolve=True)
+        return self._retry(plan, futures, self.inner.submit_many, True)
 
     def _retry(self, plan, futures, attempt_all, resolve: bool):
         """The retry loop: re-attempt what failed transiently, in rounds.
@@ -265,8 +270,7 @@ class RetryingTransport(TransportWrapper):
         for attempt in range(1, policy.max_attempts):
             retry_indices = []
             for index, future in enumerate(futures):
-                if future.triggered and isinstance(future.exception,
-                                                   TRANSIENT_ERRORS):
+                if _failed_transiently(future):
                     backoff = policy.backoff_for(attempt)
                     if elapsed[index] + backoff > policy.deadline_s:
                         continue  # over deadline: counted exhausted below
@@ -290,8 +294,7 @@ class RetryingTransport(TransportWrapper):
                 futures[index] = self._disambiguated(plan[index], future,
                                                      resolve)
         for index, future in enumerate(futures):
-            if future.triggered and isinstance(future.exception,
-                                               TRANSIENT_ERRORS):
+            if _failed_transiently(future):
                 self._note_exhausted(plan[index][0])
         return futures
 
@@ -299,8 +302,7 @@ class RetryingTransport(TransportWrapper):
         """Feed one scatter round's per-operation outcomes."""
         for (server_id, _request), future in zip(plan, futures):
             if future.triggered:
-                self._observe(server_id, not isinstance(
-                    future.exception, TRANSIENT_ERRORS))
+                self._observe(server_id, not _failed_transiently(future))
 
     def _disambiguated(self, operation, future, resolve: bool):
         """Resolve a retried operation's at-least-once ambiguity.
@@ -348,9 +350,9 @@ class RetryingTransport(TransportWrapper):
                 return m.Response()
             self.call(server_id, m.DeleteRequest(
                 fid=request.fid, principal=request.principal),
-                _resolving=True)
+                _resolve=False)
             try:
-                return self.call(server_id, request, _resolving=True)
+                return self.call(server_id, request, _resolve=False)
             except errors.FragmentExistsError:
                 # The re-store's own reply was lost and its retry
                 # collided with itself; compare once more, no further.
@@ -362,5 +364,5 @@ class RetryingTransport(TransportWrapper):
     def _committed(self, server_id: str, request: m.StoreRequest) -> bool:
         """Whether the server holds exactly the bytes ``request`` stores."""
         probe = self.call(server_id, m.RetrieveRequest(
-            fid=request.fid, principal=request.principal), _resolving=True)
+            fid=request.fid, principal=request.principal), _resolve=False)
         return bytes(probe.payload) == bytes(request.data)
