@@ -187,6 +187,19 @@ class TestServerCrash:
         assert server.retrieve(1) == b"persist"
         assert server.last_marked() == 1
 
+    def test_preallocation_survives_restart(self, server):
+        """The preallocated flag is durable: after a restart the slot is
+        still reserved for the fid, not a phantom stored fragment."""
+        slot = server.preallocate(5)
+        server.crash()
+        server.restart()
+        assert not server.holds(5)
+        assert server.holds_many([5]) == []
+        with pytest.raises(errors.FragmentNotFoundError):
+            server.retrieve(5)
+        assert server.store(5, b"filled later") == slot
+        assert server.retrieve(5) == b"filled later"
+
     def test_atomic_store_on_backend_failure(self, server):
         """If the slot write dies mid-way, the fragment must not exist
         and the slot must not leak."""
