@@ -57,6 +57,11 @@ class ScriptError(ServerError):
     """A SwarmScript program failed to parse or execute."""
 
 
+class CorruptMetadataError(ServerError):
+    """The server's durable fragment map is damaged somewhere other than
+    the torn tail a crash can leave, so it cannot be rebuilt."""
+
+
 # ---------------------------------------------------------------------------
 # Log-layer errors
 # ---------------------------------------------------------------------------

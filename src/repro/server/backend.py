@@ -4,15 +4,24 @@ The server logic is backend-agnostic. :class:`MemoryBackend` keeps slots
 in a dict (fast, used by tests and the simulated testbed, whose timing
 comes from the disk *model*, not real IO). :class:`FileBackend` keeps
 slots in a real file on the host filesystem with write-then-rename
-metadata commits, demonstrating the durability story end to end.
+metadata commits and fsynced journal appends, demonstrating the
+durability story end to end.
+
+Besides slots, a backend keeps two kinds of named metadata: blobs,
+replaced whole and atomically (snapshots, the ACL table), and journals,
+sequences of opaque records that only grow until truncated.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 from abc import ABC, abstractmethod
-from typing import Dict, Optional
+from typing import Dict, List, Optional
+
+#: A journal record on disk is its length, then its bytes.
+_FRAME = struct.Struct(">I")
 
 
 class StorageBackend(ABC):
@@ -38,6 +47,20 @@ class StorageBackend(ABC):
     def load_metadata(self, key: str) -> Optional[bytes]:
         """Load a metadata blob saved by :meth:`save_metadata`."""
 
+    @abstractmethod
+    def append_metadata(self, key: str, record: bytes) -> None:
+        """Durably append one record to the metadata journal ``key``."""
+
+    @abstractmethod
+    def load_journal(self, key: str) -> List[bytes]:
+        """Records appended to journal ``key`` since it was last
+        truncated, oldest first. A crash during an append can leave the
+        last one torn: shorter than appended, or with garbled bytes."""
+
+    @abstractmethod
+    def truncate_journal(self, key: str) -> None:
+        """Durably discard every record of journal ``key``."""
+
 
 class MemoryBackend(StorageBackend):
     """In-memory backend; survives simulated crashes (which only reset
@@ -46,6 +69,7 @@ class MemoryBackend(StorageBackend):
     def __init__(self) -> None:
         self._slots: Dict[int, bytes] = {}
         self._metadata: Dict[str, bytes] = {}
+        self._journals: Dict[str, List[bytes]] = {}
 
     def write_slot(self, slot: int, data: bytes) -> None:
         self._slots[slot] = bytes(data)
@@ -62,6 +86,15 @@ class MemoryBackend(StorageBackend):
     def load_metadata(self, key: str) -> Optional[bytes]:
         return self._metadata.get(key)
 
+    def append_metadata(self, key: str, record: bytes) -> None:
+        self._journals.setdefault(key, []).append(bytes(record))
+
+    def load_journal(self, key: str) -> List[bytes]:
+        return list(self._journals.get(key, ()))
+
+    def truncate_journal(self, key: str) -> None:
+        self._journals.pop(key, None)
+
     def used_slots(self) -> int:
         """Number of occupied slots (test/diagnostic helper)."""
         return len(self._slots)
@@ -73,7 +106,9 @@ class FileBackend(StorageBackend):
     Each slot is one file (``slot_<n>``), written via a temporary file
     and ``os.replace`` so a crash never leaves a half-written slot —
     this is how the real server honours the paper's atomic-store
-    guarantee. Metadata blobs use the same write-then-rename commit.
+    guarantee. Metadata blobs use the same write-then-rename commit. A
+    journal is one file (``journal_<key>.log``) of length-prefixed
+    records, each appended and fsynced before the append returns.
     """
 
     def __init__(self, directory: str) -> None:
@@ -85,6 +120,9 @@ class FileBackend(StorageBackend):
 
     def _meta_path(self, key: str) -> str:
         return os.path.join(self.directory, "meta_%s.json" % key)
+
+    def _journal_path(self, key: str) -> str:
+        return os.path.join(self.directory, "journal_%s.log" % key)
 
     def _atomic_write(self, path: str, data: bytes) -> None:
         tmp = path + ".tmp"
@@ -119,6 +157,37 @@ class FileBackend(StorageBackend):
                 return handle.read()
         except FileNotFoundError:
             return None
+
+    def append_metadata(self, key: str, record: bytes) -> None:
+        with open(self._journal_path(key), "ab") as handle:
+            handle.write(_FRAME.pack(len(record)) + record)
+            handle.flush()
+            os.fsync(handle.fileno())
+
+    def load_journal(self, key: str) -> List[bytes]:
+        """The file's records in order. If it ends inside a record, the
+        last element is whatever of that record made it to disk (empty
+        when even its length prefix is incomplete)."""
+        try:
+            with open(self._journal_path(key), "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return []
+        records: List[bytes] = []
+        pos = 0
+        while pos < len(data):
+            if len(data) - pos < _FRAME.size:
+                records.append(b"")
+                break
+            (size,) = _FRAME.unpack_from(data, pos)
+            pos += _FRAME.size
+            records.append(data[pos:pos + size])
+            pos += size
+        return records
+
+    def truncate_journal(self, key: str) -> None:
+        with open(self._journal_path(key), "wb") as handle:
+            os.fsync(handle.fileno())
 
 
 def encode_fragment_map(mapping: Dict[int, dict]) -> bytes:
