@@ -27,8 +27,9 @@ from repro.log.config import LogConfig
 from repro.log.layer import LogLayer
 from repro.log.stripe import StripeGroup
 from repro.rpc import messages as m
+from repro.rpc import net
 from repro.rpc.net import TcpTransport
-from repro.rpc.retry import RetryPolicy
+from repro.rpc.retry import RetryingTransport, RetryPolicy
 
 SVC = 3
 FRAG = 1 << 12
@@ -173,6 +174,45 @@ class TestNetdProcesses:
                     verify_reads=True)
                 for addr, data in payloads.values():
                     assert fresh.read(addr) == data
+
+    def test_stopped_child_misses_the_request_deadline(self, monkeypatch):
+        """A server that accepts requests and never answers (SIGSTOP):
+        the client's deadline turns it into ServerUnavailableError, a
+        plan fails only its future, the failure detector ends at dead,
+        and after SIGCONT the next call reconnects and reads back."""
+        monkeypatch.setattr(net, "REQUEST_TIMEOUT_S", 0.5)
+        with NetdFleet(["s0", "s1"]) as fleet:
+            with TcpTransport(fleet.addresses) as tcp:
+                tcp.call("s0", m.StoreRequest(fid=5, data=b"before the stop"))
+                tcp.call("s1", m.StoreRequest(fid=6, data=b"still up"))
+                stopped = fleet.procs["s0"].pid
+                os.kill(stopped, signal.SIGSTOP)
+                try:
+                    start = time.perf_counter()
+                    with pytest.raises(errors.ServerUnavailableError):
+                        tcp.call("s0", m.RetrieveRequest(fid=5))
+                    assert time.perf_counter() - start < 2.0
+
+                    on_stopped, on_live = tcp.submit_many([
+                        ("s0", m.RetrieveRequest(fid=5)),
+                        ("s1", m.RetrieveRequest(fid=6))])
+                    assert isinstance(on_stopped.exception,
+                                      errors.ServerUnavailableError)
+                    assert bytes(on_live.result().payload) == b"still up"
+
+                    monitor = HealthMonitor(seed=5)
+                    retrying = RetryingTransport(
+                        tcp, RetryPolicy(max_attempts=2, base_backoff_s=0.001,
+                                         max_backoff_s=0.002, seed=5),
+                        monitor=monitor, sleep=lambda _s: None)
+                    for _ in range(2):
+                        with pytest.raises(errors.ServerUnavailableError):
+                            retrying.call("s0", m.RetrieveRequest(fid=5))
+                    assert monitor.status("s0") == "dead"
+                finally:
+                    os.kill(stopped, signal.SIGCONT)
+                got = tcp.call("s0", m.RetrieveRequest(fid=5))
+                assert bytes(got.payload) == b"before the stop"
 
     def test_wall_clock_backoff_actually_sleeps(self):
         """Over a real wire the retry backoff is wall time, not ledger."""
