@@ -13,9 +13,9 @@ codec. Three planes carry them, behind one
   real cluster would experience it. Functional effects are the same.
 * :class:`~repro.rpc.net.TcpTransport` — the same frames over real
   sockets, to in-process loopback hosts or ``repro.server.netd``
-  daemons (imported from :mod:`repro.rpc.net`, which pulls in asyncio
-  for the server half). The calling thread drives the client sockets
-  itself: one exchange writes and reads every frame of a call or plan.
+  daemons (imported from :mod:`repro.rpc.net`, which also holds the
+  server half). The calling thread drives the client sockets itself:
+  one exchange writes and reads every frame of a call or plan.
 
 A plane implements ``call`` (and ``submit`` / ``submit_many`` where it
 has genuinely overlapped work); the base class derives the rest.

@@ -2,10 +2,10 @@
 
 The third transport, next to :class:`~repro.rpc.transport.LocalTransport`
 (plain function calls) and :class:`~repro.rpc.transport.SimTransport`
-(discrete-event testbed). Here every ``StorageServer`` sits behind an
-``asyncio.start_server`` host and clients speak to it over genuine
-sockets — in-process over loopback for tests (:class:`InProcessHost`),
-or across processes/machines via ``python -m repro.server.netd``.
+(discrete-event testbed). Here every ``StorageServer`` is served by
+:func:`serve` and clients speak to it over genuine sockets — in-process
+over loopback for tests (:class:`InProcessHost`), or across
+processes/machines via ``python -m repro.server.netd``.
 
 Wire protocol (§2.1.2 flow control over Swarm's striped verbs):
 
@@ -14,7 +14,8 @@ Wire protocol (§2.1.2 flow control over Swarm's striped verbs):
   which is exactly the :mod:`repro.rpc.codec` image of one message.
   The header's length field is written from :func:`wire_size` *before*
   the message is serialized, which is why the codec property test pins
-  ``wire_size`` to the real encoding.
+  ``wire_size`` to the real encoding. Both ends read frames with
+  :meth:`_Connection.frames`, which rejects a length over :data:`MAX_FRAME`.
 * **Multiplexing** — many requests are in flight per connection;
   responses carry the request id they answer and may arrive in any
   order. A client connection keeps the ids it still owes an answer
@@ -22,31 +23,32 @@ Wire protocol (§2.1.2 flow control over Swarm's striped verbs):
   drops the connection and fails every answer it owed.
 * **Zero copy** — frames are built by :func:`frame_parts` over
   :func:`~repro.rpc.codec.encode_message_parts` and written as a buffer
-  list (``sendmsg`` on the client, ``writer.writelines`` on the
-  server), so a fragment payload crosses from the caller's buffer to
-  the socket without being copied into an intermediate wire image.
+  list with ``sendmsg``, so a fragment payload crosses from the caller's
+  buffer to the socket without being copied into a wire image.
 
-The client half has no thread of its own: Swarm's servers are dumb and
-the client drives every fan-out (§2.1.2), so the thread that calls the
+Both ends share one I/O model: a :class:`_Connection` per non-blocking
+socket, driven by a ``PollSelector`` on one thread. The client has no
+thread of its own: Swarm's servers are dumb and the client drives
+every fan-out (§2.1.2), so the thread that calls the
 :class:`TcpTransport` does the socket work itself. One exchange queues
-every frame of a call or plan on its pooled non-blocking sockets; one
-selector then writes whatever each socket accepts and reads answers as
-they arrive, so a large request and a large answer on one connection
-never wait on each other. The server reads one frame at a time and the
-client writes only what a socket accepts, so TCP's own window is the
-§2.1.2 flow control. An exchange still owed answers
+every frame of a call or plan on its pooled sockets; one selector then
+writes whatever each socket accepts and reads answers as they arrive,
+so a large request and a large answer on one connection never wait on
+each other. The server reads a connection only while its answers are
+all sent, and the client writes only what a socket accepts, so TCP's
+own window is the §2.1.2 flow control. An exchange still owed answers
 :data:`REQUEST_TIMEOUT_S` after it began fails them with
 ``ServerUnavailableError`` and drops their connections, so a server
 that accepts a request and then hangs becomes a retry and, past that,
-a failure-detector verdict. The server half runs on asyncio.
+a failure-detector verdict.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import threading
 import time
+import traceback
 from selectors import EVENT_READ, EVENT_WRITE, PollSelector
 from struct import Struct
 from typing import Dict, List, Optional, Tuple
@@ -66,9 +68,7 @@ __all__ = [
     "InProcessHost",
     "TcpTransport",
     "frame_parts",
-    "read_frame",
-    "serve_connection",
-    "serve_server",
+    "serve",
 ]
 
 #: Frame header: payload length, then the request id the payload answers.
@@ -93,8 +93,7 @@ REQUEST_TIMEOUT_S = 30.0
 
 
 def frame_parts(request_id: int, msg) -> List:
-    """One wire frame as a buffer list ready for ``sendmsg`` or
-    ``writer.writelines``.
+    """One wire frame as a buffer list ready for ``sendmsg``.
 
     The header is filled from :func:`wire_size`, so bulk payloads stay
     as ``memoryview`` parts all the way to the socket.
@@ -104,131 +103,21 @@ def frame_parts(request_id: int, msg) -> List:
     return parts
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
-    """Read one ``(request_id, payload)`` frame; raises at EOF."""
-    header = await reader.readexactly(FRAME_HEADER.size)
-    length, request_id = FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise errors.BadRequestError("frame length %d exceeds cap" % length)
-    payload = await reader.readexactly(length)
-    return request_id, payload
-
-
-async def serve_connection(server, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-    """Serve one client connection against one ``StorageServer``.
-
-    Requests on a connection are dispatched serially —
-    :func:`~repro.rpc.transport.dispatch` is synchronous CPU/disk work,
-    so there is nothing to overlap *within* one connection; overlap
-    comes from concurrent connections and concurrent servers.
-    Responses still carry the request id, so a pipelining client may
-    have many frames in flight and match answers out of order.
-    """
-    try:
-        while True:
-            try:
-                request_id, payload = await read_frame(reader)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return  # client went away; nothing to answer
-            response = dispatch(server, decode_message(payload))
-            writer.writelines(frame_parts(request_id, response))
-            await writer.drain()
-    except (ConnectionError, OSError):
-        return  # mid-write disconnect: the client's retry layer handles it
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-async def serve_server(server, host: str = "127.0.0.1",
-                       port: int = 0) -> asyncio.AbstractServer:
-    """Bind one ``StorageServer`` behind an asyncio TCP listener."""
-
-    async def _handle(reader, writer):
-        await serve_connection(server, reader, writer)
-
-    return await asyncio.start_server(_handle, host=host, port=port)
-
-
-class InProcessHost:
-    """Host a set of ``StorageServer`` objects on loopback sockets.
-
-    The event loop runs on a background daemon thread, so synchronous
-    test and bench code can talk to the servers through a
-    :class:`TcpTransport` over real TCP while still holding direct
-    Python references to the server objects (for crash injection,
-    opcount assertions, damage).
-    """
-
-    def __init__(self, servers: Dict[str, object]) -> None:
-        self.servers = dict(servers)
-        self.addresses: Dict[str, Tuple[str, int]] = {}
-        self._listeners: Dict[str, asyncio.AbstractServer] = {}
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> "InProcessHost":
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="swarm-host", daemon=True)
-        self._thread.start()
-        for server in list(self.servers.values()):
-            self.add_server(server)
-        return self
-
-    def _run(self, coro):
-        """Run ``coro`` on the host's loop and wait for its result."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
-
-    def add_server(self, server) -> Tuple[str, int]:
-        """Host one more server (grown cluster, spares)."""
-        listener = self._run(serve_server(server))
-        self.servers[server.server_id] = server
-        self._listeners[server.server_id] = listener
-        sockname = listener.sockets[0].getsockname()
-        self.addresses[server.server_id] = (sockname[0], sockname[1])
-        return self.addresses[server.server_id]
-
-    def close(self) -> None:
-        if self._loop is None:
-            return
-
-        async def _shutdown():
-            for listener in self._listeners.values():
-                listener.close()
-                await listener.wait_closed()
-
-        self._run(_shutdown())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5)
-        if not self._loop.is_running():
-            self._loop.close()
-        self._loop = None
-
-    def __enter__(self) -> "InProcessHost":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
 class _Connection:
-    """One pooled non-blocking client socket.
+    """One framed non-blocking socket, at either end of the wire.
 
-    ``owed`` maps every request id queued on the socket and not yet
-    answered to the plan slot its answer fills.
+    On the client ``owed`` maps every request id queued on the socket
+    and not yet answered to the plan slot its answer fills; the server
+    leaves it empty.
     """
 
     def __init__(self, sock: socket.socket) -> None:
+        sock.setblocking(False)
         self.sock = sock
         self.next_id = 0
         self.owed: Dict[int, int] = {}
         self.outbox: List = []         # frame buffers the socket has not taken
-        self.inbox = bytearray()       # answer bytes short of a whole frame
+        self.inbox = bytearray()       # bytes short of a whole frame
         self.dead = False
 
     def queue(self, slot: int, msg) -> None:
@@ -246,26 +135,41 @@ class _Connection:
         if sent:
             outbox[0] = memoryview(outbox[0])[sent:]
 
+    def frames(self) -> List[Tuple[int, bytes]]:
+        """Receive what the socket holds; the whole ``(request_id,
+        payload)`` frames it completes, in arrival order.
+
+        The one frame reader of both ends: raises ``BadRequestError``
+        for a header longer than :data:`MAX_FRAME` and
+        ``ConnectionResetError`` at EOF.
+        """
+        chunk = self.sock.recv(1 << 18)  # 256 KiB per read
+        if not chunk:
+            raise ConnectionResetError("peer closed the connection")
+        inbox = self.inbox
+        inbox += chunk
+        frames = []
+        while len(inbox) >= FRAME_HEADER.size:
+            length, request_id = FRAME_HEADER.unpack_from(inbox)
+            if length > MAX_FRAME:
+                raise errors.BadRequestError(
+                    "frame length %d exceeds cap" % length)
+            end = FRAME_HEADER.size + length
+            if len(inbox) < end:
+                break
+            frames.append(
+                (request_id, bytes(memoryview(inbox)[FRAME_HEADER.size:end])))
+            del inbox[:end]
+        return frames
+
     def read(self, answers: List[CompletedFuture]) -> None:
         """Receive what the socket holds; resolve each whole answer into
         ``answers`` at its slot."""
-        chunk = self.sock.recv(1 << 18)  # asyncio's read size, 256 KiB
-        if not chunk:
-            raise ConnectionResetError("server closed the connection")
-        inbox = self.inbox
-        inbox += chunk
-        while len(inbox) >= FRAME_HEADER.size:
-            length, request_id = FRAME_HEADER.unpack_from(inbox)
-            if length > MAX_FRAME or request_id not in self.owed:
+        for request_id, payload in self.frames():
+            if request_id not in self.owed:
                 raise errors.BadRequestError(
-                    "malformed answer: %d bytes for request %d"
-                    % (length, request_id))
-            end = FRAME_HEADER.size + length
-            if len(inbox) < end:
-                return
-            answers[self.owed.pop(request_id)] = capture(
-                _response, bytes(memoryview(inbox)[FRAME_HEADER.size:end]))
-            del inbox[:end]
+                    "answer to request %d, never asked" % request_id)
+            answers[self.owed.pop(request_id)] = capture(_response, payload)
 
     def drop(self, answers: List[CompletedFuture], reason) -> None:
         """Close the socket; every answer it still owed fails."""
@@ -286,6 +190,109 @@ def _response(payload: bytes) -> m.Response:
     return response
 
 
+def serve(server, listener: socket.socket,
+          stop: Optional[socket.socket] = None) -> None:
+    """Serve one ``StorageServer`` on ``listener`` until ``stop`` (if
+    given) turns readable; then close the listener and every connection.
+
+    One selector loop on the calling thread accepts connections and
+    dispatches each request frame as it arrives. A connection is read
+    only while its outbox is empty, so a client that stops reading its
+    answers stops having its requests read: that and TCP's own window
+    are the §2.1.2 flow control. A frame that fails to parse or decode,
+    or a request ``dispatch`` raises on, drops its own connection and no
+    other; what ``dispatch`` raises beyond a bad peer's errors is a bug,
+    so its traceback goes to stderr.
+    """
+    listener.setblocking(False)
+    with PollSelector() as selector:
+        selector.register(listener, EVENT_READ)
+        if stop is not None:
+            selector.register(stop, EVENT_READ)
+        try:
+            while True:
+                for key, _events in selector.select():
+                    if key.fileobj is stop:
+                        return
+                    if key.fileobj is listener:
+                        try:
+                            sock, _ = listener.accept()
+                        except BlockingIOError:
+                            continue
+                        sock.setsockopt(socket.IPPROTO_TCP,
+                                        socket.TCP_NODELAY, 1)
+                        selector.register(sock, EVENT_READ, _Connection(sock))
+                        continue
+                    connection = key.data
+                    try:
+                        if not connection.outbox:
+                            for request_id, payload in connection.frames():
+                                response = dispatch(
+                                    server, decode_message(payload))
+                                connection.outbox.extend(
+                                    frame_parts(request_id, response))
+                        if connection.outbox:
+                            connection.write()
+                    except BlockingIOError:
+                        pass
+                    except Exception as exc:
+                        if not isinstance(exc, (OSError, ValueError,
+                                                errors.BadRequestError)):
+                            traceback.print_exc()  # a bug, not a bad peer
+                        selector.unregister(connection.sock)
+                        connection.sock.close()
+                        continue
+                    wanted = EVENT_WRITE if connection.outbox else EVENT_READ
+                    if key.events != wanted:
+                        selector.modify(connection.sock, wanted, connection)
+        finally:
+            for key in selector.get_map().values():
+                if key.fileobj is not stop:
+                    key.fileobj.close()
+
+
+class InProcessHost:
+    """Host a set of ``StorageServer`` objects on loopback sockets.
+
+    Each server is served by :func:`serve` on a daemon thread of its
+    own, so synchronous test and bench code can talk to the servers
+    through a :class:`TcpTransport` over real TCP while still holding
+    direct Python references to the server objects (for crash
+    injection, opcount assertions, damage).
+    """
+
+    def __init__(self, servers: Dict[str, object]) -> None:
+        self.servers = dict(servers)
+        self.addresses: Dict[str, Tuple[str, int]] = {}
+        self._threads: List[threading.Thread] = []
+        # Closing one end of the pair wakes every serving loop at once.
+        self._wake, self._stop = socket.socketpair()
+
+    def start(self) -> "InProcessHost":
+        for server_id, server in self.servers.items():
+            listener = socket.create_server(("127.0.0.1", 0))
+            self.addresses[server_id] = listener.getsockname()
+            thread = threading.Thread(
+                target=serve, args=(server, listener, self._stop),
+                name="swarm-host-%s" % server_id, daemon=True)
+            thread.start()
+            self._threads.append(thread)
+        return self
+
+    def close(self) -> None:
+        """Stop every serving loop and wait for its thread; idempotent."""
+        self._wake.close()
+        for thread in self._threads:
+            thread.join(timeout=5)
+        self._stop.close()
+
+    def __enter__(self) -> "InProcessHost":
+        return self.start()
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+
 class TcpTransport(Transport):
     """Client transport speaking the frame protocol over real sockets.
 
@@ -304,10 +311,6 @@ class TcpTransport(Transport):
         self.addresses = dict(addresses)
         self._pools: Dict[str, List[_Connection]] = {}
 
-    def add_server(self, server_id: str, address: Tuple[str, int]) -> None:
-        """Register one more reachable server (reform spares)."""
-        self.addresses[server_id] = address
-
     def server_ids(self) -> List[str]:
         return list(self.addresses)
 
@@ -323,7 +326,6 @@ class TcpTransport(Transport):
             except (KeyError, OSError) as exc:  # unknown id, or no connect
                 raise errors.ServerUnavailableError(
                     "cannot reach server %r: %r" % (server_id, exc)) from exc
-            sock.setblocking(False)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             pool.insert(0, _Connection(sock))
         pool.append(pool.pop(0))  # the one used now goes to the back

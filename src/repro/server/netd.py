@@ -18,10 +18,10 @@ which is exactly how the kill -9 recovery test uses it.
 from __future__ import annotations
 
 import argparse
-import asyncio
+import socket
 import sys
 
-from repro.rpc.net import serve_server
+from repro.rpc.net import serve
 from repro.server.config import ServerConfig
 from repro.server.server import StorageServer
 
@@ -45,25 +45,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def run(args) -> None:
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     server = StorageServer(ServerConfig(
         server_id=args.server_id,
         fragment_size=args.fragment_size,
         total_slots=args.total_slots,
         enforce_acls=args.enforce_acls,
     ))
-    listener = await serve_server(server, host=args.host, port=args.port)
-    sockname = listener.sockets[0].getsockname()
-    print("NETD READY %s %s %d" % (args.server_id, sockname[0], sockname[1]),
-          flush=True)
-    async with listener:
-        await listener.serve_forever()
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    family = socket.AF_INET6 if ":" in args.host else socket.AF_INET
+    listener = socket.create_server((args.host, args.port), family=family)
+    host, port = listener.getsockname()[:2]
+    print("NETD READY %s %s %d" % (args.server_id, host, port), flush=True)
     try:
-        asyncio.run(run(args))
+        serve(server, listener)  # closes the listener when it returns
     except KeyboardInterrupt:
         pass
     return 0

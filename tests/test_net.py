@@ -1,14 +1,14 @@
 """Tests for the real network plane (:mod:`repro.rpc.net`).
 
-The framing tests are hermetic (in-memory ``StreamReader``, no
-sockets) and run in tier 1. Everything in the ``net``-marked classes
-opens real loopback TCP sockets: the same in-process servers hosted
-behind asyncio listeners, driven through a :class:`TcpTransport`, with
-the existing wrappers (retry, chaos faults, health) layered on top
-unchanged. Run them with ``pytest -m net``.
+The framing tests are hermetic (the shared frame reader over a local
+``socket.socketpair()``, no TCP) and run in tier 1. Everything in the
+``net``-marked classes opens real loopback TCP sockets: the same
+in-process servers, each served by the selector loop in
+:func:`repro.rpc.net.serve`, driven through a :class:`TcpTransport`,
+with the existing wrappers (retry, chaos faults, health) layered on
+top unchanged. Run them with ``pytest -m net``.
 """
 
-import asyncio
 import socket
 import threading
 import time
@@ -25,14 +25,15 @@ from repro.health import HealthMonitor
 from repro.log.address import make_fid
 from repro.log.reader import LogReader
 from repro.rpc import messages as m
+from repro.rpc import net
 from repro.rpc.codec import decode_message, encode_message
 from repro.rpc.net import (
     FRAME_HEADER,
     MAX_FRAME,
     InProcessHost,
     TcpTransport,
+    _Connection,
     frame_parts,
-    read_frame,
 )
 from repro.rpc.retry import RetryPolicy, RetryingTransport
 from repro.server.config import ServerConfig
@@ -42,12 +43,22 @@ SVC = 7
 FRAG = 1 << 14
 
 
-def run_coro(coro):
-    return asyncio.run(coro)
+def read_frames(wire, count):
+    """The first ``count`` frames the shared frame reader finds in
+    ``wire``, sent over a socket pair whose far end then closes."""
+    near, far = socket.socketpair()
+    with near, far:
+        far.sendall(wire)
+        far.shutdown(socket.SHUT_WR)
+        connection = _Connection(near)
+        frames = []
+        while len(frames) < count:
+            frames += connection.frames()
+        return frames
 
 
 class TestFraming:
-    """Hermetic frame-layer tests: header + codec image, no sockets."""
+    """Hermetic frame-layer tests: header + codec image, no TCP."""
 
     def test_frame_roundtrip(self):
         msg = m.StoreRequest(fid=9, data=b"\xaa" * 5000, principal="c1")
@@ -70,52 +81,27 @@ class TestFraming:
             assert length == len(encode_message(msg))
 
     def test_read_frame_resolves_stream(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            msg = m.Response(value=5, payload=b"ok")
-            reader.feed_data(b"".join(frame_parts(11, msg)))
-            reader.feed_eof()
-            request_id, payload = await read_frame(reader)
-            return request_id, decode_message(payload)
-
-        request_id, decoded = run_coro(scenario())
+        msg = m.Response(value=5, payload=b"ok")
+        [(request_id, payload)] = read_frames(
+            b"".join(frame_parts(11, msg)), 1)
         assert request_id == 11
-        assert decoded == m.Response(value=5, payload=b"ok")
+        assert decode_message(payload) == m.Response(value=5, payload=b"ok")
 
     def test_read_frame_interleaved_out_of_order_ids(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            for rid, value in ((3, 30), (1, 10), (2, 20)):
-                reader.feed_data(
-                    b"".join(frame_parts(rid, m.Response(value=value))))
-            reader.feed_eof()
-            out = []
-            for _ in range(3):
-                rid, payload = await read_frame(reader)
-                out.append((rid, decode_message(payload).value))
-            return out
-
-        assert run_coro(scenario()) == [(3, 30), (1, 10), (2, 20)]
+        wire = b"".join(b"".join(frame_parts(rid, m.Response(value=value)))
+                        for rid, value in ((3, 30), (1, 10), (2, 20)))
+        frames = read_frames(wire, 3)
+        assert [(rid, decode_message(payload).value)
+                for rid, payload in frames] == [(3, 30), (1, 10), (2, 20)]
 
     def test_oversized_frame_rejected(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(FRAME_HEADER.pack((1 << 28) + 1, 0))
-            await read_frame(reader)
-
         with pytest.raises(errors.BadRequestError):
-            run_coro(scenario())
+            read_frames(FRAME_HEADER.pack((1 << 28) + 1, 0), 1)
 
     def test_truncated_frame_raises(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            wire = b"".join(frame_parts(9, m.Response(value=1)))
-            reader.feed_data(wire[:-3])
-            reader.feed_eof()
-            await read_frame(reader)
-
-        with pytest.raises(asyncio.IncompleteReadError):
-            run_coro(scenario())
+        wire = b"".join(frame_parts(9, m.Response(value=1)))
+        with pytest.raises(ConnectionResetError):
+            read_frames(wire[:-3], 1)
 
 
 def small_servers(count=4):
@@ -256,6 +242,40 @@ class TestTcpTransport:
             assert not server.is_alive()
         finally:
             listener.close()
+
+    @pytest.mark.parametrize("case", [
+        "longer-than-max-frame", "undecodable-payload", "dispatch-raises"])
+    def test_hostile_frame_drops_only_its_connection(self, case,
+                                                     monkeypatch):
+        # A frame the server cannot parse, decode or serve closes that
+        # one connection within 1 s; the host keeps serving the others.
+        # Time allowance: each case runs well under 2 s.
+        real_dispatch = net.dispatch
+
+        def dispatch(server, request):
+            if isinstance(request, m.DeleteRequest):
+                raise RuntimeError("handler bug")
+            return real_dispatch(server, request)
+
+        monkeypatch.setattr(net, "dispatch", dispatch)
+        wire = {
+            "longer-than-max-frame": FRAME_HEADER.pack(MAX_FRAME + 1, 0),
+            "undecodable-payload": FRAME_HEADER.pack(1, 0) + b"\xff",
+            "dispatch-raises": b"".join(
+                frame_parts(0, m.DeleteRequest(fid=5))),
+        }[case]
+        with InProcessHost(small_servers(1)) as host:
+            with TcpTransport(host.addresses) as tcp:
+                tcp.call("s0", m.StoreRequest(fid=5, data=b"kept"))
+                with socket.create_connection(host.addresses["s0"]) as rogue:
+                    rogue.sendall(wire)
+                    rogue.settimeout(1.0)
+                    try:
+                        assert rogue.recv(1) == b""  # closed, no answer
+                    except ConnectionResetError:
+                        pass
+                response = tcp.call("s0", m.RetrieveRequest(fid=5))
+                assert bytes(response.payload) == b"kept"
 
     def test_megabyte_answers_and_requests_cross_on_one_connection(self):
         # Whole-fragment answers come back while 1 MiB requests still go
