@@ -5,6 +5,8 @@ qualitatively: fragment sizing, the parity tax, stripe-width
 amortization, and write pipelining depth.
 """
 
+import hashlib
+
 import pytest
 
 from repro.bench.ablations import (
@@ -104,3 +106,20 @@ def test_overlap_and_scaling_ratios(benchmark, record, ablation, kwargs):
                                  iterations=1)
     record(**results)
     assert all(value > 0 for value in results.values())
+
+
+#: sha256 of ``python -m repro.bench --quick``'s report. Every number in
+#: it comes off the simulated clock, so the report is exact: a digest
+#: that moves means some figure or ablation moved, and a PR that moves
+#: one on purpose says so and re-pins this.
+QUICK_REPORT_SHA256 = (
+    "6fab184eca5643341df5a1f69c9beca2f44fddd28a4016f34a32780874a5171e")
+
+
+def test_quick_report_is_pinned(capsys):
+    from repro.bench.__main__ import main
+
+    assert main(["--quick"]) == 0
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode()).hexdigest() == QUICK_REPORT_SHA256, \
+        report
