@@ -1,7 +1,11 @@
 """Client↔server communication.
 
-Requests and responses are plain dataclasses with a compact binary
-codec. Three planes carry them, behind one
+Requests and responses are plain dataclasses
+(:mod:`repro.rpc.messages`). Each one is a single row of
+:data:`repro.rpc.codec.VERBS` — its wire tag, encoder, decoder, exact
+size and server handler — so the binary codec and the server-side
+:func:`~repro.rpc.codec.dispatch` are lookups into one table. Three
+planes carry them, behind one
 :class:`~repro.rpc.transport.Transport` interface:
 
 * :class:`~repro.rpc.transport.LocalTransport` — direct in-process
@@ -30,12 +34,15 @@ else.
 
 from repro.rpc.messages import (
     CreateAclRequest,
+    DeleteAclRequest,
     DeleteRequest,
     ErrorResponse,
     EvalScriptRequest,
     HoldsRequest,
     LastMarkedRequest,
+    ListFidsRequest,
     ModifyAclRequest,
+    MultiRetrieveRequest,
     PreallocateRequest,
     Response,
     RetrieveRequest,
@@ -60,12 +67,15 @@ __all__ = [
     "scatter_call",
     "wrap_transport",
     "CreateAclRequest",
+    "DeleteAclRequest",
     "DeleteRequest",
     "ErrorResponse",
     "EvalScriptRequest",
     "HoldsRequest",
     "LastMarkedRequest",
+    "ListFidsRequest",
     "ModifyAclRequest",
+    "MultiRetrieveRequest",
     "PreallocateRequest",
     "Response",
     "RetrieveRequest",

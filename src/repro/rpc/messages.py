@@ -4,7 +4,9 @@ One dataclass per server operation. Every request carries the calling
 ``principal`` for ACL checks. Responses use a single generic
 :class:`Response` (a value plus optional payload bytes) or
 :class:`ErrorResponse` (an error class name plus message), which the
-transports convert back into the library's exception hierarchy.
+transports convert back into the library's exception hierarchy. Each
+class's wire tag, codec and server handler are its one row in
+:data:`repro.rpc.codec.VERBS`.
 """
 
 from __future__ import annotations
@@ -152,11 +154,3 @@ class ErrorResponse:
 
     error_class: str
     message: str
-
-
-REQUEST_TYPES = (
-    StoreRequest, RetrieveRequest, DeleteRequest, PreallocateRequest,
-    LastMarkedRequest, HoldsRequest, CreateAclRequest, ModifyAclRequest,
-    DeleteAclRequest, EvalScriptRequest, ListFidsRequest,
-    MultiRetrieveRequest,
-)

@@ -8,6 +8,10 @@ operations return *future-like* objects with ``triggered`` / ``ok`` /
 ``value`` / ``exception`` attributes — the same shape as simulator
 events, so simulated drivers can ``yield`` them directly while
 synchronous callers just read the result.
+
+Every plane applies a request to its server with the same
+:func:`~repro.rpc.codec.dispatch`, a lookup into the codec's verb table
+(re-exported here).
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro import errors
 from repro.rpc import messages as m
-from repro.rpc.codec import decode_message, encode_message, wire_size
+from repro.rpc.codec import decode_message, dispatch, encode_message, wire_size
 from repro.rpc.completion import CompletedFuture, capture, scatter_call
-from repro.util.packing import pack_fids, unpack_fids
+from repro.util.packing import unpack_fids
 
 __all__ = [
     "CompletedFuture",
@@ -27,79 +31,12 @@ __all__ = [
     "SimTransport",
     "Transport",
     "TransportWrapper",
-    "dispatch",
+    "dispatch",  # from the codec's verb table
     "raise_error_response",
 ]
 
 #: One fan-out operation: where to send it and what to send.
 Plan = Sequence[Tuple[str, Any]]
-
-
-def dispatch(server, request) -> Any:
-    """Apply one request to a :class:`~repro.server.server.StorageServer`.
-
-    Returns a :class:`~repro.rpc.messages.Response`; converts library
-    exceptions into :class:`~repro.rpc.messages.ErrorResponse` so the
-    failure crosses the "network" as data, exactly as a real wire
-    protocol would carry it.
-    """
-    try:
-        if isinstance(request, m.StoreRequest):
-            slot = server.store(request.fid, request.data,
-                                principal=request.principal,
-                                marked=request.marked,
-                                acl_ranges=list(request.acl_ranges))
-            return m.Response(value=slot)
-        if isinstance(request, m.RetrieveRequest):
-            data = server.retrieve(request.fid, request.offset, request.length,
-                                   principal=request.principal)
-            return m.Response(value=len(data), payload=data)
-        if isinstance(request, m.MultiRetrieveRequest):
-            parts = server.retrieve_many(request.ranges,
-                                         principal=request.principal)
-            # Lengths are explicit in the request, so the concatenated
-            # payload needs no framing; value is the range count.
-            return m.Response(value=len(parts),
-                              payload=b"".join(bytes(part) for part in parts))
-        if isinstance(request, m.DeleteRequest):
-            server.delete(request.fid, principal=request.principal)
-            return m.Response()
-        if isinstance(request, m.PreallocateRequest):
-            slot = server.preallocate(request.fid)
-            return m.Response(value=slot)
-        if isinstance(request, m.LastMarkedRequest):
-            return m.Response(value=server.last_marked(request.client_id))
-        if isinstance(request, m.HoldsRequest):
-            held = server.holds_many(request.fids)
-            return m.Response(value=len(held), payload=pack_fids(held))
-        if isinstance(request, m.CreateAclRequest):
-            aid = server.create_acl(set(request.readers), set(request.writers))
-            return m.Response(value=aid)
-        if isinstance(request, m.ModifyAclRequest):
-            readers = set(request.readers) if request.readers is not None else None
-            writers = set(request.writers) if request.writers is not None else None
-            server.modify_acl(request.aid, readers, writers)
-            return m.Response()
-        if isinstance(request, m.DeleteAclRequest):
-            server.delete_acl(request.aid)
-            return m.Response()
-        if isinstance(request, m.ListFidsRequest):
-            fids = server.list_fids()
-            if request.client_id >= 0:
-                from repro.util.fids import fid_client
-
-                fids = [fid for fid in fids
-                        if fid_client(fid) == request.client_id]
-            return m.Response(value=len(fids), payload=pack_fids(fids))
-        if isinstance(request, m.EvalScriptRequest):
-            from repro.server.script import SwarmScriptInterpreter
-
-            interp = SwarmScriptInterpreter(server, principal=request.principal)
-            result = interp.run(request.script)
-            return m.Response(text=result)
-        raise errors.BadRequestError("unknown request %r" % (request,))
-    except errors.SwarmError as exc:
-        return m.ErrorResponse(error_class=type(exc).__name__, message=str(exc))
 
 
 def raise_error_response(response: m.ErrorResponse) -> None:
@@ -351,7 +288,7 @@ class SimTransport(Transport):
                                       nearby=True)
                     + model.access_time(4096, sequential=False))
         if isinstance(request, m.RetrieveRequest):
-            if node.server.last_retrieve_was_cached:
+            if not node.server.last_disk_spans:
                 return 0.0
             length = (request.length if request.length >= 0
                       else node.server.config.fragment_size)
@@ -362,7 +299,7 @@ class SimTransport(Transport):
             # a span); cached fragments cost no disk time.
             return sum(model.access_time(max(span_len, 1), sequential=False)
                        for _fid, _offset, span_len
-                       in node.server.last_multi_disk_spans)
+                       in node.server.last_disk_spans)
         if isinstance(request, m.DeleteRequest):
             return model.access_time(4096, sequential=False)
         return 0.0
@@ -444,18 +381,13 @@ class SimTransport(Transport):
             yield from node.disk.positioned_access(len(request.data),
                                                    float(response.value))
             yield from node.disk.positioned_access(4096, self._MAP_REGION)
-        elif isinstance(request, m.RetrieveRequest) and isinstance(response, m.Response):
-            if node.server.last_retrieve_was_cached:
-                return  # served from server memory: no disk time
-            slot = node.server.slots.slot_of(request.fid) or 0
-            # Position includes the intra-fragment offset so consecutive
-            # block reads from one fragment are sequential on the platter.
-            position = float(slot) + max(0, request.offset) / float(1 << 20)
-            yield from node.disk.positioned_access(
-                max(len(response.payload), 1), position, write=False)
-        elif isinstance(request, m.MultiRetrieveRequest) and isinstance(
-                response, m.Response):
-            for fid, offset, span_len in node.server.last_multi_disk_spans:
+        elif isinstance(request, (m.RetrieveRequest, m.MultiRetrieveRequest)
+                        ) and isinstance(response, m.Response):
+            # One access per span the server read from disk; a cache hit
+            # read none. Position includes the intra-fragment offset so
+            # consecutive block reads from one fragment are sequential
+            # on the platter.
+            for fid, offset, span_len in node.server.last_disk_spans:
                 slot = node.server.slots.slot_of(fid) or 0
                 position = float(slot) + max(0, offset) / float(1 << 20)
                 yield from node.disk.positioned_access(

@@ -56,10 +56,8 @@ class StorageServer:
         self.acls = self._load_acls()
         self.available = True
         # Volatile whole-fragment cache (off by default, as in the
-        # prototype). ``last_retrieve_was_cached`` lets the simulated
-        # transport skip the disk-time charge on a hit.
+        # prototype).
         self._cache: "OrderedDict[int, bytes]" = OrderedDict()
-        self.last_retrieve_was_cached = False
         self.cache_hits = 0
         self.cache_misses = 0
         # Statistics (read by benchmarks and the doctor-style examples).
@@ -68,11 +66,10 @@ class StorageServer:
         self.store_ops = 0
         self.retrieve_ops = 0
         self.delete_ops = 0
-        # Disk spans touched by the last retrieve_many, one
-        # (fid, start_offset, total_bytes) per uncached fragment — the
-        # simulated transport charges one positioned access per span
-        # instead of one per range.
-        self.last_multi_disk_spans: List[Tuple[int, int, int]] = []
+        # Disk spans the last retrieve read, one (fid, start_offset,
+        # total_bytes) per fragment not served from the cache: the
+        # simulated transport charges one positioned access per span.
+        self.last_disk_spans: List[Tuple[int, int, int]] = []
 
     @property
     def server_id(self) -> str:
@@ -134,23 +131,14 @@ class StorageServer:
         (anything crossing a real wire does, via the codec) take
         ``bytes()``.
         """
+        self.last_disk_spans = []
         self._require_available()
         info = self._info_or_raise(fid)
-        data = self._cache.get(fid)
-        self.last_retrieve_was_cached = data is not None
-        if data is not None:
-            self._cache.move_to_end(fid)
-            self.cache_hits += 1
-        else:
-            if self.config.cache_fragments:
-                self.cache_misses += 1
-            data = self.backend.read_slot(info["slot"])
-            if data is None:
-                raise FragmentNotFoundError(
-                    "fragment %d has no slot data" % fid)
-            self._cache_insert(fid, data)
+        data, from_disk = self._image(fid, info)
         if length < 0:
             length = len(data) - offset
+        if from_disk:
+            self.last_disk_spans = [(fid, offset, length)]
         if offset < 0 or offset + length > len(data):
             raise BadRequestError(
                 "range [%d, %d) outside fragment of %d bytes"
@@ -173,11 +161,11 @@ class StorageServer:
         in-bounds against the fragment, and non-overlapping within one
         fragment — so a bad batch fails whole, never half-answered.
         Each distinct fragment's slot is visited once; the spans read
-        from disk are recorded in ``last_multi_disk_spans`` for the
-        simulated transport's disk-time model.
+        from disk are recorded in ``last_disk_spans`` for the simulated
+        transport's disk-time model.
         """
+        self.last_disk_spans = []
         self._require_available()
-        self.last_multi_disk_spans = []
         ranges = [(int(fid), int(offset), int(length))
                   for fid, offset, length in ranges]
         infos = {}
@@ -206,32 +194,16 @@ class StorageServer:
             self.acls.check_access(infos[fid].get("acl_ranges", []), offset,
                                    length, principal, "r")
         images = {}
-        for fid in per_fid:
-            data = self._cache.get(fid)
-            if data is not None:
-                self._cache.move_to_end(fid)
-                self.cache_hits += 1
-            else:
-                if self.config.cache_fragments:
-                    self.cache_misses += 1
-                data = self.backend.read_slot(infos[fid]["slot"])
-                if data is None:
-                    raise FragmentNotFoundError(
-                        "fragment %d has no slot data" % fid)
-                self._cache_insert(fid, data)
-                spans = per_fid[fid]
-                self.last_multi_disk_spans.append(
+        for fid, spans in per_fid.items():
+            images[fid], from_disk = self._image(fid, infos[fid])
+            if from_disk:
+                self.last_disk_spans.append(
                     (fid, min(offset for offset, _length in spans),
                      sum(length for _offset, length in spans)))
-            images[fid] = data
-        parts: List[bytes] = []
-        total = 0
-        for fid, offset, length in ranges:
-            parts.append(memoryview(images[fid])[offset:offset + length])
-            total += length
-        self.bytes_retrieved += total
+        self.bytes_retrieved += sum(length for _fid, _offset, length in ranges)
         self.retrieve_ops += 1
-        return parts
+        return [memoryview(images[fid])[offset:offset + length]
+                for fid, offset, length in ranges]
 
     def delete(self, fid: int, principal: str = "") -> None:
         """Delete fragment ``fid``, freeing its slot."""
@@ -359,6 +331,21 @@ class StorageServer:
         retrieves keep serving the stale cached image.
         """
         self._cache.pop(fid, None)
+
+    def _image(self, fid: int, info: dict) -> Tuple[bytes, bool]:
+        """Fragment ``fid``'s bytes, and whether they came from disk."""
+        data = self._cache.get(fid)
+        if data is not None:
+            self._cache.move_to_end(fid)
+            self.cache_hits += 1
+            return data, False
+        if self.config.cache_fragments:
+            self.cache_misses += 1
+        data = self.backend.read_slot(info["slot"])
+        if data is None:
+            raise FragmentNotFoundError("fragment %d has no slot data" % fid)
+        self._cache_insert(fid, data)
+        return data, True
 
     def _cache_insert(self, fid: int, data) -> None:
         if self.config.cache_fragments <= 0:

@@ -132,13 +132,13 @@ class TestServerCache:
                                             cache_fragments=4))
         server.store(1, b"cached-bytes")
         server.retrieve(1)
-        assert server.last_retrieve_was_cached  # write-through insert
+        assert server.last_disk_spans == []  # write-through insert
         assert server.cache_hits >= 1
 
     def test_cache_disabled_by_default(self, server):
         server.store(1, b"x")
         server.retrieve(1)
-        assert not server.last_retrieve_was_cached
+        assert server.last_disk_spans
 
     def test_lru_bound(self):
         server = StorageServer(ServerConfig("c", fragment_size=1 << 16,
@@ -146,9 +146,9 @@ class TestServerCache:
         for fid in (1, 2, 3):
             server.store(fid, b"%d" % fid)
         server.retrieve(1)   # evicted: must come from the backend
-        assert not server.last_retrieve_was_cached
+        assert server.last_disk_spans
         server.retrieve(1)   # now cached again
-        assert server.last_retrieve_was_cached
+        assert server.last_disk_spans == []
 
     def test_cache_cleared_on_crash(self):
         server = StorageServer(ServerConfig("c", fragment_size=1 << 16,
@@ -157,7 +157,7 @@ class TestServerCache:
         server.crash()
         server.restart()
         server.retrieve(1)
-        assert not server.last_retrieve_was_cached
+        assert server.last_disk_spans
 
     def test_delete_invalidates(self):
         server = StorageServer(ServerConfig("c", fragment_size=1 << 16,

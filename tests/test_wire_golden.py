@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from repro.rpc import messages as m
+from repro.rpc import codec, messages as m
 from repro.rpc.net import frame_parts
 
 REQUEST_ID = 7
@@ -65,3 +65,8 @@ def test_every_message_class_is_pinned():
     declared = {cls for cls in vars(m).values()
                 if dataclasses.is_dataclass(cls) and isinstance(cls, type)}
     assert {type(msg) for msg, _ in GOLDEN} == declared
+    # One verb-table row per message class; only the replies have no
+    # server handler.
+    assert set(codec.VERBS) == declared
+    assert {cls for cls, verb in codec.VERBS.items()
+            if verb.handle is None} == {m.Response, m.ErrorResponse}
