@@ -65,10 +65,8 @@ def main() -> None:
     # Writes with a dead stripe-group member are degraded but safe
     # (parity covers the missing fragment); the client then reforms its
     # stripe group around the failure and continues cleanly.
-    from repro.log.stripe import StripeGroup
-
     for stack in stacks.values():
-        stack.log.reform_group(StripeGroup(("s0", "s1", "s3")))
+        stack.log.reform_group(("s0", "s1", "s3"))
 
     # The manager host crashes: rebuild the namespace from its log.
     stacks[1].checkpoint_all()

@@ -16,8 +16,8 @@ experiments quantify them on the simulated testbed:
 * **Write pipeline / read window** — a stripe's stores, and a scan's
   retrieves, charged as one overlapped scatter against serial round
   trips.
-* **Fleet scaling** — width-8 stripes over 16/64/256-server fleets
-  through sequential-checking placement, and how well concurrent
+* **Fleet scaling** — width-8 stripes over 16/64/256-server views
+  through the view-history placement, and how well concurrent
   clients overlap on the shared testbed.
 
 Everything here runs on the simulated clock, so every figure is
@@ -337,8 +337,8 @@ def ablate_fleet_scaling(blocks: int = 1500, clients: int = 4,
 
     ``clients`` concurrent clients each stripe ``stripe_width`` wide
     over the whole fleet through their own
-    :class:`~repro.placement.SequentialCheckingPlacement`, at every size
-    in ``FLEET_SIZES`` (a plain stripe group cannot be built past
+    :class:`~repro.placement.Placement`, at every size in
+    ``FLEET_SIZES`` (the view is the fleet; only the width is capped at
     ``MAX_STRIPE_WIDTH``). Aggregate useful append MB/s should not drop
     as the fleet grows. ``client_overlap_ratio`` is the 64-server
     concurrent run's elapsed time over the same work as ``clients``

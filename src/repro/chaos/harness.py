@@ -353,21 +353,18 @@ class Harness(contextlib.AbstractContextManager):
             restored += count
         return restored
 
-    def recover(self, fresh_group: Optional[Callable[[Client], object]] = None,
-                ) -> List[Client]:
+    def recover(self) -> List[Client]:
         """Fresh clients (a simulated client crash — all in-memory
         state lost) recover from the log alone over the direct wire and
         must reproduce each oracle exactly. Returns them in client
-        order; what they read back becomes the report digest.
-        ``fresh_group`` picks the group a client's successor starts
-        from (default: a new one from ``make_group``).
+        order; what they read back becomes the report digest. Each
+        successor starts from a new ``make_group()`` — the configured
+        group — and rolls any view history forward from the log.
         """
         fresh_clients, states = [], []
         for index, client in enumerate(self.clients):
             fresh = self._client(
-                self.cluster.transport,
-                fresh_group(client) if fresh_group else self.make_group(),
-                client.client_id)
+                self.cluster.transport, self.make_group(), client.client_id)
             fresh.stack.recover_all()
             fresh_clients.append(fresh)
             recovered = read_all(fresh.disk)

@@ -39,14 +39,14 @@ from repro.chaos.plan import FaultSpec, choose_kill_victims
 from repro.errors import SwarmError
 from repro.health import RepairDaemon
 from repro.log.fragment import HEADER_SIZE, MAX_STRIPE_WIDTH
-from repro.placement import SequentialCheckingPlacement
+from repro.placement import Placement
 from repro.rpc import messages as m
 from repro.tools.fsck import check_client_log
 from repro.util.packing import unpack_fids
 
 DAMAGE_FRAGMENTS = 2     # committed fragments run_chaos damages durably
 KILL_FLUSH_EVERY = 4     # run_kill_server: ops per flush after the kill
-KILL_STRIPE_WIDTH = 8    # ... and its sequential placement's stripe width
+KILL_STRIPE_WIDTH = 8    # ... and its stripe width past MAX_STRIPE_WIDTH servers
 CLEAN_EVERY = 16         # run_cleaner_churn: ops per cleaning pass
 CLEANER_THRESHOLD = 0.9  # ... and its cleaner's utilization threshold
 
@@ -155,13 +155,12 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
        degraded stripe left — full redundancy restored), and a fresh
        client recovers the exact oracle state.
 
-    The distribution layer follows the fleet: one static
-    :class:`StripeGroup` (the historical scenario) up to
-    ``MAX_STRIPE_WIDTH`` servers, beyond that a
-    :class:`SequentialCheckingPlacement` of ``KILL_STRIPE_WIDTH`` over
-    the whole fleet — what makes the 64- and 256-server versions of
-    this scenario runnable at all.
-    ``num_clients > 1`` deals the op stream round-robin across
+    Every client stripes through its own
+    :class:`~repro.placement.Placement` over all servers but the
+    spares: as wide as that view up to ``MAX_STRIPE_WIDTH`` servers
+    (the historical scenario), ``KILL_STRIPE_WIDTH`` wide beyond — what
+    makes the 64- and 256-server versions of this scenario runnable at
+    all. ``num_clients > 1`` deals the op stream round-robin across
     independent clients, each with its own detector, daemon, and
     placement instance, all sharing one faulty wire.
 
@@ -184,7 +183,7 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
         raise ValueError("victims must be >= 1")
     if num_servers is None:
         num_servers = 5 if victims == 1 else 2 * victims + 4
-    sequential = num_servers > MAX_STRIPE_WIDTH
+    wide_fleet = num_servers > MAX_STRIPE_WIDTH
     overrides = dict(log_overrides or {})
     if victims > 1:
         # Surviving a simultaneous multi-kill needs one parity member
@@ -196,38 +195,30 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
                  num_clients=num_clients, fragment_size=fragment_size) as h:
         all_servers = sorted(h.cluster.servers)
         group_servers, spares = all_servers[:-victims], all_servers[-victims:]
-        overrides["spare_servers"] = tuple(spares)
 
         def make_group():
-            """Fresh placement (or the shared static group) for one client.
+            """A fresh placement for one client: each carries its own
+            view history, so every client — and every fresh-recovery
+            client — gets its own instance over the configured group."""
+            return Placement(
+                group_servers, overrides.get("parity_fragments", 1), spares,
+                KILL_STRIPE_WIDTH if wide_fleet else MAX_STRIPE_WIDTH)
 
-            Sequential policies carry per-client view history, so every
-            client — and every fresh-recovery client — gets its own
-            instance over the same fleet.
-            """
-            if not sequential:
-                return h.cluster.stripe_group(group_servers)
-            return SequentialCheckingPlacement(
-                tuple(all_servers),
-                stripe_width=min(KILL_STRIPE_WIDTH, len(group_servers)),
-                parity_fragments=overrides.get("parity_fragments", 1),
-                spare_servers=tuple(spares),
-                view_servers=tuple(group_servers))
-
-        # Static group: the victims are a seeded draw, and durable damage
-        # is pinned to the first server that is going to die — its torn /
+        # Up to MAX_STRIPE_WIDTH servers every stripe spans the whole
+        # view: the victims are a seeded draw, and durable damage is
+        # pinned to the first server that is going to die — its torn /
         # flipped fragments vanish with it, so the scenario proves repair
         # rebuilds them from survivors rather than quietly re-reading them.
-        # Reallocation-free placement: a stripe only touches
-        # ``KILL_STRIPE_WIDTH`` of the view's servers, so a randomly
-        # chosen fleet member would likely never be in any client's write
-        # path — and a detector fed purely by its own traffic would
+        # Past that, a stripe only touches ``KILL_STRIPE_WIDTH`` of the
+        # view's servers, so a randomly chosen fleet member would likely
+        # never be in any client's write path — and a detector fed purely
+        # by its own traffic would
         # (rightly) never indict it. The victims are instead chosen at
         # crash time from the view positions every client is about to
         # rotate through (the rotation cursor is seed-deterministic, so
         # the choice replays bit-identically), and the durable victim
         # stays the plan's own seeded draw.
-        kill_list = ([] if sequential
+        kill_list = ([] if wide_fleet
                      else choose_kill_victims(seed, group_servers, victims))
         spec = FaultSpec(pinned_victim=kill_list[0]) if kill_list else None
         clients = h.start_clients(spec, overrides, make_group=make_group,
@@ -251,8 +242,8 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
         # stores and the reads' failed retrieves are exactly the evidence
         # every client's failure detector needs. Measure how many ops
         # land before the automatic reforms complete on every client.
-        if sequential:
-            view = clients[0].log.placement.current_servers()
+        if wide_fleet:
+            view = clients[0].log.group.servers
             cursor = max(c.log.next_stripe_number for c in clients)
             kill_list.extend(sorted(view[(cursor + 1 + j) % len(view)]
                                     for j in range(victims)))
@@ -371,13 +362,11 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
         # Phase 5: fresh clients recover from the log alone — with every
         # victim still dead (or, in the restart variant, back up and
         # serving stale copies) — and must reproduce each oracle exactly.
-        # A static-group successor starts from the writer's reformed
-        # group; a sequential-placement one starts from the *initial*
-        # view and must roll its view history forward from the log.
-        fresh_clients = h.recover(
-            None if sequential else lambda client: client.log.group)
+        # Every successor starts from the *configured* group and must
+        # roll its view history forward from the log.
+        fresh_clients = h.recover()
         for client, fresh in zip(clients, fresh_clients):
-            if (sequential and client.log.reforms
+            if (client.log.reforms
                     and fresh.log.placement.view_epoch
                     < client.log.placement.view_epoch):
                 h.problem(client, "placement view history did not recover: "

@@ -21,7 +21,7 @@ from repro.chaos.harness import (
 from repro.cluster.cluster import build_local_cluster
 from repro.errors import SwarmError
 from repro.log.config import LogConfig
-from repro.placement import SequentialCheckingPlacement
+from repro.placement import Placement
 
 #: Record type for the small "note" records the sweep episode appends
 #: through :meth:`LogLayer.write_record`. They exist to keep the
@@ -39,11 +39,8 @@ CLEANER_THRESHOLD = 0.95
 def _sweep_client(cluster, **log_kwargs) -> Client:
     """One client stack, cleaner included, starting from the initial
     placement view: all servers but the last, which the episode adds."""
-    all_servers = sorted(cluster.servers)
-    placement = SequentialCheckingPlacement(
-        tuple(all_servers), stripe_width=STRIPE_WIDTH,
-        parity_fragments=1, spare_servers=(),
-        view_servers=tuple(all_servers[:-1]))
+    placement = Placement(sorted(cluster.servers)[:-1],
+                          stripe_width=STRIPE_WIDTH)
     return build_client(
         cluster.transport, placement,
         LogConfig(client_id=CLIENT_ID, fragment_size=FRAGMENT_SIZE),

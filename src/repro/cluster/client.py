@@ -76,7 +76,7 @@ class SimClientDriver:
         stripe_window = max(
             self.log.config.max_inflight_stripes,
             -(-self.log.config.max_outstanding_fragments
-              // self.log.layout.max_data_fragments()))
+              // self.log.placement.max_data_fragments()))
         while self.log.inflight_stripes() > stripe_window:
             oldest = self.log.oldest_inflight_events()
             if not oldest:

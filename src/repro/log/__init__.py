@@ -18,7 +18,7 @@ from repro.log.records import (
     encode_record_payload_block,
 )
 from repro.log.fragment import Fragment, FragmentBuilder, FragmentHeader, LogItem
-from repro.log.stripe import StripeGroup, StripeLayout, parity_of
+from repro.log.stripe import parity_of
 from repro.log.layer import FlushTicket, LogLayer
 from repro.log.reader import LogReader
 from repro.log.recovery import RecoveredState, recover_service_state
@@ -39,8 +39,6 @@ __all__ = [
     "FragmentBuilder",
     "FragmentHeader",
     "LogItem",
-    "StripeGroup",
-    "StripeLayout",
     "parity_of",
     "FlushTicket",
     "LogLayer",

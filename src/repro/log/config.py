@@ -52,7 +52,8 @@ class LogConfig:
     """Standby servers the auto-reform policy may draft into the stripe
     group when a member is declared dead. Order is preference order; a
     spare is used at most once. Empty means a dead member is dropped
-    and the group shrinks (down to the two-server parity minimum)."""
+    and the group shrinks (never below ``max(2, parity_fragments + 1)``
+    servers)."""
     max_inflight_stripes: int = 2
     """Write-behind window: how many closed stripes may have stores in
     flight at once. Stripe N+1 builds and dispatches while stripe N's

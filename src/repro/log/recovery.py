@@ -46,8 +46,8 @@ class RecoveredState:
         default_factory=dict)
     view_payload: Optional[bytes] = None
     """Newest placement VIEW_CHANGE payload seen during rollforward
-    (full view history; ``None`` when the log predates view-versioned
-    placement or uses static placement)."""
+    (full view history; ``None`` when the client's view never
+    changed)."""
     view_lsn: int = 0
 
 

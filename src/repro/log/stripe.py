@@ -1,24 +1,17 @@
-"""Striping and parity.
+"""Parity algebra for stripes.
 
 A *stripe* is a set of two or more fragments with consecutive FIDs, the
 last of which holds the XOR parity of the others. Each fragment of a
-stripe lives on a different server; the set of servers a client stripes
-over is its *stripe group*. The parity fragment's server rotates across
-successive stripes so that reconstruction load spreads evenly — the
-distributed analogue of RAID-5's rotated parity.
-
-Clients using disjoint stripe groups never contend; and because two
-failures only lose data if they land in the *same* stripe group, smaller
-groups let the system survive more simultaneous failures.
+stripe lives on a different server of the client's *stripe group*;
+which server holds which member — and how the parity server rotates
+across successive stripes, the distributed analogue of RAID-5's rotated
+parity — is decided by :class:`repro.placement.Placement`. This module
+only computes and inverts the parity itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-from repro.errors import ConfigError
-from repro.log.fragment import MAX_STRIPE_WIDTH
+from typing import Sequence
 
 
 def parity_of(images: Sequence[bytes]) -> bytes:
@@ -138,86 +131,6 @@ class ParityAccumulator:
             if end > total_len:
                 total_len = end
         return total.to_bytes(total_len, "little")
-
-
-@dataclass(frozen=True)
-class StripeGroup:
-    """The ordered set of servers one client stripes across."""
-
-    servers: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.servers) < 1:
-            raise ConfigError("stripe group needs at least one server")
-        if len(self.servers) > MAX_STRIPE_WIDTH:
-            raise ConfigError(
-                "stripe group of %d servers exceeds MAX_STRIPE_WIDTH (%d), "
-                "the fragment header's per-stripe descriptor capacity; to "
-                "stripe over a larger fleet keep the stripe *width* within "
-                "the limit and use repro.placement.SequentialCheckingPlacement"
-                % (len(self.servers), MAX_STRIPE_WIDTH))
-        if len(set(self.servers)) != len(self.servers):
-            raise ConfigError("duplicate server in stripe group")
-
-    @property
-    def size(self) -> int:
-        """Number of servers in the group."""
-        return len(self.servers)
-
-    @property
-    def supports_parity(self) -> bool:
-        """Parity requires at least two servers (one data + one parity)."""
-        return self.size >= 2
-
-
-class StripeLayout:
-    """Deterministic fragment→server placement with rotated parity.
-
-    Stripe ``k`` places its member with stripe index ``i`` on
-    ``servers[(k + i) % group_size]``. Parity members are always the
-    stripe's last indices, so the parity *servers* advance by one slot
-    per stripe — balancing both capacity and reconstruction load.
-
-    ``parity_fragments`` is the configured parity count ``m``; the
-    effective count is clamped to the group size minus one (a stripe
-    needs at least one data member), so the default ``m=1`` over a
-    one-server group degenerates to the paper's raw unprotected
-    stripes, exactly as before.
-    """
-
-    def __init__(self, group: StripeGroup, parity_fragments: int = 1) -> None:
-        if parity_fragments < 0:
-            raise ConfigError("parity_fragments must be >= 0")
-        self.group = group
-        self.parity_fragments = min(parity_fragments, group.size - 1)
-
-    def width_for(self, data_fragments: int) -> int:
-        """Total stripe width for ``data_fragments`` data members."""
-        if data_fragments < 1:
-            raise ValueError("a stripe needs at least one data fragment")
-        return data_fragments + self.parity_fragments
-
-    def max_data_fragments(self) -> int:
-        """Most data fragments a full-width stripe can carry."""
-        return max(1, self.group.size - self.parity_fragments)
-
-    def servers_for_stripe(self, stripe_number: int, width: int) -> Tuple[str, ...]:
-        """Server names, in stripe-index order, for stripe ``stripe_number``."""
-        if width > self.group.size:
-            raise ValueError("stripe wider than its group")
-        size = self.group.size
-        return tuple(self.group.servers[(stripe_number + i) % size]
-                     for i in range(width))
-
-    def parity_index(self, width: int) -> int:
-        """Stripe index of the *first* parity member.
-
-        Data members occupy indices ``0..parity_index-1``, parity
-        members ``parity_index..width-1``; with one parity fragment
-        this is the stripe's last index, matching the original header
-        convention bit for bit.
-        """
-        return width - self.parity_fragments
 
 
 def recover_data_image(parity_payload: bytes,

@@ -1,27 +1,16 @@
-"""Placement policies mapping stripes onto a (possibly huge) fleet.
+"""Stripe placement: one :class:`Placement` per client.
 
-See :mod:`repro.placement.policy` for the model: a policy answers
-"which servers hold stripe *n*", a versioned view history makes fleet
-grow/shrink reallocation-free, and :class:`StaticPlacement` keeps every
-pre-policy config bit-identical.
+See :mod:`repro.placement.policy` for the model: a placement answers
+"which servers hold stripe *n*" from a view history keyed by stripe
+number, which makes reform, grow and shrink reallocation-free; a static
+stripe group is a history with one view.
 """
 
 from repro.placement.policy import (
-    PlacementPolicy,
+    Placement,
     PlacementView,
-    SequentialCheckingPlacement,
-    StaticPlacement,
-    as_placement,
     decode_views,
     encode_views,
 )
 
-__all__ = [
-    "PlacementPolicy",
-    "PlacementView",
-    "SequentialCheckingPlacement",
-    "StaticPlacement",
-    "as_placement",
-    "decode_views",
-    "encode_views",
-]
+__all__ = ["Placement", "PlacementView", "decode_views", "encode_views"]

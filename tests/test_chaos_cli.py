@@ -31,6 +31,8 @@ def _ci_chaos_commands():
 def test_every_ci_chaos_line_parses():
     commands = _ci_chaos_commands()
     assert commands, "no chaos lines found in %s" % CI_YML
+    # The held-out kill-server seed replays in the heal job.
+    assert "--kill-server --seed 4242 --replay" in commands
     scenarios = {function for function, _ops, _blocks in SCENARIOS.values()}
     for command in commands:
         try:

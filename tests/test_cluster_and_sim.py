@@ -21,7 +21,7 @@ class TestLocalCluster:
 
     def test_stripe_group_subset(self, cluster4):
         group = cluster4.stripe_group(["s0", "s2"])
-        assert group.servers == ("s0", "s2")
+        assert group == ("s0", "s2")
 
     def test_config_validation(self):
         with pytest.raises(errors.ConfigError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.log import LogConfig, LogLayer, StripeGroup
+from repro.log import LogConfig, LogLayer
 from repro.log.address import BlockAddress, fid_seq
 from repro.log.records import RecordType
 from repro.rpc import messages as m
@@ -86,7 +86,7 @@ class TestStriping:
                 assert header.servers[fid - header.stripe_base_fid] == sid
 
     def test_single_server_group_writes_without_parity(self, cluster4):
-        group = StripeGroup(("s0",))
+        group = ("s0",)
         log = LogLayer(cluster4.transport, group,
                        LogConfig(client_id=2, fragment_size=FRAG))
         addr = log.write_block(SVC, b"solo")
@@ -324,7 +324,7 @@ class TestDegradedWritesAndReform:
     def test_reform_group_avoids_dead_server(self, cluster4):
         log = cluster4.make_log(client_id=1)
         cluster4.servers["s2"].crash()
-        log.reform_group(StripeGroup(("s0", "s1", "s3")))
+        log.reform_group(("s0", "s1", "s3"))
         addr = log.write_block(SVC, b"after-reform" * 1000)
         ticket = log.flush()
         ticket.wait()                           # clean: no dead member
@@ -336,7 +336,7 @@ class TestDegradedWritesAndReform:
         old = [log.write_block(SVC, bytes([i]) * 20000) for i in range(8)]
         log.flush().wait()
         cluster4.servers["s1"].crash()
-        log.reform_group(StripeGroup(("s0", "s2", "s3")))
+        log.reform_group(("s0", "s2", "s3"))
         new = log.write_block(SVC, b"fresh")
         log.flush().wait()
         for i, addr in enumerate(old):

@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 from repro.errors import ConfigError
 from repro.log.stripe import (
     ParityAccumulator,
-    StripeGroup,
-    StripeLayout,
     parity_of,
     parity_of_fast,
     recover_data_image,
 )
+from repro.placement import Placement
 
 
 class TestParityAlgebra:
@@ -136,58 +135,57 @@ class TestParityAccumulator:
 
 
 class TestStripeGroup:
+    """A stripe group is a :class:`Placement`'s current view."""
+
     def test_size_and_parity_support(self):
-        assert StripeGroup(("a",)).size == 1
-        assert not StripeGroup(("a",)).supports_parity
-        assert StripeGroup(("a", "b")).supports_parity
+        assert Placement(("a",)).group.size == 1
+        assert Placement(("a",)).parity_fragments == 0
+        assert Placement(("a", "b")).parity_fragments == 1
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
-            StripeGroup(())
+            Placement(())
 
     def test_rejects_duplicates(self):
         with pytest.raises(ConfigError):
-            StripeGroup(("a", "a"))
-
-    def test_rejects_oversized(self):
-        with pytest.raises(ConfigError):
-            StripeGroup(tuple("s%d" % i for i in range(17)))
+            Placement(("a", "a"))
 
 
 class TestStripeLayout:
+    """Stripe geometry and rotated placement, pinned to literal tuples."""
+
     def test_width_adds_parity_member(self):
-        layout = StripeLayout(StripeGroup(("a", "b", "c")))
-        assert layout.width_for(2) == 3
-        assert layout.max_data_fragments() == 2
+        placement = Placement(("a", "b", "c"))
+        assert placement.width_for(2) == 3
+        assert placement.max_data_fragments() == 2
 
     def test_single_server_group_has_no_parity(self):
-        layout = StripeLayout(StripeGroup(("a",)))
-        assert layout.width_for(1) == 1
-        assert layout.max_data_fragments() == 1
+        placement = Placement(("a",))
+        assert placement.width_for(1) == 1
+        assert placement.max_data_fragments() == 1
 
     def test_rotation_moves_parity_server(self):
-        layout = StripeLayout(StripeGroup(("a", "b", "c", "d")))
-        parity_servers = [layout.servers_for_stripe(k, 4)[3]
+        placement = Placement(("a", "b", "c", "d"))
+        parity_servers = [placement.servers_for_stripe(k, 4)[3]
                           for k in range(4)]
-        assert sorted(parity_servers) == ["a", "b", "c", "d"]
+        assert parity_servers == ["d", "a", "b", "c"]
 
     def test_each_stripe_uses_distinct_servers(self):
-        layout = StripeLayout(StripeGroup(("a", "b", "c", "d")))
+        placement = Placement(("a", "b", "c", "d"))
         for stripe in range(8):
-            servers = layout.servers_for_stripe(stripe, 4)
+            servers = placement.servers_for_stripe(stripe, 4)
             assert len(set(servers)) == 4
 
     def test_short_stripe_placement(self):
-        layout = StripeLayout(StripeGroup(("a", "b", "c", "d")))
-        servers = layout.servers_for_stripe(1, 2)
-        assert servers == ("b", "c")
+        placement = Placement(("a", "b", "c", "d"))
+        assert placement.servers_for_stripe(1, 2) == ("b", "c")
+        assert placement.servers_for_stripe(3, 3) == ("d", "a", "b")
 
     def test_too_wide_rejected(self):
-        layout = StripeLayout(StripeGroup(("a", "b")))
+        placement = Placement(("a", "b"))
         with pytest.raises(ValueError):
-            layout.servers_for_stripe(0, 3)
+            placement.servers_for_stripe(0, 3)
 
     def test_width_for_requires_positive(self):
-        layout = StripeLayout(StripeGroup(("a", "b")))
         with pytest.raises(ValueError):
-            layout.width_for(0)
+            Placement(("a", "b")).width_for(0)

@@ -25,7 +25,6 @@ from repro import errors
 from repro.health import HealthMonitor
 from repro.log.config import LogConfig
 from repro.log.layer import LogLayer
-from repro.log.stripe import StripeGroup
 from repro.rpc import messages as m
 from repro.rpc import net
 from repro.rpc.net import TcpTransport
@@ -117,7 +116,7 @@ class TestNetdProcesses:
             with TcpTransport(fleet.addresses) as tcp:
                 monitor = HealthMonitor(seed=7)
                 log = LogLayer(
-                    tcp, StripeGroup(("s0", "s1", "s2", "s3")),
+                    tcp, ("s0", "s1", "s2", "s3"),
                     LogConfig(client_id=1, fragment_size=FRAG,
                               spare_servers=("s4",)),
                     retry_policy=RetryPolicy(max_attempts=2,
@@ -166,7 +165,7 @@ class TestNetdProcesses:
             # through parity reconstruction.
             with TcpTransport(fleet.addresses) as tcp2:
                 fresh = LogLayer(
-                    tcp2, StripeGroup(("s0", "s2", "s3", "s4")),
+                    tcp2, ("s0", "s2", "s3", "s4"),
                     LogConfig(client_id=1, fragment_size=FRAG),
                     retry_policy=RetryPolicy(max_attempts=2,
                                              base_backoff_s=0.001,
@@ -220,7 +219,7 @@ class TestNetdProcesses:
             with TcpTransport(fleet.addresses) as tcp:
                 fleet.kill_dash_9("s0")
                 log = LogLayer(
-                    tcp, StripeGroup(("s0",)),
+                    tcp, ("s0",),
                     LogConfig(client_id=1, fragment_size=FRAG),
                     retry_policy=RetryPolicy(max_attempts=3,
                                              base_backoff_s=0.02,

@@ -17,7 +17,7 @@ from repro.log.fragment import Fragment, HEADER_SIZE
 from repro.log.layer import LogLayer
 from repro.log.reader import LogReader
 from repro.log.records import RecordType
-from repro.log.stripe import StripeGroup, parity_of
+from repro.log.stripe import parity_of
 from repro.util.fids import make_fid
 
 SVC = 7
@@ -76,7 +76,7 @@ class TestIncrementalParity:
         assert assert_stored_parity_matches_oracle(cluster4) >= 1
 
     def test_single_server_group_skips_parity(self, cluster4):
-        log = LogLayer(cluster4.transport, StripeGroup(("s0",)),
+        log = LogLayer(cluster4.transport, ("s0",),
                        LogConfig(client_id=2, fragment_size=FRAG))
         addr = log.write_block(SVC, b"solo" * 2000)
         log.flush().wait()
@@ -85,7 +85,7 @@ class TestIncrementalParity:
     def test_parity_correct_after_mid_stripe_reform(self, cluster4):
         log = cluster4.make_log(client_id=1)
         addrs = [log.write_block(SVC, b"a" * 30000)]
-        log.reform_group(StripeGroup(("s1", "s2", "s3")))
+        log.reform_group(("s1", "s2", "s3"))
         for _ in range(6):
             addrs.append(log.write_block(SVC, b"b" * 30000))
         log.flush().wait()
@@ -186,7 +186,7 @@ class ManualTransport:
 def manual_log(transport, **overrides):
     config = dict(client_id=1, fragment_size=1 << 12)
     config.update(overrides)
-    return LogLayer(transport, StripeGroup(("s0", "s1", "s2", "s3")),
+    return LogLayer(transport, ("s0", "s1", "s2", "s3"),
                     LogConfig(**config))
 
 
