@@ -68,20 +68,20 @@ GOLDEN = {
     # Regression seed: a lost reply on the re-store that repairs a torn
     # fragment used to abort the scenario with FragmentExistsError.
     ("cleaner", 555): "7a3d23f88f78f641",
-    ("crash-sweep", 101): "336f60e993ee7936",
-    ("crash-sweep", 202): "e689175fd2264415",
-    ("crash-sweep", 4242): "9582649d38196792",
-    ("kill-2-victims", 101): "877dac1565d86028",
-    ("kill-2-victims", 202): "bee3831316d07f47",
-    ("kill-2-victims", 4242): "ca8958c2e8c5546d",
+    ("crash-sweep", 101): "3755241bbb8c63f3",
+    ("crash-sweep", 202): "7760f5182703f442",
+    ("crash-sweep", 4242): "36236fcc71ef10c8",
+    ("kill-2-victims", 101): "2ef1ef25297da1d6",
+    ("kill-2-victims", 202): "f76f9e40d213d241",
+    ("kill-2-victims", 4242): "2f4f3853ce903f47",
     ("kill-64-servers", 101): "bda741ffd1d8cedc",
     ("kill-64-servers", 202): "fb326340cd6c44fc",
     ("kill-64-servers", 4242): "72c8e2b52d36236d",
-    ("kill-restart", 101): "4eb9ddb50e50ec84",
-    ("kill-restart", 202): "06e86b60cc078f15",
+    ("kill-restart", 101): "e7ec45ee33dcd0d7",
+    ("kill-restart", 202): "0a55e5f0a56d6037",
     ("kill-restart", 4242): "31dbe80a53ab3a65",
-    ("kill-server", 101): "0b89730d43c28277",
-    ("kill-server", 202): "63f436a89bd9c71a",
+    ("kill-server", 101): "14c9b6962e7b0bd0",
+    ("kill-server", 202): "d986f1bc1e99503f",
     ("kill-server", 4242): "c5d04a0783ce40f2",
 }
 
