@@ -97,6 +97,18 @@ class TestRepair:
                                                       "s4"]))
         assert [fresh.read(addr) for addr in addresses] == payloads
 
+    def test_rebuilt_images_held_stay_bounded(self, cluster5):
+        # The daemon's reconstructor lives for the whole repair; its
+        # cache of rebuilt images must not grow with the dead server's
+        # data (a whole stripe's worth at most).
+        from repro.log.fragment import MAX_STRIPE_WIDTH
+
+        log, _payloads, _addresses = written_group(cluster5, blocks=200)
+        lost, daemon = kill_and_daemon(cluster5, log)
+        assert daemon.run(dead_server="s1") == len(lost) > MAX_STRIPE_WIDTH
+        assert daemon.reconstructor.reconstructions == len(lost)
+        assert 0 < len(daemon.reconstructor.cache) <= MAX_STRIPE_WIDTH
+
     def test_location_cache_updated_to_replacement(self, cluster5):
         log, _payloads, _addresses = written_group(cluster5)
         lost, daemon = kill_and_daemon(cluster5, log)
