@@ -56,15 +56,15 @@ VARIANTS = {
 }
 
 GOLDEN = {
-    ("chaos", 101): "c485a44289582c75",
-    ("chaos", 202): "b7a73836ca98e772",
+    ("chaos", 101): "011c7533f9ddfede",
+    ("chaos", 202): "2445dc728b3bb60c",
     ("chaos", 4242): "8e824f9170673ec8",
-    ("chaos-2-clients", 101): "5d04af0a44696990",
-    ("chaos-2-clients", 202): "00a0b36fbd8fe6c4",
-    ("chaos-2-clients", 4242): "8d27eadfbf46dad1",
-    ("cleaner", 101): "b8aeb48ac3ae471b",
+    ("chaos-2-clients", 101): "8fa4b2cbd58b2d20",
+    ("chaos-2-clients", 202): "cd868bd354bcf71f",
+    ("chaos-2-clients", 4242): "cd6f32e158fac428",
+    ("cleaner", 101): "8276d1f653b30305",
     ("cleaner", 202): "9d12787ff92dcb2a",
-    ("cleaner", 4242): "b5cd34af53da1f1d",
+    ("cleaner", 4242): "1d0a1ceb16fb4303",
     # Regression seed: a lost reply on the re-store that repairs a torn
     # fragment used to abort the scenario with FragmentExistsError.
     ("cleaner", 555): "7a3d23f88f78f641",
