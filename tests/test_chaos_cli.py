@@ -33,6 +33,10 @@ def test_every_ci_chaos_line_parses():
     assert commands, "no chaos lines found in %s" % CI_YML
     # The held-out kill-server seed replays in the heal job.
     assert "--kill-server --seed 4242 --replay" in commands
+    # The chaos job replays the plain local-wire variants, whose fault
+    # schedule depends on how many retrieves degraded reads issue.
+    assert "--seed 101 --replay" in commands
+    assert "--clients 2 --seed 4242 --replay" in commands
     scenarios = {function for function, _ops, _blocks in SCENARIOS.values()}
     for command in commands:
         try:
