@@ -89,10 +89,6 @@ class UnrecoverableError(ReconstructionError):
     a transient locate failure."""
 
 
-class CheckpointError(LogError):
-    """Checkpoint data is missing or unusable during recovery."""
-
-
 # ---------------------------------------------------------------------------
 # Service / file-system errors
 # ---------------------------------------------------------------------------
@@ -143,7 +139,3 @@ class BadFileDescriptorError(FileSystemError):
 
 class SimulationError(SwarmError):
     """Base class for discrete-event simulator misuse."""
-
-
-class DeadlockError(SimulationError):
-    """The simulator ran out of events while processes were still waiting."""

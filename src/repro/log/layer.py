@@ -246,11 +246,6 @@ class LogLayer:
         return self.placement.group
 
     @property
-    def next_lsn(self) -> int:
-        """LSN the next record will get."""
-        return self._lsn.peek()
-
-    @property
     def next_stripe_number(self) -> int:
         """Stripe sequence number the next closed stripe will get.
 

@@ -113,13 +113,6 @@ def encode_checkpoint_payload(service_id: int, state: bytes) -> bytes:
     return struct.pack(">I", service_id) + pack_bytes(state)
 
 
-def decode_checkpoint_payload(payload: bytes) -> Tuple[int, bytes]:
-    """Inverse of :func:`encode_checkpoint_payload`."""
-    (service_id,) = struct.unpack_from(">I", payload, 0)
-    state, _ = unpack_bytes(payload, 4)
-    return service_id, state
-
-
 _TABLE_ENTRY = struct.Struct(">IQIIQ")
 
 

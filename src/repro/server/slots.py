@@ -196,10 +196,6 @@ class SlotTable:
         """Iterate all stored FIDs."""
         return iter(list(self._fid_to_slot))
 
-    def free_slots(self) -> int:
-        """Number of unused slots."""
-        return self._total_slots - len(self._used_slots)
-
     def newest_marked_fid(self, client_id: int = -1) -> int:
         """Largest FID stored with the *marked* flag, or 0 if none.
 

@@ -20,7 +20,7 @@ either the old or the new file, never a mix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ServiceError
 from repro.log.address import BlockAddress
@@ -182,22 +182,3 @@ class SharedSwarmClient:
                                       new_addr.length)
             self.manager.publish(path, file_map)
 
-
-def build_shared_client(cluster, client_id: int,
-                        manager: NamespaceManager, leases: LeaseManager,
-                        manager_stack: Optional[ServiceStack] = None,
-                        block_size: int = 8192) -> SharedSwarmClient:
-    """Assemble one shared-FS participant over a cluster.
-
-    The manager service must already be pushed on *some* client's stack
-    (``manager_stack``); if this client is the manager's host, pass that
-    stack so the data service shares it.
-    """
-    if manager_stack is not None and manager.stack is manager_stack:
-        stack = manager_stack
-        data = stack.push(SharedDataService(manager.service_id + 1))
-    else:
-        stack = cluster.make_stack(client_id)
-        data = stack.push(SharedDataService(1))
-    return SharedSwarmClient(client_id, stack, data, manager, leases,
-                             block_size=block_size)

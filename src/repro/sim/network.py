@@ -21,7 +21,7 @@ the functional payloads need not be serialized for real.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator
 
 from repro.errors import SimulationError
 from repro.sim.core import Event, Simulator
@@ -111,10 +111,6 @@ class Switch:
     def detach(self, node_id: str) -> None:
         """Remove a node (e.g. crashed server) from the network."""
         self.nics.pop(node_id, None)
-
-    def node_ids(self) -> List[str]:
-        """All currently attached node ids."""
-        return list(self.nics)
 
     # -- transfer mechanics -------------------------------------------------
 

@@ -40,11 +40,6 @@ class Resource:
         self.busy_time = 0.0
         self._busy_since: Optional[float] = None
 
-    @property
-    def in_use(self) -> int:
-        """Number of holders right now."""
-        return self._in_use
-
     def request(self) -> Event:
         """Return an event that succeeds once the resource is granted."""
         grant = Event(self.sim)

@@ -9,6 +9,18 @@ only root metadata; it is checkpointed periodically and rebuilt after a
 crash by replaying the automatic CREATE/DELETE records, whose
 ``create_info`` carries ``(ino, block-index)``.
 
+Directories are kept parsed. The first lookup through a directory
+decodes its blocks into a name → ino table; later lookups read that
+table from memory, as the inode map is read. The bound: one table per
+live directory, with the same lifetime as the loaded inode — there is
+no size knob and no eviction. Invalidation: only this client writes its
+directories (Sting is a per-client file system), so a table changes
+only when this client rewrites the directory. A rewrite drops the table
+before the write and stores the new one after it succeeds, so a write
+that raises leaves no table the log does not hold; removing a directory
+drops its table; ``format`` and ``restore`` start with none. A cleaner
+move changes a block's address, not the bytes, so it touches no table.
+
 What Sting does *not* do is the point of the paper: no log management,
 no striping, no parity, no cleaning, no reconstruction — the layers
 below provide all of it.
@@ -66,7 +78,11 @@ class StingFileSystem(Service):
         self._imap: Dict[int, BlockAddress] = {}
         self._inodes: Dict[int, Inode] = {}
         self._dirty: Set[int] = set()
-        self._patches: Dict[Tuple[int, int], BlockAddress] = {}
+        # ino -> {block index -> address}: replayed or cleaner-moved
+        # blocks of inodes not yet loaded.
+        self._patches: Dict[int, Dict[int, BlockAddress]] = {}
+        # ino -> a directory's parsed name -> ino table (module docstring).
+        self._dirents: Dict[int, Dict[str, int]] = {}
         self._next_ino = ROOT_INO
         self._next_fd = 3
         self._fds: Dict[int, OpenFile] = {}
@@ -82,6 +98,7 @@ class StingFileSystem(Service):
         root = Inode(ino=ROOT_INO, ftype=FileType.DIRECTORY,
                      block_size=self.block_size)
         self._inodes[ROOT_INO] = root
+        self._dirents = {}
         self._next_ino = ROOT_INO + 1
         self._write_dir_entries(root, {})
         self._flush_inode(root)
@@ -122,12 +139,7 @@ class StingFileSystem(Service):
 
     def _apply_patches(self, inode: Inode) -> None:
         """Fold replayed/cleaner block moves into a loaded inode."""
-        stale = [key for key in self._patches if key[0] == inode.ino]
-        for key in stale:
-            _ino, index = key
-            addr = self._patches.pop(key)
-            if index != INODE_BLOCK_INDEX:
-                inode.blocks[index] = addr
+        inode.blocks.update(self._patches.pop(inode.ino, {}))
 
     def _flush_inode(self, inode: Inode) -> None:
         """Append the inode's current image and repoint the inode map."""
@@ -154,12 +166,20 @@ class StingFileSystem(Service):
     # ------------------------------------------------------------------
 
     def _read_dir_entries(self, inode: Inode) -> Dict[str, int]:
-        if not inode.is_dir:
-            raise NotADirectoryFsError("inode %d is not a directory" % inode.ino)
-        return dircodec.decode_entries(self._read_all(inode))
+        """The directory's cached table; callers must not mutate it."""
+        entries = self._dirents.get(inode.ino)
+        if entries is None:
+            if not inode.is_dir:
+                raise NotADirectoryFsError(
+                    "inode %d is not a directory" % inode.ino)
+            entries = dircodec.decode_entries(self._read_all(inode))
+            self._dirents[inode.ino] = entries
+        return entries
 
     def _write_dir_entries(self, inode: Inode, entries: Dict[str, int]) -> None:
+        self._dirents.pop(inode.ino, None)
         self._write_all(inode, dircodec.encode_entries(entries))
+        self._dirents[inode.ino] = dict(entries)
 
     def _lookup(self, path: str) -> int:
         """Resolve a path to an inode number."""
@@ -277,7 +297,7 @@ class StingFileSystem(Service):
     def mkdir(self, path: str) -> int:
         """Create a directory; returns its inode number."""
         parent, name = self._lookup_parent(path)
-        entries = self._read_dir_entries(parent)
+        entries = dict(self._read_dir_entries(parent))
         if name in entries:
             raise FileExistsFsError("path exists: %r" % path)
         child = Inode(ino=self._allocate_ino(), ftype=FileType.DIRECTORY,
@@ -291,7 +311,7 @@ class StingFileSystem(Service):
     def create(self, path: str, data: bytes = b"") -> int:
         """Create a regular file (optionally with contents); returns ino."""
         parent, name = self._lookup_parent(path)
-        entries = self._read_dir_entries(parent)
+        entries = dict(self._read_dir_entries(parent))
         if name in entries:
             raise FileExistsFsError("path exists: %r" % path)
         child = Inode(ino=self._allocate_ino(), ftype=FileType.FILE,
@@ -307,7 +327,7 @@ class StingFileSystem(Service):
     def unlink(self, path: str) -> None:
         """Remove a regular file and delete its blocks."""
         parent, name = self._lookup_parent(path)
-        entries = self._read_dir_entries(parent)
+        entries = dict(self._read_dir_entries(parent))
         if name not in entries:
             raise FileNotFoundFsError("no such path: %r" % path)
         inode = self._load_inode(entries[name])
@@ -320,7 +340,7 @@ class StingFileSystem(Service):
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
         parent, name = self._lookup_parent(path)
-        entries = self._read_dir_entries(parent)
+        entries = dict(self._read_dir_entries(parent))
         if name not in entries:
             raise FileNotFoundFsError("no such path: %r" % path)
         inode = self._load_inode(entries[name])
@@ -339,18 +359,20 @@ class StingFileSystem(Service):
             self.stack.delete_block(self, addr, create_info=encode_create_info(
                 inode.ino, INODE_BLOCK_INDEX))
         self._inodes.pop(inode.ino, None)
+        self._dirents.pop(inode.ino, None)
         self._dirty.discard(inode.ino)
 
     def rename(self, old_path: str, new_path: str) -> None:
         """Move/rename a file or directory (POSIX rename semantics)."""
         src_parent, src_name = self._lookup_parent(old_path)
-        src_entries = self._read_dir_entries(src_parent)
+        src_entries = dict(self._read_dir_entries(src_parent))
         if src_name not in src_entries:
             raise FileNotFoundFsError("no such path: %r" % old_path)
         moving_ino = src_entries[src_name]
         dst_parent, dst_name = self._lookup_parent(new_path)
         same_dir = dst_parent.ino == src_parent.ino
-        dst_entries = src_entries if same_dir else self._read_dir_entries(dst_parent)
+        dst_entries = (src_entries if same_dir
+                       else dict(self._read_dir_entries(dst_parent)))
         existing = dst_entries.get(dst_name)
         if existing is not None and existing != moving_ino:
             target = self._load_inode(existing)
@@ -477,13 +499,15 @@ class StingFileSystem(Service):
 
     def write_file(self, path: str, data: bytes) -> None:
         """Create or replace ``path`` with ``data``."""
-        if self.exists(path):
-            inode = self._load_inode(self._lookup(path))
-            if inode.is_dir:
-                raise IsADirectoryFsError("%r is a directory" % path)
-            self._write_all(inode, data)
-        else:
+        try:
+            ino = self._lookup(path)
+        except FileNotFoundFsError:
             self.create(path, data)
+            return
+        inode = self._load_inode(ino)
+        if inode.is_dir:
+            raise IsADirectoryFsError("%r is a directory" % path)
+        self._write_all(inode, data)
 
     def read_file(self, path: str) -> bytes:
         """Entire contents of ``path``."""
@@ -517,6 +541,7 @@ class StingFileSystem(Service):
         self._inodes = {}
         self._dirty = set()
         self._patches = {}
+        self._dirents = {}
         self._fds = {}
         self._next_ino = ROOT_INO + 1
         if state:
@@ -542,12 +567,12 @@ class StingFileSystem(Service):
                 if index == INODE_BLOCK_INDEX:
                     self._imap[ino] = addr
                 else:
-                    self._patches[(ino, index)] = addr
+                    self._patches.setdefault(ino, {})[index] = addr
             else:  # DELETE
                 if index == INODE_BLOCK_INDEX and self._imap.get(ino) == addr:
                     del self._imap[ino]
-                elif self._patches.get((ino, index)) == addr:
-                    del self._patches[(ino, index)]
+                elif self._patches.get(ino, {}).get(index) == addr:
+                    del self._patches[ino][index]
         self.formatted = ROOT_INO in self._imap
 
     def on_block_moved(self, old_addr: BlockAddress, new_addr: BlockAddress,
@@ -566,4 +591,4 @@ class StingFileSystem(Service):
                 inode.blocks[index] = new_addr
                 self._dirty.add(ino)
             else:
-                self._patches[(ino, index)] = new_addr
+                self._patches.setdefault(ino, {})[index] = new_addr

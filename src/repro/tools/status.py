@@ -30,13 +30,6 @@ class ServerStatus:
     newest_marked_fid: int
     fragments_by_client: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def fill_fraction(self) -> float:
-        """Occupied slot fraction."""
-        if self.slots_total <= 0:
-            return 0.0
-        return self.slots_used / self.slots_total
-
 
 @dataclass
 class ClusterStatus:

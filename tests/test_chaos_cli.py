@@ -1,4 +1,5 @@
-"""Every ``python -m repro.chaos`` line CI runs must still parse.
+"""Every ``python -m repro.chaos`` line CI runs must still parse, and the
+seeded replays CI relies on are still there.
 
 ``ci.yml`` drives the chaos scenarios through the CLI, and the CLI picks
 the scenario from its ``SCENARIOS`` table; a flag renamed or a table
@@ -46,3 +47,11 @@ def test_every_ci_chaos_line_parses():
                         % (MODULE, command))
         assert scenario in scenarios
         assert isinstance(seed, int) and kwargs["ops"]
+
+
+def test_ci_replays_the_sting_suites_under_the_run_seed():
+    lines = [line.strip() for line in CI_YML.read_text().splitlines()
+             if not line.lstrip().startswith("#")]
+    assert ("run: PYTHONPATH=src python -m pytest tests/test_sting_property.py"
+            " tests/test_sting_recovery.py tests/test_sting_fs.py"
+            " --hypothesis-seed=${{ github.run_id }} -q") in lines

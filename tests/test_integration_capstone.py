@@ -71,6 +71,7 @@ class TestFullStack:
         # Server failure on top: reads still good (parity + decrypt).
         cluster4.servers["s3"].crash()
         fs2._inodes.clear()
+        fs2._dirents.clear()
         for path in list(contents)[:5]:
             assert fs2.read_file(path) == contents[path]
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import errors
 from repro.services.cleaner import CleanerService
+from repro.sting import directory as dircodec
 from repro.sting.fs import StingFileSystem
 
 
@@ -13,6 +14,20 @@ def fs(cluster4):
     filesystem = stack.push(StingFileSystem(3, block_size=4096))
     filesystem.format()
     return filesystem
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Every directory decode, by the length of the bytes decoded."""
+    calls = []
+    real = dircodec.decode_entries
+
+    def counting(data):
+        calls.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(dircodec, "decode_entries", counting)
+    return calls
 
 
 class TestNamespace:
@@ -236,3 +251,70 @@ class TestDurability:
         fs.sync()
         cluster4.servers["s1"].crash()
         assert fs.read_file("/big") == blob
+
+
+class InjectedWriteFailure(Exception):
+    pass
+
+
+class TestDirectoryTable:
+    """Each directory is decoded once, then served from memory."""
+
+    def test_reads_decode_no_directory(self, fs, decodes):
+        fs.mkdir("/d")
+        for index in range(8):
+            fs.write_file("/d/f%d" % index, bytes([index]) * (index + 1))
+        del decodes[:]
+        for index in range(8):
+            assert fs.read_file("/d/f%d" % index) == bytes([index]) * (index + 1)
+        # Decoding on every lookup would be 16: the root and /d per read.
+        assert decodes == []
+
+    def test_recovered_client_decodes_each_directory_once(self, cluster4,
+                                                          decodes):
+        stack = cluster4.make_stack(client_id=1)
+        fs = stack.push(StingFileSystem(3, block_size=4096))
+        fs.format()
+        fs.mkdir("/a")
+        fs.mkdir("/a/b")
+        paths = ["/top", "/a/mid", "/a/b/leaf"]
+        for path in paths:
+            fs.write_file(path, path.encode())
+        fs.unmount()
+
+        stack2 = cluster4.make_stack(client_id=1)
+        fs2 = stack2.push(StingFileSystem(3, block_size=4096))
+        stack2.recover_all()
+        del decodes[:]
+        for _ in range(3):
+            for path in paths:
+                assert fs2.read_file(path) == path.encode()
+        assert fs2.listdir("/a") == ["b", "mid"]
+        assert len(decodes) == 3    # /, /a and /a/b, once each
+
+    def test_failed_directory_write_leaves_no_table(self, fs, decodes,
+                                                    monkeypatch):
+        fs.mkdir("/d")
+        fs.write_file("/d/a", b"a")
+        ino = fs._lookup("/d")
+        assert ino in fs._dirents
+        real = fs.stack.write_block
+        failures = [InjectedWriteFailure("directory block write")]
+
+        def fail_once(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fs.stack, "write_block", fail_once)
+        # An empty file writes no data block: the first block written is
+        # the directory's.
+        with pytest.raises(InjectedWriteFailure):
+            fs.create("/d/b")
+        assert not failures
+        assert ino not in fs._dirents
+        del decodes[:]
+        fs.exists("/d/a")
+        assert len(decodes) == 1    # the next lookup decodes from the log
+        inode = fs._load_inode(ino)
+        assert fs._dirents[ino] == dircodec.decode_entries(fs._read_all(inode))

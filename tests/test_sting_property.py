@@ -4,7 +4,8 @@ Random sequences of file-system operations run simultaneously against
 Sting (on a real Swarm cluster) and a trivial dict-based oracle; states
 must agree at every step. A second property checks the crash-recovery
 invariant: after unmount + recovery, the recovered tree equals the
-oracle exactly.
+oracle exactly. After every operation, each directory table Sting keeps
+in memory must equal that directory decoded afresh from the log.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import errors
 from repro.cluster import build_local_cluster
+from repro.sting import directory as dircodec
 from repro.sting.fs import StingFileSystem
 
 NAMES = ["a", "b", "c", "f1", "f2"]  # disjoint from directory names
-DIRS = ["/", "/dir1", "/dir2"]
+NESTED = "/dir1/sub"  # made and removed by the ops; None in the oracle
+DIRS = ["/", "/dir1", "/dir2", NESTED]
 
 
 def op_strategy():
@@ -31,6 +34,8 @@ def op_strategy():
         st.tuples(st.just("truncate"), paths,
                   st.integers(min_value=0, max_value=15000)),
         st.tuples(st.just("rename"), st.tuples(paths, paths), st.just(b"")),
+        st.tuples(st.sampled_from(["mkdir", "rmdir"]), st.just(NESTED),
+                  st.just(b"")),
     )
 
 
@@ -45,12 +50,20 @@ def fresh_fs():
     return cluster, stack, fs
 
 
+def parent_exists(oracle, path):
+    return not path.startswith(NESTED + "/") or NESTED in oracle
+
+
 def apply_op(fs, oracle, op):
     """Apply one op to both systems; they must agree on the outcome."""
     kind, arg, data = op
     if kind == "write":
-        fs.write_file(arg, data)
-        oracle[arg] = data
+        if parent_exists(oracle, arg):
+            fs.write_file(arg, data)
+            oracle[arg] = data
+        else:
+            with pytest.raises(errors.FileNotFoundFsError):
+                fs.write_file(arg, data)
     elif kind == "append":
         if arg in oracle:
             fd = fs.open(arg, append=True)
@@ -74,20 +87,52 @@ def apply_op(fs, oracle, op):
     elif kind == "rename":
         src, dst = arg
         if src in oracle and src != dst:
-            fs.rename(src, dst)
-            oracle[dst] = oracle.pop(src)
+            if parent_exists(oracle, dst):
+                fs.rename(src, dst)
+                oracle[dst] = oracle.pop(src)
+            else:
+                with pytest.raises(errors.FileNotFoundFsError):
+                    fs.rename(src, dst)
+    elif kind == "mkdir":
+        if arg in oracle:
+            with pytest.raises(errors.FileExistsFsError):
+                fs.mkdir(arg)
+        else:
+            fs.mkdir(arg)
+            oracle[arg] = None
+    elif kind == "rmdir":
+        if arg not in oracle:
+            with pytest.raises(errors.FileNotFoundFsError):
+                fs.rmdir(arg)
+        elif any(path.startswith(arg + "/") for path in oracle):
+            with pytest.raises(errors.DirectoryNotEmptyFsError):
+                fs.rmdir(arg)
+        else:
+            fs.rmdir(arg)
+            del oracle[arg]
+    assert_tables_coherent(fs)
+
+
+def assert_tables_coherent(fs):
+    """Every cached directory table equals the directory's bytes read
+    from the log and decoded, bypassing the table."""
+    for ino, entries in fs._dirents.items():
+        inode = fs._load_inode(ino)
+        assert entries == dircodec.decode_entries(fs._read_all(inode)), ino
 
 
 def assert_same(fs, oracle):
-    for path, data in oracle.items():
-        assert fs.read_file(path) == data, path
-    # No phantom files: walk and compare the full population.
-    found = set()
-    for directory, _dirs, files in fs.walk("/"):
-        for name in files:
-            prefix = "" if directory == "/" else directory
-            found.add("%s/%s" % (prefix, name))
-    assert found == set(oracle)
+    files = {path for path, data in oracle.items() if data is not None}
+    for path in files:
+        assert fs.read_file(path) == oracle[path], path
+    # No phantom files or directories: walk and compare the population.
+    found, found_dirs = set(), set()
+    for directory, dirs, names in fs.walk("/"):
+        prefix = "" if directory == "/" else directory
+        found.update("%s/%s" % (prefix, name) for name in names)
+        found_dirs.update("%s/%s" % (prefix, name) for name in dirs)
+    assert found == files
+    assert found_dirs == {"/dir1", "/dir2"} | (set(oracle) - files)
 
 
 @settings(max_examples=20, deadline=None,
@@ -128,5 +173,7 @@ def test_oracle_holds_with_one_server_down(ops, victim):
         apply_op(fs, oracle, op)
     fs.sync()
     cluster.servers[victim].crash()
-    fs._inodes.clear()  # drop the in-memory inode cache: force reads
+    # Drop the in-memory inodes and directory tables: force reads.
+    fs._inodes.clear()
+    fs._dirents.clear()
     assert_same(fs, oracle)

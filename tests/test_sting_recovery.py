@@ -4,7 +4,7 @@ import pytest
 
 from repro.services.cache import CacheService
 from repro.services.cleaner import CleanerService
-from repro.sting.fs import StingFileSystem
+from repro.sting.fs import ROOT_INO, StingFileSystem
 
 
 def build(cluster, client_id=1):
@@ -112,6 +112,33 @@ class TestRecovery:
         stack2, _c2, fs2 = build(cluster4)
         stack2.recover_all()
         assert fs2.read_file("/big") == blob
+
+    def test_loading_an_inode_applies_only_its_own_patches(self, cluster4):
+        stack, _cleaner, fs = build(cluster4)
+        fs.format()
+        fs.unmount()
+        blobs = {"/f%02d" % index: bytes([index]) * 9000
+                 for index in range(12)}
+        for path, blob in blobs.items():
+            fs.write_file(path, blob)   # three blocks each, after the checkpoint
+        fs.sync()
+
+        stack2, _c2, fs2 = build(cluster4)
+        stack2.recover_all()
+        before = {ino: dict(blocks) for ino, blocks in fs2._patches.items()}
+        assert len(before) >= len(blobs)
+        ino = fs2._lookup("/f05")       # loads the root: it takes its own
+        rest = {other: blocks for other, blocks in before.items()
+                if other != ROOT_INO}
+        assert fs2._patches == rest
+        inode = fs2._load_inode(ino)
+        assert before[ino]
+        for index, addr in before[ino].items():
+            assert inode.blocks[index] == addr
+        del rest[ino]
+        assert fs2._patches == rest
+        for path, blob in blobs.items():
+            assert fs2.read_file(path) == blob
 
 
 class TestCleanerIntegration:
