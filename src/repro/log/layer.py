@@ -16,7 +16,9 @@ Responsibilities, mapped to the paper:
 * per-service checkpoints stored in *marked* fragments, plus the
   checkpoint table that makes every service's checkpoint reachable from
   the newest marked fragment (§2.1.3, §2.4.1);
-* reads with transparent reconstruction when a server is down (§2.4.3).
+* reads with transparent reconstruction when a server is down
+  (§2.4.3): buffered fragments are served here, everything else by the
+  read ladder in :mod:`repro.log.reconstruct`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.errors import (
     ConfigError,
     FragmentNotFoundError,
     LogError,
-    SwarmError,
 )
 from repro.log.address import BlockAddress, fid_seq, make_fid
 from repro.log.config import LogConfig
@@ -148,7 +149,6 @@ class LogLayer:
                                    monitor=health_monitor,
                                    sleep=retry_sleep)
         self.transport = transport
-        self.verify_reads = verify_reads
         self.config = config
         # Deterministic crash injection (chaos crash-point sweep). With
         # an injector attached every named crash point in the write path
@@ -951,12 +951,9 @@ class LogLayer:
 
         Not-yet-flushed fragments are served straight from the client's
         write buffer, so services can read back data they just wrote
-        without forcing a flush.
-
-        With ``verify_reads`` the partial-retrieve fast path is skipped:
-        the payload checksum covers the whole payload, so verification
-        needs the whole image, which :meth:`read_fragment` fetches,
-        checks, and falls back to parity for when it is corrupt.
+        without forcing a flush; every other read is the reconstructor's
+        (:meth:`~repro.log.reconstruct.Reconstructor.fetch_range`, see
+        :mod:`repro.log.reconstruct` for the read ladder).
 
         Always returns owned ``bytes``: this is the trust boundary
         where data crosses into service code, which may keep, hash, or
@@ -966,31 +963,7 @@ class LogLayer:
         for builder in self._building:
             if builder.fid == fid:
                 return bytes(builder.peek_range(offset, length))
-        if self.reconstructor.cache:
-            # A fragment rebuilt earlier: no locate, no broadcast.
-            image = self.reconstructor.cached(fid)
-            if image is not None:
-                return bytes(image[offset:offset + length])
-        if self.verify_reads:
-            image = self.read_fragment(fid)
-            return bytes(image[offset:offset + length])
-        server_id = self.locations.locate(fid)
-        if server_id is not None:
-            try:
-                response = self.transport.call(
-                    server_id, m.RetrieveRequest(
-                        fid=fid, offset=offset, length=length,
-                        principal=self.config.principal))
-                return bytes(response.payload)
-            except LogError:
-                raise
-            except SwarmError:
-                # Stale placement or downed server: forget it so later
-                # reads do not keep retrying the dead location, and
-                # fall through to reconstruction.
-                self.locations.evict(fid)
-        image = self.reconstructor.fetch(fid)
-        return bytes(image[offset:offset + length])
+        return self.reconstructor.fetch_range(fid, offset, length)
 
     def read_ranges(self, ranges: List[Tuple[int, int, int]],
                     ) -> List[Optional[bytes]]:
@@ -999,22 +972,9 @@ class LogLayer:
         Returns one owned ``bytes`` per range, in request order, or
         ``None`` where the bytes could not be produced even through
         reconstruction. Ranges in still-buffered fragments are served
-        from the builders. Everything else is grouped by located server
-        and fetched with *one* ``MultiRetrieveRequest`` per server, all
-        servers in one overlapped scatter — the cleaner harvesting a
-        stripe's live blocks or a service gathering scattered small
-        reads pays round trips proportional to the stripe width, not to
-        the block count. A failed batch falls back to the per-range
-        :meth:`read_range` ladder (reconstruction included), so one
-        sick server degrades the batch to the old cost, never to a
-        wrong answer.
-
-        With ``verify_reads`` the batched fast path is skipped the same
-        way :meth:`read_range` skips its partial-retrieve fast path:
-        the payload checksum covers whole fragments, so each distinct
-        fragment is fetched whole, verified, and sliced.
+        from the builders; the rest go to the reconstructor in one
+        batch (:meth:`~repro.log.reconstruct.Reconstructor.fetch_ranges`).
         """
-        ranges = [(fid, offset, length) for fid, offset, length in ranges]
         results: List[Optional[bytes]] = [None] * len(ranges)
         remote: List[int] = []
         for index, (fid, offset, length) in enumerate(ranges):
@@ -1024,88 +984,16 @@ class LogLayer:
                     break
             else:
                 remote.append(index)
-        if not remote:
-            return results
-        if self.verify_reads:
-            images: Dict[int, Optional[bytes]] = {}
-            for index in remote:
-                fid, offset, length = ranges[index]
-                if fid not in images:
-                    try:
-                        images[fid] = self.read_fragment(fid)
-                    except SwarmError:
-                        images[fid] = None
-                image = images[fid]
-                if image is not None:
-                    results[index] = bytes(image[offset:offset + length])
-            return results
-        from repro.rpc.completion import scatter_call
-
-        located = self.locations.locate_many(
-            sorted({ranges[index][0] for index in remote}))
-        by_server: Dict[str, List[int]] = {}
-        fallback: List[int] = []
-        for index in remote:
-            server_id = located.get(ranges[index][0])
-            if server_id is None:
-                fallback.append(index)
-            else:
-                by_server.setdefault(server_id, []).append(index)
-        groups = sorted(by_server.items())
-        futures = scatter_call(self.transport, [
-            (server_id, m.MultiRetrieveRequest(
-                ranges=tuple(ranges[index] for index in indices),
-                principal=self.config.principal))
-            for server_id, indices in groups])
-        for (server_id, indices), future in zip(groups, futures):
-            if future.ok:
-                payload = memoryview(future.value.payload)
-                if len(payload) == sum(ranges[index][2] for index in indices):
-                    pos = 0
-                    for index in indices:
-                        length = ranges[index][2]
-                        results[index] = bytes(payload[pos:pos + length])
-                        pos += length
-                    continue
-                # Garbled reply length: re-read these ranges one by one.
-                fallback.extend(indices)
-                continue
-            # Stale placements or a downed server: evict so the
-            # per-range ladder broadcasts/reconstructs afresh.
-            for index in indices:
-                self.locations.evict(ranges[index][0])
-            fallback.extend(indices)
-        for index in fallback:
-            fid, offset, length = ranges[index]
-            try:
-                data = self.read_range(fid, offset, length)
-            except SwarmError:
-                continue
-            if len(data) == length:
+        if remote:
+            fetched = self.reconstructor.fetch_ranges(
+                [tuple(ranges[index]) for index in remote])
+            for index, data in zip(remote, fetched):
                 results[index] = data
         return results
 
     def read_fragment(self, fid: int) -> bytes:
-        """Read a whole fragment image (cleaner / recovery paths).
-
-        With ``verify_reads`` the fetched image must match its payload
-        checksum; a mismatch evicts the placement and rebuilds the true
-        image from the stripe's parity, exactly as if the holding server
-        had been down.
-        """
-        server_id = self.locations.locate(fid)
-        if server_id is not None:
-            try:
-                response = self.transport.call(
-                    server_id, m.RetrieveRequest(
-                        fid=fid, principal=self.config.principal))
-                image = response.payload
-                if self.verify_reads:
-                    Fragment.decode(image, verify_crc=True)
-                return image
-            except SwarmError:
-                # Corrupt, stale or unreachable alike: rebuild below.
-                self.locations.evict(fid)
+        """Read a whole fragment image (cleaner / recovery paths)
+        through the reconstructor's read ladder."""
         return self.reconstructor.fetch(fid)
 
     # ------------------------------------------------------------------

@@ -3,11 +3,12 @@
 Used by crash recovery (rollforward) and by the cleaner. The reader
 walks FIDs in sequence, learning fragment→server placements from stripe
 descriptors as it goes so that only one broadcast per stripe is usually
-needed. Unavailable fragments are reconstructed transparently; a
-fragment that is absent everywhere *and* unreconstructable marks the end
-of the log (or, mid-log, the boundary of an incompletely flushed tail —
-rollforward stops there, yielding a consistent prefix of the record
-stream).
+needed. Each fragment is read through the reconstructor's ladder
+(:mod:`repro.log.reconstruct`), so unavailable or corrupt fragments are
+rebuilt transparently; a fragment that is absent everywhere *and*
+unreconstructable marks the end of the log (or, mid-log, the boundary
+of an incompletely flushed tail — rollforward stops there, yielding a
+consistent prefix of the record stream).
 
 Read-ahead is windowed, mirroring the write path's write-behind: up to
 ``max_inflight`` retrieves travel at once, dispatched as one
@@ -24,12 +25,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional
 
-from repro.errors import (
-    ConfigError,
-    CorruptFragmentError,
-    ReconstructionError,
-    SwarmError,
-)
+from repro.errors import ConfigError, ReconstructionError, SwarmError
 from repro.log.fragment import Fragment
 from repro.log.location import LocationCache
 from repro.log.records import Record
@@ -51,7 +47,6 @@ class LogReader:
         transport = wrap_transport(transport, retry_policy)
         self.transport = transport
         self.principal = principal
-        self.verify = verify
         self.max_inflight = max_inflight
         # Failed prefetches feed the failure detector exactly like
         # synchronous failures would; the counters are per server.
@@ -70,53 +65,19 @@ class LogReader:
                       prefetched=None) -> Optional[Fragment]:
         """Fetch and parse fragment ``fid``; None if it does not exist.
 
-        Uses ``prefetched`` (a ``(server_id, future)`` pair from the
-        read-ahead window) when one is given, then the cached/learned
-        placement, then a broadcast, then reconstruction from the
-        stripe. In verified mode a direct fetch that fails its payload
-        checksum also falls through to reconstruction — rollforward
-        must never replay corrupt records.
+        ``prefetched`` is a ``(server_id, future)`` pair from the
+        read-ahead window; its image, when it arrived, is handed to the
+        reconstructor's read ladder (:mod:`repro.log.reconstruct`) as
+        the copy to check first.
         """
-        image: Optional[bytes] = None
+        image = None
         if prefetched is not None:
             image = self._prefetched_image(fid, *prefetched)
-        if image is None:
-            server_id = self.locations.locate(fid)
-            if server_id is not None:
-                try:
-                    response = self.transport.call(
-                        server_id, m.RetrieveRequest(
-                            fid=fid, principal=self.principal))
-                    image = response.payload
-                    if self.verify:
-                        Fragment.decode(image, verify_crc=True)
-                except CorruptFragmentError:
-                    self.locations.evict(fid)
-                    image = None
-                except SwarmError:
-                    self.locations.evict(fid)
-        if image is None:
-            try:
-                image = self.reconstructor.fetch(fid)
-            except ReconstructionError:
-                return None
-            fragment = Fragment.decode(image)
-        else:
-            try:
-                fragment = Fragment.decode(image)
-            except CorruptFragmentError:
-                # Unverified fetch of an undecodable image — e.g. a torn
-                # store a restarted server still serves. Treat it like a
-                # corrupt verified read: forget the placement and rebuild
-                # the true image from the stripe's parity. Skip
-                # ``fetch``'s direct-retrieve retry — a broadcast would
-                # just find the same corrupt copy again.
-                self.locations.evict(fid)
-                try:
-                    image = self.reconstructor.reconstruct(fid)
-                except ReconstructionError:
-                    return None
-                fragment = Fragment.decode(image)
+        try:
+            image = self.reconstructor.fetch(fid, image)
+        except ReconstructionError:
+            return None
+        fragment = Fragment.decode(image)
         self.locations.learn(fragment.header)
         return fragment
 
@@ -134,14 +95,7 @@ class LogReader:
                 raise future.exception
             self._note_prefetch_failure(fid, server_id, future.exception)
             return None
-        image = future.value.payload
-        if self.verify:
-            try:
-                Fragment.decode(image, verify_crc=True)
-            except CorruptFragmentError:
-                self.locations.evict(fid)
-                return None
-        return image
+        return future.value.payload
 
     def _note_prefetch_failure(self, fid: int, server_id: str,
                                exc: SwarmError) -> None:
@@ -224,7 +178,7 @@ class LogReader:
         batch when it drains and is consumed strictly in FID order;
         ``max_inflight=1`` is exactly the old one-fragment-ahead
         prefetch. A fragment whose prefetch failed falls back to the
-        locate/broadcast/reconstruct ladder without disturbing the rest
+        reconstructor's read ladder without disturbing the rest
         of the window, and in-flight prefetches left over when the log
         ends (or the caller stops early) are abandoned without masking
         their errors.

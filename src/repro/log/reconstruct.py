@@ -1,9 +1,35 @@
-"""Client-side fragment reconstruction (§2.4.3).
+"""Client-side fragment reads and reconstruction (§2.4.3).
 
-When a storage server is unavailable, any fragment it held can be
-rebuilt from the rest of its stripe. Servers take no part in this —
-reconstruction is *transparent to the servers, not the clients*. The
-protocol is exactly the paper's:
+Every read of a stored fragment goes through one ladder, owned by
+:class:`Reconstructor`; the log layer serves only its own unflushed
+builders and the sequential reader only adds read-ahead. For a
+fragment ``fid``, :meth:`Reconstructor.fetch` tries, in order:
+
+1. the cache of rebuilt images;
+2. the caller's image, when one is given (a read-ahead prefetch);
+3. the located server — the location cache, else a broadcast;
+4. a rebuild from parity.
+
+**The one check.** A copy is good when
+``Fragment.decode(image, verify_crc=verify)`` accepts it: the header
+checksum and length are always checked, the payload CRC only when the
+reconstructor verifies. Probes and stripe survivors pass the same
+check.
+
+**Corrupt is an erasure.** A copy that fails the check counts in
+``corruptions_detected``, has its placement evicted, and is treated
+exactly like an unavailable fragment: it is rebuilt from parity (or, as
+a survivor, joins the erased set) and is never retrieved again.
+
+**Re-locate once.** When a retrieve fails as unavailable and the
+placement came from the location cache, the fragment is re-located by
+one broadcast and retrieved again; when the placement came from a
+broadcast, the ladder goes straight to parity. Pass a
+:class:`~repro.rpc.retry.RetryPolicy` and flaky (rather than dead)
+servers are retried with backoff before any of this engages.
+
+Reconstruction itself is the paper's protocol. Servers take no part in
+it — reconstruction is *transparent to the servers, not the clients*:
 
 1. Fragments of a stripe have consecutive FIDs, so for a missing
    fragment N, fragment N−1 or N+1 is in the same stripe. The client
@@ -11,18 +37,16 @@ protocol is exactly the paper's:
    no directory service exists or is needed (Swarm is self-hosting).
 2. A located neighbor's header carries the full stripe descriptor:
    base FID, width, and the server of every member.
-3. The client fetches the surviving members and XORs them together.
-   Parity payloads are defined as the XOR of the data members' whole
+3. The client fetches the surviving members and decodes the erased
+   ones. Parity payloads are defined over the data members' whole
    images, so a missing data fragment comes back as a complete,
    parseable image (with harmless zero padding), and a missing parity
    fragment is simply recomputed.
 
-Fault tolerance extensions beyond the paper: pass a
-:class:`~repro.rpc.retry.RetryPolicy` and flaky (rather than dead)
-servers are retried with backoff before the parity path engages; pass
-``verify=True`` and every directly-fetched image is checksum-verified,
-so *silent corruption* (a bit flip on the wire or on the platter) is
-treated exactly like an unavailable fragment and rebuilt from parity.
+Byte-range reads (:meth:`Reconstructor.fetch_range`,
+:meth:`Reconstructor.fetch_ranges`) take a partial-retrieve fast path
+when unverified; verified, the payload CRC covers whole fragments, so
+they fetch whole images through the ladder and slice them.
 
 Rebuilt images are cached. A :class:`Reconstructor` lives as long as
 its owner (a client's log layer, a :class:`~repro.log.reader.LogReader`,
@@ -49,6 +73,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import (
     CorruptFragmentError,
     FragmentExistsError,
+    LogError,
     ReconstructionError,
     SwarmError,
     UnrecoverableError,
@@ -67,7 +92,7 @@ from repro.rpc.completion import scatter_call
 
 
 class Reconstructor:
-    """Fetches fragments, reconstructing them from parity when needed.
+    """Owns the fragment-read ladder (see the module docstring).
 
     Pass ``locations`` to share one :class:`LocationCache` with the log
     layer / reader driving the reconstruction: placements learned here
@@ -95,16 +120,123 @@ class Reconstructor:
 
     # ------------------------------------------------------------------
 
-    def fetch(self, fid: int) -> bytes:
-        """Return fragment ``fid``'s image: from the cache of rebuilt
-        images, from a server, or by XOR."""
+    def fetch(self, fid: int, image=None) -> bytes:
+        """Return fragment ``fid``'s whole image through the ladder.
+
+        ``image`` is a copy the caller already holds (a read-ahead
+        prefetch); it passes the one check or is rebuilt, never
+        retrieved again. See the module docstring for the ladder.
+        """
         cached = self.cached(fid)
         if cached is not None:
             return cached
-        image = self._try_direct(fid)
-        if image is not None:
-            return image
-        return self.reconstruct(fid)
+        if image is None:
+            image = self._retrieve(fid)
+        elif not self._intact(fid, image):
+            image = None
+        if image is None:
+            return self.reconstruct(fid)
+        return image
+
+    def fetch_range(self, fid: int, offset: int, length: int) -> bytes:
+        """Return ``length`` owned bytes at ``offset`` in fragment ``fid``.
+
+        Unverified, a partial retrieve from the located server; a
+        failure evicts the placement and falls back to :meth:`fetch`.
+        Verified, the whole image is fetched and sliced: the payload
+        checksum covers the whole payload.
+        """
+        if self.cache:
+            # A fragment rebuilt earlier: no locate, no broadcast.
+            image = self.cached(fid)
+            if image is not None:
+                return bytes(image[offset:offset + length])
+        if not self.verify:
+            server_id = self.locations.locate(fid)
+            if server_id is not None:
+                try:
+                    response = self.transport.call(
+                        server_id, m.RetrieveRequest(
+                            fid=fid, offset=offset, length=length,
+                            principal=self.principal))
+                    return bytes(response.payload)
+                except LogError:
+                    raise
+                except SwarmError:
+                    self.locations.evict(fid)
+        image = self.fetch(fid)
+        return bytes(image[offset:offset + length])
+
+    def fetch_ranges(self, ranges: Sequence[Tuple[int, int, int]],
+                     ) -> List[Optional[bytes]]:
+        """Read many ``(fid, offset, length)`` ranges, batched per server.
+
+        Returns one owned ``bytes`` per range, in request order, or
+        ``None`` where the bytes could not be produced even through
+        reconstruction. Unverified, ranges are grouped by located
+        server and fetched with *one* ``MultiRetrieveRequest`` per
+        server, all servers in one overlapped scatter — round trips
+        proportional to the stripe width, not to the block count. A
+        failed batch falls back to :meth:`fetch_range` per range, so
+        one sick server degrades the batch to the old cost, never to a
+        wrong answer. Verified, each distinct fragment is fetched whole
+        once through the ladder and sliced.
+        """
+        results: List[Optional[bytes]] = [None] * len(ranges)
+        if self.verify:
+            images: Dict[int, Optional[bytes]] = {}
+            for index, (fid, offset, length) in enumerate(ranges):
+                if fid not in images:
+                    try:
+                        images[fid] = self.fetch(fid)
+                    except SwarmError:
+                        images[fid] = None
+                if images[fid] is not None:
+                    results[index] = bytes(images[fid][offset:offset + length])
+            return results
+        located = self.locations.locate_many(
+            sorted({fid for fid, _offset, _length in ranges}))
+        by_server: Dict[str, List[int]] = {}
+        fallback: List[int] = []
+        for index, (fid, _offset, _length) in enumerate(ranges):
+            server_id = located.get(fid)
+            if server_id is None:
+                fallback.append(index)
+            else:
+                by_server.setdefault(server_id, []).append(index)
+        groups = sorted(by_server.items())
+        futures = scatter_call(self.transport, [
+            (server_id, m.MultiRetrieveRequest(
+                ranges=tuple(ranges[index] for index in indices),
+                principal=self.principal))
+            for server_id, indices in groups])
+        for (server_id, indices), future in zip(groups, futures):
+            if future.ok:
+                payload = memoryview(future.value.payload)
+                if len(payload) == sum(ranges[index][2] for index in indices):
+                    pos = 0
+                    for index in indices:
+                        length = ranges[index][2]
+                        results[index] = bytes(payload[pos:pos + length])
+                        pos += length
+                    continue
+                # Garbled reply length: re-read these ranges one by one.
+                fallback.extend(indices)
+                continue
+            # Stale placements or a downed server: evict so the
+            # per-range ladder broadcasts/reconstructs afresh.
+            for index in indices:
+                self.locations.evict(ranges[index][0])
+            fallback.extend(indices)
+        for index in fallback:
+            fid, offset, length = ranges[index]
+            try:
+                data = self.fetch_range(fid, offset, length)
+            except SwarmError:
+                continue
+            if len(data) == length:
+                results[index] = data
+        return results
 
     def cached(self, fid: int) -> Optional[bytes]:
         """Fragment ``fid``'s rebuilt image if it is cached, else None."""
@@ -124,52 +256,57 @@ class Reconstructor:
         if len(self.cache) > MAX_STRIPE_WIDTH:
             self.cache.popitem(last=False)
 
-    def _try_direct(self, fid: int,
-                    server_id: Optional[str] = None) -> Optional[bytes]:
-        if server_id is None:
+    def _intact(self, fid: int, image) -> bool:
+        """The one check; a copy that fails it is counted and evicted."""
+        try:
+            Fragment.decode(image, verify_crc=self.verify)
+        except CorruptFragmentError:
+            self.corruptions_detected += 1
+            self.locations.evict(fid)
+            return False
+        return True
+
+    def _retrieve(self, fid: int) -> Optional[bytes]:
+        """Ladder step 3: ``fid``'s good copy from its server, or None.
+
+        A placement from the location cache that fails as unavailable
+        is re-located by one broadcast; one from a broadcast is not.
+        """
+        relocate = fid in self.locations
+        while True:
             server_id = self.locations.locate(fid)
             if server_id is None:
                 return None
-        fetched = self._scatter_fetch([(fid, server_id)])
-        return fetched.get(fid)
+            fetched = self._scatter_fetch([(fid, server_id)])
+            if fid in fetched or not relocate:
+                return fetched.get(fid)
+            relocate = False
 
-    def _scatter_fetch(self,
-                       targets: Sequence[Tuple[int, str]]) -> Dict[int, bytes]:
+    def _scatter_fetch(self, targets: Sequence[Tuple[int, str]],
+                       ) -> Dict[int, Optional[bytes]]:
         """Fetch many whole fragment images in one overlapped scatter.
 
         ``targets`` pairs each fid with the server believed to hold it;
         all retrieves go out concurrently (§2.1.2 pipelining, applied
-        to the read side). Returns ``{fid: image}`` for the fetches
-        that succeeded — and, in verified mode, parsed with a matching
-        payload CRC. A failed or corrupt fetch evicts its placement and
-        is simply absent from the result; callers fall back per
-        fragment (re-locate, or rebuild through parity).
+        to the read side). Returns ``{fid: image}`` for the copies that
+        came back and passed the one check, ``{fid: None}`` for those
+        that came back and failed it; a failed retrieve is absent.
+        Either failure evicts the placement.
         """
         targets = list(targets)
         futures = scatter_call(
             self.transport,
             [(server_id, m.RetrieveRequest(fid=fid, principal=self.principal))
              for fid, server_id in targets])
-        images: Dict[int, bytes] = {}
+        images: Dict[int, Optional[bytes]] = {}
         for (fid, server_id), future in zip(targets, futures):
             if not future.ok:
                 self.locations.evict(fid)
-                continue
-            image = future.value.payload
-            if self.verify:
-                try:
-                    Fragment.decode(image, verify_crc=True)
-                except CorruptFragmentError:
-                    # The bytes came back but they are not the
-                    # fragment: a torn store or silent bit rot. Treat
-                    # exactly like an unavailable fragment — evict the
-                    # placement and let the parity path rebuild the
-                    # true image.
-                    self.corruptions_detected += 1
-                    self.locations.evict(fid)
-                    continue
-            self.locations.record(fid, server_id)
-            images[fid] = image
+            elif self._intact(fid, future.value.payload):
+                self.locations.record(fid, server_id)
+                images[fid] = future.value.payload
+            else:
+                images[fid] = None
         return images
 
     # ------------------------------------------------------------------
@@ -179,8 +316,9 @@ class Reconstructor:
 
         All survivor fetches go out in one scatter — the whole rebuild
         costs roughly one overlapped round trip (plus the descriptor
-        probe), not width−1 serial ones. Probed neighbor images are
-        reused as survivors rather than fetched twice.
+        probe), not width−1 serial ones. Probed neighbors are reused as
+        survivors, or as erasures when they failed the check, rather
+        than fetched twice.
 
         Any erasure pattern of at most ``m`` members (``m`` = the
         stripe's parity count, from its descriptor) is recoverable:
@@ -200,39 +338,45 @@ class Reconstructor:
             nparity = width - header.parity_index
         missing_index = fid - base
         survivors: Dict[int, bytes] = {}
+        erased = {missing_index}
+
+        def erase(sibling: int) -> None:
+            erased.add(sibling - base)
+            if len(erased) <= nparity:
+                return
+            if nparity == 1:
+                raise UnrecoverableError(
+                    "two members of stripe %d..%d unavailable or corrupt "
+                    "(%d and %d): single parity cannot recover both"
+                    % (base, base + width - 1, fid, sibling))
+            raise UnrecoverableError(
+                "%d members of stripe %d..%d unavailable or corrupt "
+                "(%s): %d parity fragment(s) cannot recover them"
+                % (len(erased), base, base + width - 1,
+                   ", ".join(str(base + i) for i in sorted(erased)),
+                   nparity))
+
         wanted: List[Tuple[int, str]] = []
         for index in range(width):
+            sibling = base + index
             if index == missing_index:
                 continue
-            sibling = base + index
-            image = probed.get(sibling)
-            if image is not None:
-                survivors[index] = image
-            else:
+            if sibling not in probed:
                 wanted.append((sibling, header.server_of_index(index)))
+            elif probed[sibling] is None:
+                erase(sibling)
+            else:
+                survivors[index] = probed[sibling]
         fetched = self._scatter_fetch(wanted)
-        erased = {missing_index}
         for sibling, _descriptor_server in wanted:
-            image = fetched.get(sibling)
-            if image is None:
+            if sibling in fetched:
+                image = fetched[sibling]
+            else:
                 # The descriptor's placement failed: re-locate through
                 # a broadcast before declaring the member gone.
-                image = self._try_direct(sibling)
+                image = self._retrieve(sibling)
             if image is None:
-                erased.add(sibling - base)
-                if len(erased) > nparity:
-                    if nparity == 1:
-                        raise UnrecoverableError(
-                            "two members of stripe %d..%d unavailable or "
-                            "corrupt (%d and %d): single parity cannot "
-                            "recover both"
-                            % (base, base + width - 1, fid, sibling))
-                    raise UnrecoverableError(
-                        "%d members of stripe %d..%d unavailable or corrupt "
-                        "(%s): %d parity fragment(s) cannot recover them"
-                        % (len(erased), base, base + width - 1,
-                           ", ".join(str(base + i) for i in sorted(erased)),
-                           nparity))
+                erase(sibling)
             else:
                 survivors[sibling - base] = image
         self.reconstructions += 1
@@ -249,7 +393,7 @@ class Reconstructor:
 
     def _find_stripe_descriptor(
             self, fid: int,
-    ) -> Tuple[Optional[FragmentHeader], Dict[int, bytes]]:
+    ) -> Tuple[Optional[FragmentHeader], Dict[int, Optional[bytes]]]:
         """Race ``fid``'s neighbors for a stripe descriptor.
 
         Fragments of a stripe have consecutive FIDs, so some fragment
@@ -261,30 +405,29 @@ class Reconstructor:
         too (multi-erasure stripes), the probe ring widens one distance
         at a time — the single-failure fast path costs exactly the two
         probes it always did. Returns the header (None when no
-        neighbor answers) plus every probed image, keyed by fid, so
-        the caller can reuse in-stripe neighbors as survivors instead
-        of fetching them a second time.
+        neighbor answers) plus every probe's :meth:`_scatter_fetch`
+        outcome, keyed by fid, so the caller reuses in-stripe neighbors
+        as survivors (or erasures) instead of fetching them again.
         """
-        probed_all: Dict[int, bytes] = {}
+        probed_all: Dict[int, Optional[bytes]] = {}
         for distance in range(1, MAX_STRIPE_WIDTH):
             neighbors = [n for n in (fid - distance, fid + distance)
-                         if n > 0 and n not in probed_all]
+                         if n > 0]
             if not neighbors:
                 continue
             found = self.locations.locate_many(neighbors)
             probed = self._scatter_fetch(sorted(found.items()))
             probed_all.update(probed)
             for neighbor in sorted(probed):
-                try:
-                    header = FragmentHeader.decode(probed[neighbor])
-                except SwarmError:
+                if probed[neighbor] is None:
                     continue
+                header = FragmentHeader.decode(probed[neighbor])
                 if header.stripe_base_fid <= fid < (header.stripe_base_fid
                                                     + header.stripe_width):
                     self.locations.learn(header)
-                    # The fragment being reconstructed just failed a
-                    # direct fetch — do not resurrect its stale
-                    # placement from the descriptor we learned.
+                    # The fragment being reconstructed is missing or
+                    # corrupt — do not resurrect its placement from the
+                    # descriptor we learned.
                     self.locations.evict(fid)
                     return header, probed_all
         return None, probed_all

@@ -195,7 +195,7 @@ class ServiceStack:
     # Recovery
     # ------------------------------------------------------------------
 
-    def recover_all(self, transport=None) -> None:
+    def recover_all(self) -> None:
         """Recover every service, bottom-up, after a client crash.
 
         Each service's record stream is passed through the replay
@@ -204,12 +204,16 @@ class ServiceStack:
         log layer's FID/LSN counters are fast-forwarded past everything
         found in the log.
         """
-        transport = transport or self.log.transport
+        transport = self.log.transport
         client_id = self.log.config.client_id
         # Rollforward shares one reader so every service's scan reuses
         # the placement cache and the configured read-ahead window;
-        # prefetch failures feed the client's health monitor.
+        # prefetch failures feed the client's health monitor. It reads
+        # with the log's verify setting: records carry no checksum of
+        # their own, so a verified client must never replay a corrupt
+        # fragment.
         reader = LogReader(transport, self.log.config.principal,
+                           verify=self.log.reconstructor.verify,
                            max_inflight=self.log.config.max_inflight_reads,
                            monitor=self.log.monitor)
         highest_fid = 0

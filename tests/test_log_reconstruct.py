@@ -6,14 +6,17 @@ import pytest
 
 from repro import errors
 from repro.cluster import build_local_cluster
+from repro.cluster.failures import FailureInjector
 from repro.log.fragment import Fragment
+from repro.log.reader import LogReader
 from repro.log.reconstruct import Reconstructor
+from repro.rpc import messages as m
 
 SVC = 3
 
 
-def written_cluster(cluster, blocks=12, size=25000):
-    log = cluster.make_log(client_id=1)
+def written_cluster(cluster, blocks=12, size=25000, **log_kwargs):
+    log = cluster.make_log(client_id=1, **log_kwargs)
     payloads = [bytes([i + 1]) * size for i in range(blocks)]
     addresses = [log.write_block(SVC, payload) for payload in payloads]
     log.flush().wait()
@@ -22,11 +25,30 @@ def written_cluster(cluster, blocks=12, size=25000):
 
 def corrupt_payload(cluster, server_id, fid):
     """Flip one payload bit of a stored fragment, header left intact."""
-    from repro.cluster.failures import FailureInjector
     from repro.log.fragment import HEADER_SIZE
 
     FailureInjector(cluster).corrupt_fragment(
         server_id, fid, bit_index=8 * HEADER_SIZE + 3)
+
+
+def count_retrieves(monkeypatch, server, fid):
+    """Every later retrieve of ``fid`` from ``server`` appends to the
+    returned list, whole, partial or batched alike."""
+    seen = []
+    retrieve, retrieve_many = server.retrieve, server.retrieve_many
+
+    def counted(wanted, *args, **kwargs):
+        if wanted == fid:
+            seen.append(fid)
+        return retrieve(wanted, *args, **kwargs)
+
+    def counted_many(ranges, *args, **kwargs):
+        seen.extend(f for f, _offset, _length in ranges if f == fid)
+        return retrieve_many(ranges, *args, **kwargs)
+
+    monkeypatch.setattr(server, "retrieve", counted)
+    monkeypatch.setattr(server, "retrieve_many", counted_many)
+    return seen
 
 
 def stripe_of(cluster, log, fid):
@@ -286,11 +308,12 @@ class TestLongLivedCache:
             log.read(addr)
 
     @pytest.mark.parametrize("verify_reads", [False, True])
-    def test_corrupt_survivor(self, verify_reads):
+    def test_corrupt_survivor(self, verify_reads, monkeypatch):
         """RS(2+2): the read fragment's server is down and the stripe's
         other data member is silently corrupt. Unverified, the corrupt
         survivor poisons the decode and nothing is cached; verified, it
-        is erased too and both are rebuilt from the two parities."""
+        is erased too — retrieved and counted once — and both are
+        rebuilt from the two parities."""
         cluster = build_local_cluster(num_servers=4, fragment_size=1 << 16,
                                       server_slots=512)
         log = cluster.make_log(client_id=1, parity_fragments=2,
@@ -304,12 +327,148 @@ class TestLongLivedCache:
         other_fid, other_server = members[1 - lost]
         corrupt_payload(cluster, other_server, other_fid)
         cluster.servers[members[lost][1]].crash()
+        retrieves = count_retrieves(monkeypatch, cluster.servers[other_server],
+                                    other_fid)
         if not verify_reads:
             with pytest.raises(errors.ReconstructionError):
                 log.read(addresses[0])
             assert not log.reconstructor.cache
             return
         assert log.read(addresses[0]) == payloads[0]
-        assert log.reconstructor.corruptions_detected >= 1
+        assert log.reconstructor.corruptions_detected == len(retrieves) == 1
         assert sorted(log.reconstructor.cache) == sorted(
             (addresses[0].fid, other_fid))
+
+
+@pytest.mark.usefixtures("two_second_allowance")
+class TestOneLadder:
+    """Every read entry point climbs the reconstructor's one ladder: a
+    bad copy is retrieved once, counted once, and rebuilt from parity;
+    a fragment nobody holds is located by one broadcast."""
+
+    ENTRY_POINTS = ["log.read_fragment", "log.read_range", "log.read_ranges",
+                    "reader.read_fragment", "reader.read_fragment(prefetched)"]
+
+    def _read(self, cluster, log, addr, entry):
+        """The block at ``addr`` read through ``entry``, and the
+        reconstructor that served it."""
+        if entry == "log.read_range":
+            return (log.read_range(addr.fid, addr.offset, addr.length),
+                    log.reconstructor)
+        if entry == "log.read_ranges":
+            return (log.read_ranges([(addr.fid, addr.offset, addr.length)])[0],
+                    log.reconstructor)
+        if entry == "log.read_fragment":
+            image = log.read_fragment(addr.fid)
+            reconstructor = log.reconstructor
+        else:
+            reader = LogReader(cluster.transport, log.config.principal,
+                               locations=log.locations,
+                               verify=log.reconstructor.verify)
+            prefetched = None
+            if entry.endswith("(prefetched)"):
+                holder = log.known_location(addr.fid)
+                [future] = reader.transport.submit_many([
+                    (holder, m.RetrieveRequest(
+                        fid=addr.fid, principal=log.config.principal))])
+                prefetched = (holder, future)
+            image = reader.read_fragment(addr.fid, prefetched).encode()
+            reconstructor = reader.reconstructor
+        return (bytes(image[addr.offset:addr.offset + addr.length]),
+                reconstructor)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_corrupt_copy_is_retrieved_once(self, cluster4, monkeypatch,
+                                            entry):
+        log, payloads, addresses = written_cluster(cluster4,
+                                                   verify_reads=True)
+        addr = addresses[0]
+        holder = log.known_location(addr.fid)
+        corrupt_payload(cluster4, holder, addr.fid)
+        retrieves = count_retrieves(monkeypatch, cluster4.servers[holder],
+                                    addr.fid)
+        data, reconstructor = self._read(cluster4, log, addr, entry)
+        assert data == payloads[0]
+        assert len(retrieves) == 1
+        assert reconstructor.corruptions_detected == 1
+        assert reconstructor.reconstructions == 1
+
+    @pytest.mark.parametrize("entry", ["log.read_fragment",
+                                       "reader.read_fragment"])
+    def test_unverified_torn_copy_is_rebuilt(self, cluster4, monkeypatch,
+                                             entry):
+        """The header check is not optional: a torn copy is an erasure
+        even when payload checksums are off."""
+        log, payloads, addresses = written_cluster(cluster4)
+        addr = addresses[0]
+        holder = log.known_location(addr.fid)
+        FailureInjector(cluster4).tear_fragment(holder, addr.fid,
+                                                keep_fraction=0.25)
+        retrieves = count_retrieves(monkeypatch, cluster4.servers[holder],
+                                    addr.fid)
+        data, reconstructor = self._read(cluster4, log, addr, entry)
+        assert data == payloads[0]
+        assert len(retrieves) == 1
+        assert reconstructor.corruptions_detected == 1
+
+    @pytest.mark.parametrize("entry", ["log.read_fragment",
+                                       "reader.read_fragment"])
+    def test_unlocatable_fid_costs_one_broadcast(self, cluster4, monkeypatch,
+                                                 entry):
+        from repro.util.fids import make_fid
+
+        log, _payloads, _addresses = written_cluster(cluster4)
+        reader = LogReader(cluster4.transport, log.config.principal,
+                           locations=log.locations)
+        before_parity = []
+        real = Reconstructor.reconstruct
+
+        def counted(self, fid):
+            before_parity.append(log.locations.broadcasts - start)
+            return real(self, fid)
+
+        monkeypatch.setattr(Reconstructor, "reconstruct", counted)
+        fid = make_fid(1, 4000)
+        start = log.locations.broadcasts
+        if entry == "reader.read_fragment":
+            assert reader.read_fragment(fid) is None
+        else:
+            with pytest.raises(errors.ReconstructionError):
+                log.read_fragment(fid)
+        assert before_parity == [1]
+
+
+@pytest.mark.usefixtures("two_second_allowance")
+class TestVerifiedRollforward:
+    """A verified client recovers through verified reads: records carry
+    no checksum of their own, so only the fragment's payload CRC stands
+    between a flipped bit and a wrong recovered block."""
+
+    @pytest.mark.parametrize("record_offset", range(8, 37, 4))
+    def test_flipped_record_bit_is_rebuilt_not_replayed(self, cluster4,
+                                                        record_offset):
+        from repro.chaos.harness import build_client, read_all
+        from repro.log.config import LogConfig
+
+        config = LogConfig(client_id=1, fragment_size=1 << 16)
+        group = sorted(cluster4.servers)
+        client = build_client(cluster4.transport, group, config,
+                              verify_reads=True)
+        oracle = {block: bytes([block + 1]) * 3000 for block in range(20)}
+        for block, data in oracle.items():
+            client.disk.write(block, data)
+        client.stack.flush().wait()
+        # The newest record is the last one in the newest data fragment.
+        images = {(fid, sid): Fragment.decode(bytes(server.retrieve(fid)))
+                  for sid, server in cluster4.servers.items()
+                  for fid in server.list_fids()}
+        fid, holder = max(key for key, fragment in images.items()
+                          if not fragment.header.is_parity)
+        last = [item for item in images[fid, holder].items()
+                if item.record is not None][-1]
+        FailureInjector(cluster4).corrupt_fragment(
+            holder, fid, bit_index=8 * (last.data_offset + record_offset))
+        fresh = build_client(cluster4.transport, group, config,
+                             verify_reads=True)
+        fresh.stack.recover_all()
+        assert read_all(fresh.disk) == oracle
