@@ -56,18 +56,18 @@ VARIANTS = {
 }
 
 GOLDEN = {
-    ("chaos", 101): "011c7533f9ddfede",
-    ("chaos", 202): "2445dc728b3bb60c",
-    ("chaos", 4242): "8e824f9170673ec8",
+    ("chaos", 101): "71bd3469624cf4fb",
+    ("chaos", 202): "2d80324b163d1dd9",
+    ("chaos", 4242): "c483cd48b8cdb096",
     ("chaos-2-clients", 101): "8fa4b2cbd58b2d20",
-    ("chaos-2-clients", 202): "cd868bd354bcf71f",
-    ("chaos-2-clients", 4242): "cd6f32e158fac428",
-    ("cleaner", 101): "8276d1f653b30305",
-    ("cleaner", 202): "9d12787ff92dcb2a",
-    ("cleaner", 4242): "1d0a1ceb16fb4303",
+    ("chaos-2-clients", 202): "a33a49d3d56709a0",
+    ("chaos-2-clients", 4242): "9f1687e2283d06bf",
+    ("cleaner", 101): "3bac07f99579c066",
+    ("cleaner", 202): "020f9106e05d36d8",
+    ("cleaner", 4242): "616d7c30da5a6814",
     # Regression seed: a lost reply on the re-store that repairs a torn
     # fragment used to abort the scenario with FragmentExistsError.
-    ("cleaner", 555): "7a3d23f88f78f641",
+    ("cleaner", 555): "e55735824246ab17",
     ("crash-sweep", 101): "3755241bbb8c63f3",
     ("crash-sweep", 202): "7760f5182703f442",
     ("crash-sweep", 4242): "36236fcc71ef10c8",
