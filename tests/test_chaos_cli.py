@@ -37,7 +37,11 @@ def test_every_ci_chaos_line_parses():
     # The chaos job replays the plain local-wire variants, whose fault
     # schedule depends on how many retrieves degraded reads issue.
     assert "--seed 101 --replay" in commands
+    assert "--seed 202 --replay" in commands
     assert "--clients 2 --seed 4242 --replay" in commands
+    # Verified reads re-fetch no corrupt copy, which moves these two
+    # fault schedules; the chaos job replays both.
+    assert "--cleaner --seed 4242 --replay" in commands
     scenarios = {function for function, _ops, _blocks in SCENARIOS.values()}
     for command in commands:
         try:
