@@ -7,15 +7,15 @@ Demonstrates §2.4.3 end to end:
 2. a server suffers total media loss (not just a crash);
 3. reads keep working — the client broadcasts for stripe neighbors,
    learns the stripe layout from their headers, and XORs the survivors;
-4. the cluster is repaired by re-materializing every lost fragment onto
-   a replacement server, after which a *second* failure elsewhere is
-   still survivable.
+4. a ``RepairDaemon`` repairs the cluster by re-materializing every lost
+   fragment onto a replacement server, after which a *second* failure
+   elsewhere is still survivable.
 
 Run: ``python examples/failure_recovery.py``
 """
 
 from repro.cluster import build_local_cluster, FailureInjector
-from repro.log.reconstruct import Reconstructor
+from repro.health import RepairDaemon
 from repro.server import ServerConfig, StorageServer
 
 SVC = 9
@@ -49,11 +49,13 @@ def main() -> None:
     replacement = StorageServer(ServerConfig("s1b",
                                              fragment_size=128 << 10))
     cluster.transport.add_server(replacement)
-    rebuilder = Reconstructor(cluster.transport, principal="client-3")
-    for fid in lost_fids:
-        rebuilder.rebuild_to_server(fid, "s1b")
+    daemon = RepairDaemon(cluster.transport, client_id=3, replacement="s1b",
+                          locations=log.locations)
+    repaired = daemon.run(dead_server=victim)
+    assert repaired == len(lost_fids)
+    assert sorted(replacement.list_fids()) == lost_fids
     print("re-materialized %d fragments onto s1b (%d by XOR)"
-          % (len(lost_fids), rebuilder.reconstructions))
+          % (repaired, daemon.reconstructor.reconstructions))
 
     # The cluster is whole again: lose a *different* server and survive.
     injector.crash_server("s3")

@@ -12,12 +12,14 @@ closes that loop:
 * Automatic stripe-group reform — the log layer subscribes to the
   monitor and, on a ``dead`` verdict, reforms its group onto a spare
   (declared in :class:`~repro.log.config.LogConfig`) without operator
-  intervention. See :meth:`~repro.log.layer.LogLayer.enable_auto_heal`.
+  intervention. The reaction is
+  :meth:`~repro.log.layer.LogLayer._on_health_transition`, wired in by
+  the log layer's ``health_monitor=`` argument.
 * :class:`~repro.health.repair.RepairDaemon` — a background scrubber
   that enumerates stripes touching a dead server, re-materializes the
   lost fragments onto the replacement under a repair-bandwidth
   throttle, and records progress so a crashed repair resumes instead
-  of restarting.
+  of restarting. fsck's repair runs through it too.
 """
 
 from repro.health.monitor import (

@@ -12,14 +12,13 @@ redundancy is spent until the lost member is rebuilt somewhere. The
    fragment that survived on a restarted server is not rebuilt twice.
    Everything learned seeds the shared
    :class:`~repro.log.location.LocationCache`.
-2. **Repair** — lost fragments are rebuilt in batches: each
-   reconstruction scatter-fetches its stripe's survivors, then the
-   batch's preallocates and stores go to the replacement as one
-   overlapped scatter each, with a read-back verification scatter
-   before anything counts as repaired (collisions fall back to the
-   careful per-fragment
-   :meth:`~repro.log.reconstruct.Reconstructor.rebuild_to_server`
-   path).
+2. **Repair** — :meth:`RepairDaemon.step` rebuilds a batch of lost
+   fragments one fid at a time through
+   :meth:`~repro.log.reconstruct.Reconstructor.rebuild_to_server`:
+   each reconstruction scatter-fetches its stripe's survivors, and the
+   one verified store (preallocate, store, CRC read-back) writes the
+   image to its replacement. fsck's repair queues its degraded
+   stripes through the same :meth:`RepairDaemon.enqueue`.
 3. **Throttle** — a repair-bandwidth budget converts repaired bytes
    into simulated seconds charged to the transport's deferred-time
    ledger, so on the simulated testbed repair traffic and foreground
@@ -37,8 +36,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.errors import FragmentExistsError, SwarmError
-from repro.log.fragment import HEADER_SIZE, Fragment, FragmentHeader
+from repro.errors import SwarmError
+from repro.log.fragment import HEADER_SIZE, FragmentHeader
 from repro.log.location import LocationCache
 from repro.log.reconstruct import Reconstructor
 from repro.rpc import messages as m
@@ -51,6 +50,28 @@ DEFAULT_THROTTLE_BYTES_PER_S = 32 << 20
 disk, so foreground traffic keeps headroom)."""
 
 
+def list_client_fids(transport, client_id: int,
+                     principal: str) -> Dict[int, str]:
+    """All of the client's fids on reachable servers, one scatter.
+
+    Maps each fid to the first server in ``server_ids`` order that
+    lists it. Unreachable servers are skipped: their fragments then
+    show up as missing stripe members downstream, which is the truth.
+    """
+    request = m.ListFidsRequest(client_id=client_id, principal=principal)
+    server_ids = transport.server_ids()
+    futures = scatter_call(
+        transport, [(server_id, request) for server_id in server_ids])
+    present: Dict[int, str] = {}
+    for server_id, future in zip(server_ids, futures):
+        if not future.ok:
+            continue
+        fids, _end = unpack_fids(future.value.payload)
+        for fid in fids:
+            present.setdefault(fid, server_id)
+    return present
+
+
 class RepairDaemon:
     """Rebuilds the fragments a dead server held onto a replacement.
 
@@ -61,7 +82,7 @@ class RepairDaemon:
     """
 
     def __init__(self, transport, client_id: int, replacement,
-                 principal: str = "",
+                 principal: Optional[str] = None,
                  locations: Optional[LocationCache] = None,
                  throttle_bytes_per_s: float = DEFAULT_THROTTLE_BYTES_PER_S,
                  batch_fragments: int = 4,
@@ -84,7 +105,8 @@ class RepairDaemon:
             raise ValueError("repair needs at least one replacement server")
         if len(set(self.replacements)) != len(self.replacements):
             raise ValueError("duplicate replacement server")
-        self.principal = principal or "client-%d" % client_id
+        self.principal = ("client-%d" % client_id if principal is None
+                          else principal)
         self.locations = locations if locations is not None else \
             LocationCache(transport, self.principal)
         self.reconstructor = Reconstructor(transport, self.principal,
@@ -146,7 +168,8 @@ class RepairDaemon:
         suspects: Set[int] = set()
         if dead_server is not None:
             suspects.update(self.locations.fids_on(dead_server))
-        present = self._list_present()
+        present = list_client_fids(self.transport, self.client_id,
+                                   self.principal)
         for fid, server_id in present.items():
             self.locations.record(fid, server_id)
         shapes = self._stripe_shapes(present)
@@ -165,36 +188,27 @@ class RepairDaemon:
         # the broadcast for the cluster.
         for fid in missing:
             self.locations.evict(fid)
-        still_lost = sorted(missing - set(self.locations.locate_many(
-            sorted(missing))))
-        fresh = [fid for fid in still_lost
+        still_lost = missing - set(self.locations.locate_many(
+            sorted(missing)))
+        # A fid whose stripe no surviving sibling names has nothing to
+        # be rebuilt from (and nothing to rebuild — the cache entry was
+        # for a fragment deleted everywhere).
+        return self.enqueue({fid: self._stripe_of[fid] for fid in still_lost
+                             if fid in self._stripe_of})
+
+    def enqueue(self, lost: Dict[int, Tuple[int, int]]) -> List[int]:
+        """Queue lost fids, each with its stripe's ``(base, width)``.
+
+        Fids already queued or repaired are skipped; the stripes of the
+        rest are held from the cleaner. Returns the newly queued fids,
+        sorted.
+        """
+        self._stripe_of.update(lost)
+        fresh = [fid for fid in sorted(lost)
                  if fid not in self.completed and fid not in self.pending]
-        for fid in list(fresh):
-            if fid not in self._stripe_of:
-                # No surviving sibling names this fid's stripe: nothing
-                # to rebuild from (and nothing to rebuild — the cache
-                # entry was for a fragment deleted everywhere).
-                fresh.remove(fid)
         self.pending.extend(fresh)
         self._hold_for_repair(fresh)
         return fresh
-
-    def _list_present(self) -> Dict[int, str]:
-        """All the client's fids on reachable servers, one scatter."""
-        request = m.ListFidsRequest(client_id=self.client_id,
-                                    principal=self.principal)
-        server_ids = self.transport.server_ids()
-        futures = scatter_call(
-            self.transport,
-            [(server_id, request) for server_id in server_ids])
-        present: Dict[int, str] = {}
-        for server_id, future in zip(server_ids, futures):
-            if not future.ok:
-                continue
-            fids, _end = unpack_fids(future.value.payload)
-            for fid in fids:
-                present.setdefault(fid, server_id)
-        return present
 
     def _stripe_shapes(self, present: Dict[int, str]) -> Dict[int, int]:
         """Stripe descriptors of every present fragment, headers only.
@@ -290,63 +304,6 @@ class RepairDaemon:
                       if f == fid or f in self.completed
                       or f in self.pending)
         return self.replacements[lost.index(fid) % len(self.replacements)]
-
-    def repair_batch_scattered(self, fids: Iterable[int]) -> int:
-        """Repair ``fids`` with batch-level scatters (fast path).
-
-        Reconstructs every image first (each reconstruction already
-        scatter-fetches its survivors), then sends the whole batch's
-        preallocates and stores as one overlapped scatter each and
-        verifies them with a read-back scatter. A fragment whose store
-        collides with existing bytes falls back to the per-fragment
-        :meth:`~repro.log.reconstruct.Reconstructor.rebuild_to_server`
-        resolution. Returns the number repaired.
-        """
-        todo = [fid for fid in fids if fid not in self.completed]
-        if not todo:
-            return 0
-        targets = {fid: self._target_for(fid) for fid in todo}
-        images: Dict[int, bytes] = {}
-        for fid in todo:
-            images[fid] = bytes(self.reconstructor.fetch(fid))
-        # Best-effort: a target that cannot reserve fails its store below.
-        scatter_call(self.transport, [
-            (targets[fid], m.PreallocateRequest(
-                fid=fid, principal=self.principal)) for fid in todo])
-        store_futures = scatter_call(self.transport, [
-            (targets[fid], m.StoreRequest(
-                fid=fid, data=images[fid], principal=self.principal,
-                marked=Fragment.decode(images[fid]).header.marked))
-            for fid in todo])
-        collided = [fid for fid, future in zip(todo, store_futures)
-                    if not future.ok and isinstance(
-                        future.exception, FragmentExistsError)]
-        for fid, future in zip(todo, store_futures):
-            if future.ok or isinstance(future.exception,
-                                       FragmentExistsError):
-                continue
-            raise future.exception
-        repaired_bytes = 0
-        for fid in todo:
-            if fid in collided:
-                # Existing bytes on the replacement: let the careful
-                # path compare / replace / verify this one.
-                self.reconstructor.rebuild_to_server(fid, targets[fid])
-            else:
-                self.reconstructor._verify_read_back(
-                    fid, targets[fid], images[fid])
-                self.locations.record(fid, targets[fid])
-            repaired_bytes += len(images[fid])
-            self.completed.add(fid)
-            self.pending = [p for p in self.pending if p != fid]
-            self._release_if_whole(fid)
-        if repaired_bytes:
-            seconds = repaired_bytes / self.throttle_bytes_per_s
-            self.throttle_charged_s += seconds
-            charge_delay(self.transport, seconds)
-        self.fragments_repaired += len(todo)
-        self.bytes_repaired += repaired_bytes
-        return len(todo)
 
     # ------------------------------------------------------------------
     # Cleaner coordination

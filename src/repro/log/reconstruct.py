@@ -493,11 +493,21 @@ class Reconstructor:
     # ------------------------------------------------------------------
 
     def rebuild_to_server(self, fid: int, target_server: str) -> bytes:
-        """Reconstruct ``fid``, store it on ``target_server``, verify it.
+        """Reconstruct ``fid`` and :meth:`store_verified` it on
+        ``target_server`` — how clients re-materialize a dead server's
+        fragments. Returns the image (callers meter repair bandwidth
+        off its size)."""
+        image = bytes(self.fetch(fid))
+        self.store_verified(fid, image, target_server)
+        return image
 
-        Used when repairing the cluster after replacing a failed server:
-        clients re-materialize the fragments the dead server held. The
-        rewrite is careful on three counts:
+    def store_verified(self, fid: int, image: bytes,
+                       target_server: str) -> None:
+        """Store a repaired fragment image on ``target_server``, verified.
+
+        Every repaired fragment is written here, whether rebuilt from
+        parity or sealed to complete a torn stripe. The write is careful
+        on three counts:
 
         * **Atomic-store path** — the slot is preallocated first, so
           the target either commits the whole image or holds an empty
@@ -506,19 +516,16 @@ class Reconstructor:
           fid (a stale or damaged copy) is deleted and rewritten whole.
         * **Marked flag from the header** — a checkpoint fragment's
           ``marked`` bit is part of the data (recovery finds
-          checkpoints through it), so it is taken from the rebuilt
-          image's own header, never guessed by the caller.
-        * **CRC read-back** — the fragment only counts as repaired
-          after the target returns bytes that are identical to the
-          rebuilt image and pass the payload checksum.
+          checkpoints through it), so it is taken from the image's own
+          header, never guessed by the caller.
+        * **CRC read-back** — the fragment only counts as stored after
+          the target returns bytes identical to the image that pass
+          the payload checksum; otherwise the copy is deleted and
+          :class:`~repro.errors.ReconstructionError` is raised.
 
-        Returns the stored image (callers meter repair bandwidth off
-        its size). The new placement is recorded in the shared
-        :class:`LocationCache` so the next read goes straight to the
-        target instead of re-sweeping the group.
+        The new placement is recorded in the shared
+        :class:`LocationCache`, so the next read goes straight to it.
         """
-        image = bytes(self.fetch(fid))
-        header = Fragment.decode(image).header
         try:
             self.transport.call(target_server,
                                 m.PreallocateRequest(fid=fid,
@@ -526,7 +533,7 @@ class Reconstructor:
         except FragmentExistsError:
             pass  # already present (stale copy or resumed repair)
         store = m.StoreRequest(fid=fid, data=image, principal=self.principal,
-                               marked=header.marked)
+                               marked=Fragment.decode(image).header.marked)
         try:
             self.transport.call(target_server, store)
         except FragmentExistsError:
@@ -541,9 +548,15 @@ class Reconstructor:
                     target_server, m.DeleteRequest(fid=fid,
                                                    principal=self.principal))
                 self.transport.call(target_server, store)
-        self._verify_read_back(fid, target_server, image)
+        try:
+            self._verify_read_back(fid, target_server, image)
+        except ReconstructionError:
+            # A missing member is found and repaired again; a bad copy
+            # left behind would be listed as present.
+            self.transport.call(target_server, m.DeleteRequest(
+                fid=fid, principal=self.principal))
+            raise
         self.locations.record(fid, target_server)
-        return image
 
     def _verify_read_back(self, fid: int, target_server: str,
                           image: bytes) -> None:

@@ -16,7 +16,11 @@ checks three invariant families:
   ``m=0`` stripe — they are *lost*.
 
 ``repair_client_log`` re-materializes missing-but-recoverable fragments
-onto a designated server, returning the log to full redundancy.
+onto a designated server, returning the log to full redundancy. Its
+rebuilds run through the background
+:class:`~repro.health.repair.RepairDaemon`, and every fragment it
+writes goes through the one verified store,
+:meth:`~repro.log.reconstruct.Reconstructor.store_verified`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SwarmError
+from repro.health.repair import RepairDaemon, list_client_fids
 from repro.log.coding import engine_for_stripe
 from repro.log.fragment import (
     Fragment,
@@ -34,11 +39,9 @@ from repro.log.fragment import (
     NO_PARITY,
     make_parity_fragment,
 )
-from repro.log.location import LocationCache
 from repro.log.reconstruct import Reconstructor
 from repro.rpc import messages as m
 from repro.rpc.completion import scatter_call
-from repro.util.packing import unpack_fids
 
 
 @dataclass
@@ -85,6 +88,8 @@ class FsckReport:
     client_id: int
     fragments_checked: int = 0
     stripes: List[StripeFinding] = field(default_factory=list)
+    locations: Dict[int, str] = field(default_factory=dict)
+    """Where the scrub found each fid (the listing sweep's answer)."""
 
     @property
     def healthy(self) -> bool:
@@ -113,29 +118,6 @@ class FsckReport:
                    len(self.by_status("lost"))))
 
 
-def _list_client_fids(transport, client_id: int,
-                      principal: str) -> Dict[int, str]:
-    """All of the client's FIDs, mapped to a server that holds each.
-
-    The listing scatters to every server at once — a full-cluster
-    inventory sweep for the cost of one overlapped round trip.
-    Unreachable servers are skipped (their fragments then show up as
-    missing stripe members downstream, which is the truth).
-    """
-    request = m.ListFidsRequest(client_id=client_id, principal=principal)
-    server_ids = transport.server_ids()
-    futures = scatter_call(
-        transport, [(server_id, request) for server_id in server_ids])
-    locations: Dict[int, str] = {}
-    for server_id, future in zip(server_ids, futures):
-        if not future.ok:
-            continue
-        fids, _end = unpack_fids(future.value.payload)
-        for fid in fids:
-            locations[fid] = server_id
-    return locations
-
-
 def _fetch_all(transport, targets: Dict[int, str],
                principal: str) -> Dict[int, bytes]:
     """Fetch many fragments concurrently; failures are simply absent."""
@@ -155,9 +137,10 @@ def _fetch_all(transport, targets: Dict[int, str],
 def check_client_log(transport, client_id: int,
                      principal: str = "") -> FsckReport:
     """Scrub every stripe of one client's log."""
-    report = FsckReport(client_id=client_id)
-    locations = _list_client_fids(transport, client_id, principal)
-    fetched = _fetch_all(transport, locations, principal)
+    report = FsckReport(client_id=client_id,
+                        locations=list_client_fids(transport, client_id,
+                                                   principal))
+    fetched = _fetch_all(transport, report.locations, principal)
     # Parse what is present; learn stripe shapes from headers.
     images: Dict[int, bytes] = {}
     headers: Dict[int, FragmentHeader] = {}
@@ -225,73 +208,63 @@ def repair_client_log(transport, client_id: int,
     """Re-materialize every recoverable missing/corrupt fragment.
 
     Returns the number of fragments restored. Corrupt fragments are
-    deleted from their servers first, then rebuilt like missing ones.
+    deleted from their servers first; then one
+    :class:`~repro.health.repair.RepairDaemon` rebuilds every degraded
+    stripe's lost members, and torn stripes are seal-completed last.
 
     ``target_server`` may be one server name or a sequence of them;
-    with several targets, a stripe's lost members are spread
+    with several, the daemon spreads a stripe's lost members
     round-robin in stripe order, so a double-erasure stripe's two
     rebuilt fragments land on *distinct* servers (two members of one
     stripe on one server would turn that server back into a
     double-loss single point of failure).
     """
-    targets = ([target_server] if isinstance(target_server, str)
-               else list(target_server))
-    if not targets:
-        raise ValueError("repair needs at least one target server")
+    daemon = RepairDaemon(transport, client_id, target_server,
+                          principal=principal)
     report = check_client_log(transport, client_id, principal)
-    # Seed a shared location cache from one listing sweep so the
-    # reconstructions below need no further broadcasts, and look up
-    # every corrupt fragment's holder in a single batch.
-    locations = LocationCache(transport, principal)
-    for fid, server_id in _list_client_fids(transport, client_id,
-                                            principal).items():
-        locations.record(fid, server_id)
-    rebuilder = Reconstructor(transport, principal, locations=locations)
-    restored = 0
+    # The scrub's listing seeds the daemon's location cache, so the
+    # reconstructions below need no further broadcasts.
+    for fid, server_id in report.locations.items():
+        daemon.locations.record(fid, server_id)
     degraded = report.by_status("degraded")
-    corrupt_holders = locations.locate_many(
-        [fid for finding in degraded for fid in finding.corrupt])
     # Purge every corrupt fragment in one scatter before rebuilding: a
     # rebuilt image must never race its damaged predecessor.
-    purge = sorted(corrupt_holders.items())
+    purge = sorted((fid, report.locations[fid])
+                   for finding in degraded for fid in finding.corrupt)
     scatter_call(
         transport,
         [(server_id, m.DeleteRequest(fid=fid, principal=principal))
          for fid, server_id in purge])
     for fid, _server_id in purge:
-        locations.evict(fid)
+        daemon.locations.evict(fid)
     for finding in degraded:
-        for position, fid in enumerate(sorted(finding.corrupt
-                                              + finding.missing)):
-            # rebuild_to_server takes the atomic preallocate+store
-            # path, carries the marked flag from the rebuilt image's
-            # own header, verifies the rewrite with a CRC read-back,
-            # and records the new placement in the shared cache.
-            rebuilder.rebuild_to_server(fid, targets[position % len(targets)])
-            restored += 1
+        daemon.enqueue({fid: (finding.base_fid, finding.width)
+                        for fid in finding.corrupt + finding.missing})
+    restored = 0
+    while daemon.pending:
+        restored += daemon.step()
     for finding in report.by_status("torn"):
-        restored += _complete_torn_stripe(transport, finding, locations,
-                                          principal)
+        restored += _complete_torn_stripe(daemon.reconstructor, finding)
     return restored
 
 
-def _complete_torn_stripe(transport, finding: StripeFinding,
-                          locations: LocationCache,
-                          principal: str) -> int:
+def _complete_torn_stripe(rebuilder: Reconstructor,
+                          finding: StripeFinding) -> int:
     """Seal-complete a torn-tail stripe back to full health.
 
     The missing suffix was never durable (stores dispatch in stripe
     order), so nothing is reconstructed: each missing *data* slot gets
     an empty sealed fragment carrying the stripe's own descriptor, and
     each parity slot is recomputed over the real prefix plus those
-    empties. Returns the number of fragments stored; a store failure
-    leaves the stripe torn (never half-wrong — parity goes last, and
-    readers treat a missing member as torn exactly as before).
+    empties. Returns the number of fragments stored and verified; a
+    store failure leaves the stripe torn (never half-wrong — parity
+    goes last, a fill that fails its read-back is deleted, and readers
+    treat a missing member as torn exactly as before).
     """
-    held = {fid: locations.get(fid) for fid in finding.present}
-    images = _fetch_all(transport,
+    held = {fid: rebuilder.locations.get(fid) for fid in finding.present}
+    images = _fetch_all(rebuilder.transport,
                         {fid: sid for fid, sid in held.items()
-                         if sid is not None}, principal)
+                         if sid is not None}, rebuilder.principal)
     if sorted(images) != finding.present:
         return 0  # a prefix member vanished since the scan; re-run fsck
     sample = Fragment.decode(images[finding.present[0]]).header
@@ -327,12 +300,9 @@ def _complete_torn_stripe(transport, finding: StripeFinding,
             fills.append((fid, parity.encode()))
     stored = 0
     for fid, image in fills:
-        server_id = servers[fid - base]
         try:
-            transport.call(server_id, m.StoreRequest(
-                fid=fid, data=image, principal=principal))
+            rebuilder.store_verified(fid, image, servers[fid - base])
         except SwarmError:
             return stored
-        locations.record(fid, server_id)
         stored += 1
     return stored

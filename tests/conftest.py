@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cluster import build_local_cluster
@@ -11,6 +13,15 @@ from repro.server.config import ServerConfig
 from repro.server.server import StorageServer
 
 SMALL_FRAGMENT = 1 << 16  # 64 KB keeps tests fast while exercising striping
+
+
+@pytest.fixture
+def two_second_allowance():
+    """Fail a test that takes 2 s or more."""
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, "took %.2f s, allowance is 2 s" % elapsed
 
 
 @pytest.fixture

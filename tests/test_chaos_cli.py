@@ -42,6 +42,9 @@ def test_every_ci_chaos_line_parses():
     # Verified reads re-fetch no corrupt copy, which moves these two
     # fault schedules; the chaos job replays both.
     assert "--cleaner --seed 4242 --replay" in commands
+    # Every kill in the crash sweep ends in fsck -> repair -> fsck; the
+    # crash job replays the held-out seed too.
+    assert "--crash-sweep --seed 4242 --replay" in commands
     scenarios = {function for function, _ops, _blocks in SCENARIOS.values()}
     for command in commands:
         try:

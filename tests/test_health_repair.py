@@ -156,15 +156,6 @@ class TestRepair:
         for fid in marked_fids:
             assert spare.fragment_info(fid).marked
 
-    def test_scattered_batch_path_equivalent(self, cluster5):
-        log, payloads, addresses = written_group(cluster5)
-        lost, daemon = kill_and_daemon(cluster5, log)
-        daemon.discover(dead_server="s1")
-        assert daemon.repair_batch_scattered(list(daemon.pending)) == \
-            len(lost)
-        assert daemon.done
-        assert check_client_log(cluster5.transport, 1).healthy
-
 
 class TestResume:
     def test_progress_roundtrip_skips_completed_work(self, cluster5):

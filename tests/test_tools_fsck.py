@@ -1,8 +1,12 @@
 """Tests for the fsck scrubber and repair tool."""
 
+from collections import Counter
+
 import pytest
 
+from repro.log.fragment import Fragment
 from repro.rpc import messages as m
+from repro.rpc.transport import TransportWrapper
 from repro.server import ServerConfig, StorageServer
 from repro.tools.fsck import check_client_log, repair_client_log
 
@@ -17,6 +21,34 @@ def populated(cluster4):
                  for i, data in payloads.items()}
     log.flush().wait()
     return log, payloads, addresses
+
+
+def tear_last_two(cluster):
+    """Delete the last two members of some stripe everywhere; returns
+    the stripe's header (read before the tear)."""
+    some_server = cluster.servers["s0"]
+    fid = some_server.list_fids()[0]
+    header = Fragment.decode(some_server.retrieve(fid)).header
+    for victim_fid in header.sibling_fids()[-2:]:
+        for server in cluster.servers.values():
+            if server.holds(victim_fid):
+                server.delete(victim_fid)
+    return header
+
+
+class CountingTransport(TransportWrapper):
+    """Counts the requests it passes on, by message class, and collects
+    the principals they carry."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.sent = Counter()
+        self.principals = set()
+
+    def call(self, server_id, request):
+        self.sent[type(request)] += 1
+        self.principals.add(request.principal)
+        return self.inner.call(server_id, request)
 
 
 class TestCheck:
@@ -124,6 +156,41 @@ class TestRepair:
 
     def test_repair_noop_on_healthy_log(self, cluster4, populated):
         assert repair_client_log(cluster4.transport, 1, "s0") == 0
+
+
+@pytest.mark.usefixtures("two_second_allowance")
+class TestOneRepairPath:
+    """fsck repair lists the cluster once and stores every fragment it
+    writes through the one verified store."""
+
+    def test_one_listing_request_per_server(self, cluster4, populated):
+        victim = cluster4.servers["s1"]
+        victim.delete(victim.list_fids()[0])
+        counting = CountingTransport(cluster4.transport)
+        assert repair_client_log(counting, 1, "s1") == 1
+        assert counting.sent[m.ListFidsRequest] == len(cluster4.servers)
+        # The caller's principal (here the default "") reaches every RPC.
+        assert counting.principals == {""}
+        assert check_client_log(cluster4.transport, 1).healthy
+
+    def test_torn_completion_is_verified(self, cluster4, populated,
+                                         monkeypatch):
+        header = tear_last_two(cluster4)
+        first = header.sibling_fids()[-2]
+        completer = cluster4.servers[header.server_of_index(
+            first - header.stripe_base_fid)]
+        write_slot = completer.backend.write_slot
+        monkeypatch.setattr(
+            completer.backend, "write_slot",
+            lambda slot, data: write_slot(slot, data[:len(data) // 2]))
+        assert repair_client_log(cluster4.transport, 1, "s0") == 0
+        # The bad copy is not left behind: the stripe is still torn, and
+        # repair completes it once the server stores whole images.
+        assert len(check_client_log(cluster4.transport, 1)
+                   .by_status("torn")) == 1
+        monkeypatch.undo()
+        assert repair_client_log(cluster4.transport, 1, "s0") == 2
+        assert check_client_log(cluster4.transport, 1).healthy
 
 
 class TestServerCache:
@@ -366,22 +433,8 @@ class TestTornTail:
     stored. It is repairable by seal-completion even when the losses
     exceed parity."""
 
-    def _tear_last_two(self, cluster4):
-        from repro.log.fragment import Fragment
-
-        some_server = cluster4.servers["s0"]
-        fid = some_server.list_fids()[0]
-        header = Fragment.decode(some_server.retrieve(fid)).header
-        siblings = header.sibling_fids()
-        doomed = siblings[-2:]
-        for victim_fid in doomed:
-            for server in cluster4.servers.values():
-                if server.holds(victim_fid):
-                    server.delete(victim_fid)
-        return doomed
-
     def test_suffix_missing_is_torn_not_lost(self, cluster4, populated):
-        doomed = self._tear_last_two(cluster4)
+        doomed = tear_last_two(cluster4).sibling_fids()[-2:]
         report = check_client_log(cluster4.transport, 1)
         torn = report.by_status("torn")
         assert len(torn) == 1
@@ -393,7 +446,7 @@ class TestTornTail:
 
     def test_torn_stripe_seal_completed_to_healthy(self, cluster4,
                                                    populated):
-        doomed = self._tear_last_two(cluster4)
+        doomed = tear_last_two(cluster4).sibling_fids()[-2:]
         restored = repair_client_log(cluster4.transport, 1, "s0")
         assert restored == len(doomed)
         after = check_client_log(cluster4.transport, 1)
