@@ -38,6 +38,7 @@ from repro.chaos.harness import (ChaosReport, FRAGMENT_SIZE, Harness, Op,
 from repro.chaos.plan import FaultSpec, choose_kill_victims
 from repro.errors import SwarmError
 from repro.health import RepairDaemon
+from repro.health.monitor import READMIT_PROBES
 from repro.log.fragment import HEADER_SIZE, MAX_STRIPE_WIDTH
 from repro.placement import Placement
 from repro.rpc import messages as m
@@ -327,7 +328,7 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
             for client in clients:
                 monitor = client.log.monitor
                 for dead in kill_list:
-                    for _ in range(4 * monitor.config.readmit_probes):
+                    for _ in range(4 * READMIT_PROBES):
                         if monitor.status(dead) == "healthy":
                             break
                         monitor.probe(dead)

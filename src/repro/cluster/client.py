@@ -60,7 +60,7 @@ class SimClientDriver:
 
     def _throttle(self) -> Generator:
         """Enforce the fragment-store flow-control window."""
-        window = self.log.config.max_outstanding_fragments
+        window = self.cluster.config.max_outstanding_fragments
         pending = [e for e in self.log.pending_events() if not e.triggered]
         while len(pending) > window:
             yield self.cluster.sim.any_of(pending)
@@ -75,8 +75,7 @@ class SimClientDriver:
         # more stripes in flight to keep §2.1.2's pipeline full.
         stripe_window = max(
             self.log.config.max_inflight_stripes,
-            -(-self.log.config.max_outstanding_fragments
-              // self.log.placement.max_data_fragments()))
+            -(-window // self.log.placement.max_data_fragments()))
         while self.log.inflight_stripes() > stripe_window:
             oldest = self.log.oldest_inflight_events()
             if not oldest:

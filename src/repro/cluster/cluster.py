@@ -75,7 +75,7 @@ class _Placements:
 class LocalCluster(_Placements):
     """Functional (timeless) deployment of servers plus client slots."""
 
-    def __init__(self, config: ClusterConfig, verify_codec: bool = False) -> None:
+    def __init__(self, config: ClusterConfig) -> None:
         self.config = config
         self.servers: Dict[str, StorageServer] = {}
         for index in range(config.num_servers):
@@ -84,7 +84,7 @@ class LocalCluster(_Placements):
                 server_id=server_id, fragment_size=config.fragment_size,
                 total_slots=config.server_slots,
                 enforce_acls=config.enforce_acls))
-        self.transport = LocalTransport(self.servers, verify_codec=verify_codec)
+        self.transport = LocalTransport(self.servers)
 
     def fleet(self) -> Tuple[str, ...]:
         """Every server of this cluster, in construction order."""
@@ -145,12 +145,11 @@ class LocalCluster(_Placements):
 
 
 def build_local_cluster(num_servers: int = 4, num_clients: int = 1,
-                        fragment_size: int = 1 << 20,
-                        verify_codec: bool = False, **kwargs) -> LocalCluster:
+                        fragment_size: int = 1 << 20, **kwargs) -> LocalCluster:
     """Convenience constructor for functional clusters."""
     return LocalCluster(ClusterConfig(
         num_servers=num_servers, num_clients=num_clients,
-        fragment_size=fragment_size, **kwargs), verify_codec=verify_codec)
+        fragment_size=fragment_size, **kwargs))
 
 
 class SimCluster(_Placements):
@@ -217,8 +216,6 @@ class SimCluster(_Placements):
             transport, self.fleet() if group is None else group,
             LogConfig(client_id=client_index + 1,
                       fragment_size=self.config.fragment_size,
-                      max_outstanding_fragments=self.config.max_outstanding_fragments,
-                      max_inflight_stripes=self.config.max_inflight_stripes,
                       **config_overrides),
             cost_hook=cost_hook,
             retry_policy=retry_policy, verify_reads=verify_reads)

@@ -19,6 +19,9 @@ class ClusterConfig:
     servers and clients, 1 MB fragments, and the calibrated 1999
     network/disk/CPU models. ``server_slots`` bounds each server's disk
     in fragments (4096 slots × 1 MB ≈ a 4 GB late-90s disk).
+    ``max_outstanding_fragments`` is each simulated client's flow-control
+    window: its driver keeps at most this many fragment stores in flight
+    ("rudimentary flow control", §2.2.2).
     """
 
     num_servers: int = 4
@@ -30,7 +33,6 @@ class ClusterConfig:
     disk: DiskParams = field(default_factory=DiskParams)
     cpu: CpuParams = field(default_factory=CpuParams)
     max_outstanding_fragments: int = 4
-    max_inflight_stripes: int = 2
 
     def __post_init__(self) -> None:
         if self.num_servers < 1:

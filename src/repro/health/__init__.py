@@ -25,7 +25,6 @@ closes that loop:
 from repro.health.monitor import (
     DEAD,
     HEALTHY,
-    HealthConfig,
     HealthMonitor,
     PROBATION,
     ServerHealth,
@@ -36,7 +35,6 @@ from repro.health.repair import RepairDaemon
 __all__ = [
     "DEAD",
     "HEALTHY",
-    "HealthConfig",
     "HealthMonitor",
     "PROBATION",
     "RepairDaemon",

@@ -18,7 +18,7 @@ State machine::
     healthy --(ewma high + consecutive)--> suspect
     suspect --(more consecutive / retry exhaustions)--> dead
     dead    --(successful probe or call)--> probation
-    probation --(readmit_probes successes)--> healthy
+    probation --(READMIT_PROBES successes)--> healthy
     probation --(any failure)--> dead
 
 Verdicts are *pushed*: subscribers (the log layer's auto-reform hook)
@@ -26,7 +26,7 @@ register callbacks and are told about every transition synchronously,
 so a ``dead`` verdict raised mid-write can reform the stripe group
 before the next stripe is placed.
 
-Probing is seeded and deterministic: every ``probe_interval``
+Probing is seeded and deterministic: every ``PROBE_INTERVAL``
 observations the monitor sends one idempotent ``HoldsRequest`` (empty
 fid list — pure liveness, no side effects) to the next non-healthy
 server in rotation. A replayed chaos run therefore probes at the same
@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from repro.errors import ConfigError, SwarmError
+from repro.errors import SwarmError
 
 HEALTHY = "healthy"
 SUSPECT = "suspect"
@@ -50,49 +50,20 @@ TransitionHook = Callable[[str, str, str], None]
 """``hook(server_id, old_status, new_status)``."""
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Detector thresholds.
-
-    The defaults are tuned against the chaos engine's survivable
-    envelope: a fault plan forces a clean call after ``max_consecutive``
-    (default 3) consecutive faulted calls to one server, so a *live*
-    server never accumulates more than 3 straight failures — while a
-    crashed one fails every call. ``dead_consecutive`` (6) and
-    ``dead_exhaustions`` (2) therefore only ever fire on servers that
-    are genuinely unreachable, never on merely flaky ones.
-    """
-
-    ewma_alpha: float = 0.3
-    """Weight of the newest observation in the failure EWMA."""
-    suspect_ewma: float = 0.5
-    """EWMA at or above which a server may become suspect."""
-    suspect_consecutive: int = 3
-    """Consecutive failures needed (with the EWMA) to become suspect."""
-    dead_consecutive: int = 6
-    """Consecutive failures that alone prove a server dead."""
-    dead_exhaustions: int = 2
-    """Retry exhaustions in a row that prove a server dead."""
-    probe_interval: int = 8
-    """Observations between automatic probes of non-healthy servers."""
-    readmit_probes: int = 3
-    """Successes a server in probation needs to be readmitted."""
-
-    def validate(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigError("ewma_alpha must be in (0, 1]")
-        if not 0.0 <= self.suspect_ewma <= 1.0:
-            raise ConfigError("suspect_ewma must be in [0, 1]")
-        if self.suspect_consecutive < 1:
-            raise ConfigError("suspect_consecutive must be >= 1")
-        if self.dead_consecutive < self.suspect_consecutive:
-            raise ConfigError("dead_consecutive must be >= suspect_consecutive")
-        if self.dead_exhaustions < 1:
-            raise ConfigError("dead_exhaustions must be >= 1")
-        if self.probe_interval < 1:
-            raise ConfigError("probe_interval must be >= 1")
-        if self.readmit_probes < 1:
-            raise ConfigError("readmit_probes must be >= 1")
+# Detector thresholds, tuned against the chaos engine's survivable
+# envelope: a fault plan forces a clean call after ``max_consecutive``
+# (default 3) consecutive faulted calls to one server, so a *live*
+# server never accumulates more than 3 straight failures — while a
+# crashed one fails every call. DEAD_CONSECUTIVE (6) and
+# DEAD_EXHAUSTIONS (2) therefore only ever fire on servers that are
+# genuinely unreachable, never on merely flaky ones.
+EWMA_ALPHA = 0.3          # weight of the newest observation in the EWMA
+SUSPECT_EWMA = 0.5        # EWMA at or above which a server may be suspect
+SUSPECT_CONSECUTIVE = 3   # consecutive failures (with the EWMA) to suspect
+DEAD_CONSECUTIVE = 6      # consecutive failures that alone prove death
+DEAD_EXHAUSTIONS = 2      # retry exhaustions in a row that prove death
+PROBE_INTERVAL = 8        # observations between probes of non-healthy servers
+READMIT_PROBES = 3        # successes a server in probation needs to return
 
 
 @dataclass
@@ -136,10 +107,7 @@ class HealthMonitor:
     directly in tests.
     """
 
-    def __init__(self, config: Optional[HealthConfig] = None,
-                 seed: int = 0) -> None:
-        self.config = config if config is not None else HealthConfig()
-        self.config.validate()
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._rng = random.Random(seed)
         self._servers: Dict[str, ServerHealth] = {}
@@ -209,19 +177,12 @@ class HealthMonitor:
         a definitive application error (not-found, ACL denial) is still
         proof of life; only unreachability counts as failure."""
         state = self._state(server_id)
-        alpha = self.config.ewma_alpha
         self._observations += 1
         if ok:
             state.successes += 1
-            state.ewma *= (1.0 - alpha)
-            state.consecutive_failures = 0
-            state.consecutive_exhaustions = 0
-            self._on_success(state)
         else:
             state.failures += 1
-            state.ewma = (1.0 - alpha) * state.ewma + alpha
-            state.consecutive_failures += 1
-            self._on_failure(state)
+        self._score(state, ok)
         self._maybe_probe()
 
     def note_exhausted(self, server_id: str) -> None:
@@ -229,8 +190,21 @@ class HealthMonitor:
         state = self._state(server_id)
         state.exhaustions += 1
         state.consecutive_exhaustions += 1
-        if state.consecutive_exhaustions >= self.config.dead_exhaustions:
+        if state.consecutive_exhaustions >= DEAD_EXHAUSTIONS:
             self._transition(state, DEAD)
+
+    def _score(self, state: ServerHealth, ok: bool) -> None:
+        """Fold one outcome into the EWMA and the consecutive counts,
+        then run the state machine."""
+        if ok:
+            state.ewma *= (1.0 - EWMA_ALPHA)
+            state.consecutive_failures = 0
+            state.consecutive_exhaustions = 0
+            self._on_success(state)
+        else:
+            state.ewma = (1.0 - EWMA_ALPHA) * state.ewma + EWMA_ALPHA
+            state.consecutive_failures += 1
+            self._on_failure(state)
 
     def _on_success(self, state: ServerHealth) -> None:
         if state.status == SUSPECT:
@@ -242,21 +216,20 @@ class HealthMonitor:
             self._transition(state, PROBATION)
         elif state.status == PROBATION:
             state.probation_successes += 1
-            if state.probation_successes >= self.config.readmit_probes:
+            if state.probation_successes >= READMIT_PROBES:
                 self._transition(state, HEALTHY)
 
     def _on_failure(self, state: ServerHealth) -> None:
-        cfg = self.config
         if state.status == PROBATION:
             state.probation_successes = 0
             self._transition(state, DEAD)
             return
-        if state.consecutive_failures >= cfg.dead_consecutive:
+        if state.consecutive_failures >= DEAD_CONSECUTIVE:
             self._transition(state, DEAD)
             return
         if (state.status == HEALTHY
-                and state.consecutive_failures >= cfg.suspect_consecutive
-                and state.ewma >= cfg.suspect_ewma):
+                and state.consecutive_failures >= SUSPECT_CONSECUTIVE
+                and state.ewma >= SUSPECT_EWMA):
             self._transition(state, SUSPECT)
 
     def _transition(self, state: ServerHealth, new_status: str) -> None:
@@ -299,24 +272,14 @@ class HealthMonitor:
 
     def observe_probe(self, server_id: str, ok: bool) -> None:
         """Score a probe outcome (no recursive probe scheduling)."""
-        state = self._state(server_id)
-        alpha = self.config.ewma_alpha
-        if ok:
-            state.ewma *= (1.0 - alpha)
-            state.consecutive_failures = 0
-            state.consecutive_exhaustions = 0
-            self._on_success(state)
-        else:
-            state.ewma = (1.0 - alpha) * state.ewma + alpha
-            state.consecutive_failures += 1
-            self._on_failure(state)
+        self._score(self._state(server_id), ok)
 
     def _maybe_probe(self) -> None:
-        """Every ``probe_interval`` observations, probe one non-healthy
+        """Every ``PROBE_INTERVAL`` observations, probe one non-healthy
         server (rotating, so all suspects get coverage)."""
         if self._transport is None:
             return
-        if self._observations % self.config.probe_interval != 0:
+        if self._observations % PROBE_INTERVAL != 0:
             return
         candidates = sorted(sid for sid, st in self._servers.items()
                             if st.status != HEALTHY)

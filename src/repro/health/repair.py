@@ -45,9 +45,11 @@ from repro.rpc.completion import scatter_call
 from repro.rpc.retry import charge_delay
 from repro.util.packing import unpack_fids
 
-DEFAULT_THROTTLE_BYTES_PER_S = 32 << 20
-"""Default repair-bandwidth budget (32 MB/s — a fraction of a modern
-disk, so foreground traffic keeps headroom)."""
+THROTTLE_BYTES_PER_S = 32 << 20
+"""Repair-bandwidth budget (32 MB/s — a fraction of a modern disk, so
+foreground traffic keeps headroom)."""
+BATCH_FRAGMENTS = 4
+"""Fragments one :meth:`RepairDaemon.step` repairs by default."""
 
 
 def list_client_fids(transport, client_id: int,
@@ -84,14 +86,8 @@ class RepairDaemon:
     def __init__(self, transport, client_id: int, replacement,
                  principal: Optional[str] = None,
                  locations: Optional[LocationCache] = None,
-                 throttle_bytes_per_s: float = DEFAULT_THROTTLE_BYTES_PER_S,
-                 batch_fragments: int = 4,
                  cleaner=None,
                  resume: Optional[Dict[str, object]] = None) -> None:
-        if throttle_bytes_per_s <= 0:
-            raise ValueError("throttle_bytes_per_s must be positive")
-        if batch_fragments < 1:
-            raise ValueError("batch_fragments must be >= 1")
         self.transport = transport
         self.client_id = client_id
         # One replacement server, or several: a multi-parity group that
@@ -111,8 +107,6 @@ class RepairDaemon:
             LocationCache(transport, self.principal)
         self.reconstructor = Reconstructor(transport, self.principal,
                                            locations=self.locations)
-        self.throttle_bytes_per_s = throttle_bytes_per_s
-        self.batch_fragments = batch_fragments
         self.cleaner = cleaner
         self.pending: List[int] = []
         self.completed: Set[int] = set()
@@ -243,12 +237,13 @@ class RepairDaemon:
         """Repair one batch of pending fragments; returns the count.
 
         Call repeatedly (interleaved with foreground work) until
-        :attr:`done`. Each batch charges its bytes against the repair
-        throttle before returning.
+        :attr:`done`. A batch is ``BATCH_FRAGMENTS`` fragments unless
+        ``max_fragments`` says otherwise; each charges its bytes against
+        the repair throttle before returning.
         """
         if not self.pending:
             return 0
-        budget = self.batch_fragments if max_fragments is None \
+        budget = BATCH_FRAGMENTS if max_fragments is None \
             else max(1, max_fragments)
         batch, self.pending = self.pending[:budget], self.pending[budget:]
         repaired_bytes = 0
@@ -263,7 +258,7 @@ class RepairDaemon:
             self.completed.add(fid)
             self._release_if_whole(fid)
         if repaired_bytes:
-            seconds = repaired_bytes / self.throttle_bytes_per_s
+            seconds = repaired_bytes / THROTTLE_BYTES_PER_S
             self.throttle_charged_s += seconds
             charge_delay(self.transport, seconds)
         self.fragments_repaired += repaired

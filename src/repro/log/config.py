@@ -25,21 +25,11 @@ class LogConfig:
         the servers' slot size.
     principal:
         Name presented for ACL checks (defaults to ``client-<id>``).
-    max_outstanding_fragments:
-        Flow-control hint: simulated drivers keep at most this many
-        fragment stores in flight ("rudimentary flow control", §2.2.2).
-    preallocate_stripes:
-        When True, the log layer issues the server ``preallocate``
-        operation for every member of a stripe before transferring any
-        data, guaranteeing space for the whole stripe up front (§2.4
-        lists preallocation among the server's operations).
     """
 
     client_id: int
     fragment_size: int = DEFAULT_FRAGMENT_SIZE
     principal: str = ""
-    max_outstanding_fragments: int = 4
-    preallocate_stripes: bool = False
     fragment_aid: int = 0
     """ACL id to tag every stored fragment with (0 = untagged).
 
@@ -66,15 +56,6 @@ class LogConfig:
     """Coalesce service records smaller than this into a client-side
     batch flushed before the next block append, checkpoint, or flush.
     0 disables group commit (every record hits a builder immediately)."""
-    group_commit_latency_ms: float = 0.0
-    """Adaptive group commit: flush a partial record batch once it has
-    been open this many milliseconds, even though ``group_commit_bytes``
-    has not filled, so a quiet real-wire client does not stall its last
-    records indefinitely. Staleness is checked at the next record
-    append, or on demand via ``LogLayer.poll_group_commit()`` (a truly
-    idle client has no other trigger). 0 disables the latency bound —
-    the default, because chaos replay digests depend on batching
-    decisions being pure functions of the workload, not of wall time."""
     max_inflight_reads: int = 2
     """Read-ahead window: how many fragment retrieves a sequential
     reader keeps in flight while consuming the log in order. Mirrors
@@ -90,30 +71,18 @@ class LogConfig:
     """Erasure-coding engine: ``"xor"`` (single parity, the original
     byte-identical path) or ``"rs"`` (Reed-Solomon over GF(256), any
     ``parity_fragments``)."""
-    location_cache_entries: int = 0
-    """Size bound of the client's fragment-location cache (entries).
-    0 means unbounded (the original behavior). On a large fleet the
-    cache grows with every stripe ever written or located, so bounded
-    deployments evict least-recently-used placements; evicted entries
-    are re-learned through the broadcast ``holds`` query on demand."""
 
     def __post_init__(self) -> None:
         if self.client_id < 0:
             raise ConfigError("client_id must be non-negative")
         if self.fragment_size < 4096:
             raise ConfigError("fragment_size unreasonably small")
-        if self.max_outstanding_fragments < 1:
-            raise ConfigError("max_outstanding_fragments must be >= 1")
         if self.max_inflight_stripes < 1:
             raise ConfigError("max_inflight_stripes must be >= 1")
         if self.max_inflight_reads < 1:
             raise ConfigError("max_inflight_reads must be >= 1")
         if self.group_commit_bytes < 0:
             raise ConfigError("group_commit_bytes must be >= 0")
-        if self.group_commit_latency_ms < 0:
-            raise ConfigError("group_commit_latency_ms must be >= 0")
-        if self.location_cache_entries < 0:
-            raise ConfigError("location_cache_entries must be >= 0")
         if len(set(self.spare_servers)) != len(self.spare_servers):
             raise ConfigError("duplicate server in spare_servers")
         if not 0 <= self.parity_fragments < MAX_STRIPE_WIDTH:

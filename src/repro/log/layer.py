@@ -23,7 +23,6 @@ Responsibilities, mapped to the paper:
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -138,10 +137,9 @@ class LogLayer:
 
     def __init__(self, transport, group, config: LogConfig,
                  cost_hook: Optional[CostHook] = None,
-                 locations: Optional[LocationCache] = None,
                  retry_policy=None, verify_reads: bool = False,
                  health_monitor=None, crash_injector=None,
-                 clock=None, retry_sleep=None) -> None:
+                 retry_sleep=None) -> None:
         from repro.rpc.retry import wrap_transport
         from repro.placement import Placement
 
@@ -199,16 +197,8 @@ class LogLayer:
         # Group commit: small service records waiting to hit a builder.
         self._record_batch: List[Record] = []
         self._record_batch_bytes = 0
-        # Adaptive group commit: when the batch opened, by self._clock.
-        # The clock is pluggable so sim-driven tests can advance it
-        # deterministically; real clients get the wall clock.
-        self._clock = clock if clock is not None else time.monotonic
-        self._record_batch_opened: Optional[float] = None
-        # Fragment placements: shared with the reconstructor (and, when
-        # the caller passes one in, with readers/recovery/fsck too).
-        self.locations = locations if locations is not None else \
-            LocationCache(transport, config.principal,
-                          max_entries=config.location_cache_entries)
+        # Fragment placements, shared with the reconstructor.
+        self.locations = LocationCache(transport, config.principal)
         # One reconstructor for the client's lifetime: its bounded cache
         # of rebuilt images means a lost fragment is rebuilt once, not
         # once per block read from it.
@@ -227,10 +217,8 @@ class LogLayer:
         self.raw_bytes_written = 0
         self.useful_bytes_written = 0
         self.stripes_written = 0
-        self.preallocate_failures = 0
         self.delete_failures = 0
         self.group_commit_batches = 0
-        self.group_commit_timeouts = 0
         self.records_coalesced = 0
         self._failures_by_server: Dict[str, Dict[str, int]] = {}
 
@@ -302,7 +290,7 @@ class LogLayer:
 
     def _count_failure(self, server_id: str, kind: str) -> None:
         per_kind = self._failures_by_server.setdefault(
-            server_id, {"stores": 0, "preallocates": 0, "deletes": 0})
+            server_id, {"stores": 0, "deletes": 0})
         per_kind[kind] += 1
 
     def _account_store_outcomes(self) -> None:
@@ -332,7 +320,7 @@ class LogLayer:
         self._store_ledger = remaining
 
     def failures(self) -> Dict[str, Dict[str, int]]:
-        """Per-server counts of failed stores/preallocates/deletes.
+        """Per-server counts of failed stores and deletes.
 
         Only operations this layer issued; the retry layer's per-attempt
         view (including the retries that eventually succeeded) lives in
@@ -352,10 +340,8 @@ class LogLayer:
         report: Dict[str, object] = {
             "log": {
                 "stripes_written": self.stripes_written,
-                "preallocate_failures": self.preallocate_failures,
                 "delete_failures": self.delete_failures,
                 "group_commit_batches": self.group_commit_batches,
-                "group_commit_timeouts": self.group_commit_timeouts,
                 "records_coalesced": self.records_coalesced,
                 "inflight_stripes": self.inflight_stripes(),
                 "failures_by_server": self.failures(),
@@ -454,12 +440,6 @@ class LogLayer:
         record = Record(self._lsn.next(), owner_service, rtype, payload)
         threshold = self.config.group_commit_bytes
         if threshold and len(payload) < threshold:
-            # A batch left open past the latency bound drains before the
-            # new record joins — the new record opens a fresh window, so
-            # a trickle of records cannot indefinitely extend one batch.
-            self._drain_if_stale()
-            if not self._record_batch:
-                self._record_batch_opened = self._clock()
             self._record_batch.append(record)
             self._record_batch_bytes += len(record.encode())
             if self._record_batch_bytes >= threshold:
@@ -486,35 +466,10 @@ class LogLayer:
                            create_info)
         return record
 
-    def poll_group_commit(self) -> bool:
-        """Flush the record batch if it has outlived the latency bound.
-
-        The adaptive half of group commit: staleness is otherwise only
-        checked when the *next* record arrives, so a client that goes
-        quiet must poll (an event loop tick, a service timer) to get its
-        last records moving. Returns True when a batch was drained.
-        No-op unless ``config.group_commit_latency_ms`` is set.
-        """
-        if self._drain_if_stale():
-            return True
-        return False
-
-    def _drain_if_stale(self) -> bool:
-        latency_ms = self.config.group_commit_latency_ms
-        if (not latency_ms or not self._record_batch
-                or self._record_batch_opened is None):
-            return False
-        if (self._clock() - self._record_batch_opened) * 1000.0 < latency_ms:
-            return False
-        self.group_commit_timeouts += 1
-        self._drain_records()
-        return True
-
     def _drain_records(self) -> None:
         """Move every group-committed record into the builders, in LSN
         order. One batched walk amortizes the builder-selection work the
         records would otherwise pay one by one."""
-        self._record_batch_opened = None
         if not self._record_batch:
             return
         self.crash_point("group_commit_flush")
@@ -640,8 +595,6 @@ class LogLayer:
         # Everything below the seal is durability-critical: the stripe
         # exists only in client memory until the stores land.
         self.crash_point("stripe_seal")
-        if self.config.preallocate_stripes:
-            self._preallocate(fragments, servers)
         self._make_room()
         marked_flags = [b.marked for b in builders] + [False] * (width - ndata)
         plan: List[Tuple[str, m.StoreRequest]] = []
@@ -706,29 +659,6 @@ class LogLayer:
             gather([e for e in self._inflight[0].events if not e.triggered])
             self._account_store_outcomes()
             self._inflight = [t for t in self._inflight if not t.done]
-
-    def _preallocate(self, fragments, servers) -> None:
-        """Reserve a slot for every stripe member before sending data.
-
-        All reservations go out in one overlapped scatter — one round
-        trip for the whole stripe, not one per member. Best-effort: a
-        server that cannot reserve (full, down) will fail the
-        subsequent store instead, which callers already handle through
-        the flush ticket; such failures are counted in
-        ``preallocate_failures`` rather than silently swallowed.
-        """
-        from repro.rpc.completion import scatter_call
-
-        plan = [(servers[fragment.header.stripe_index],
-                 m.PreallocateRequest(fid=fragment.fid,
-                                      principal=self.config.principal))
-                for fragment in fragments]
-        futures = scatter_call(self.transport, plan)
-        for (server_id, _request), future in zip(plan, futures):
-            if future.ok:
-                continue
-            self.preallocate_failures += 1
-            self._count_failure(server_id, "preallocates")
 
     def flush(self) -> FlushTicket:
         """Seal and dispatch everything buffered; return the ticket.
@@ -827,8 +757,6 @@ class LogLayer:
         record = Record(self._lsn.next(), SERVICE_LOG_LAYER,
                         RecordType.VIEW_CHANGE,
                         self.placement.encode_views())
-        if not self._record_batch:
-            self._record_batch_opened = self._clock()
         self._record_batch.append(record)
         self._record_batch_bytes += len(record.encode())
 

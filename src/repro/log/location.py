@@ -9,45 +9,33 @@ answers — and batches the lookups it still has to make into one RPC per
 server.
 
 One cache is meant to be *shared* across everything a client runs: the
-log layer, the reconstructor, the sequential log reader, recovery, and
-fsck all accept a ``LocationCache`` so a placement learned on any path
-is reused by all of them.
+log layer builds one and hands it to its reconstructor, and the
+sequential log reader and the repair daemon accept one, so a placement
+learned on any path is reused by all of them.
 
 Invalidation: entries are dropped when a retrieve against the cached
 server fails (the placement is stale or the server is down), when a
 stripe is deleted, and when the client reforms its stripe group away
 from a departed server.
-
-Capacity: ``max_entries`` bounds the cache with least-recently-used
-eviction (reads and writes both refresh recency). On a large fleet the
-map otherwise grows with every stripe ever written or located — a real
-memory consumer at hundreds of servers — and an evicted placement is
-merely re-learned by the next broadcast, never a correctness issue.
-Bounded or not, the eviction order is deterministic, so chaos replays
-stay bit-identical.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence
 
 
 class LocationCache:
-    """fid → server-id map with batched broadcast fill and optional LRU."""
+    """fid → server-id map with batched broadcast fill."""
 
-    def __init__(self, transport, principal: str = "",
-                 max_entries: int = 0) -> None:
+    def __init__(self, transport, principal: str = "") -> None:
         self.transport = transport
         self.principal = principal
-        self.max_entries = int(max_entries or 0)
-        self._map: "OrderedDict[int, str]" = OrderedDict()
+        self._map: Dict[int, str] = {}
         # Statistics (read by the perf harness and tests).
         self.hits = 0
         self.misses = 0
         self.broadcasts = 0
         self.evictions = 0
-        self.lru_evictions = 0
 
     def __len__(self) -> int:
         return len(self._map)
@@ -59,36 +47,21 @@ class LocationCache:
         """One structured counter snapshot (``health_report`` feeds)."""
         return {
             "entries": len(self._map),
-            "max_entries": self.max_entries,
             "hits": self.hits,
             "misses": self.misses,
             "broadcasts": self.broadcasts,
             "evictions": self.evictions,
-            "lru_evictions": self.lru_evictions,
         }
 
     # -- local (no network) --------------------------------------------------
 
-    def _insert(self, fid: int, server_id: str) -> None:
-        known = fid in self._map
-        self._map[fid] = server_id
-        if known:
-            self._map.move_to_end(fid)
-        elif self.max_entries and len(self._map) > self.max_entries:
-            while len(self._map) > self.max_entries:
-                self._map.popitem(last=False)
-                self.lru_evictions += 1
-
     def get(self, fid: int) -> Optional[str]:
         """Cached server for ``fid``; never touches the network."""
-        server_id = self._map.get(fid)
-        if server_id is not None:
-            self._map.move_to_end(fid)
-        return server_id
+        return self._map.get(fid)
 
     def record(self, fid: int, server_id: str) -> None:
         """Remember that ``server_id`` holds ``fid``."""
-        self._insert(fid, server_id)
+        self._map[fid] = server_id
 
     def learn(self, header) -> None:
         """Absorb a fragment header's whole stripe descriptor.
@@ -97,7 +70,7 @@ class LocationCache:
         so a single read can save ``width - 1`` future broadcasts.
         """
         for index, server_id in enumerate(header.servers):
-            self._insert(header.stripe_base_fid + index, server_id)
+            self._map[header.stripe_base_fid + index] = server_id
 
     def fids_on(self, server_id: str) -> List[int]:
         """Cached fids believed to live on ``server_id``, sorted.
@@ -174,6 +147,6 @@ class LocationCache:
             located = self.transport.broadcast_holds(
                 missing, on_unreachable=self.evict_server)
             for fid in sorted(located):
-                self._insert(fid, located[fid])
+                self._map[fid] = located[fid]
             found.update(located)
         return found

@@ -16,8 +16,11 @@ Read-ahead is windowed, mirroring the write path's write-behind: up to
 simulated testbed charges the batch's *overlapped* elapsed time, and
 consumed strictly in FID order. A degraded fragment mid-window falls
 back to parity reconstruction without stalling its neighbors, and a
-prefetch the reader abandons still reports its failure — placement
-eviction plus a health-monitor observation — instead of vanishing.
+prefetch the reader abandons still evicts its placement and counts in
+``prefetch_failures`` instead of vanishing. The reader scores nothing
+on the failure detector itself: a reader built on the log's transport
+reaches the servers through the retry layer, which has already scored
+every attempt, prefetches included.
 """
 
 from __future__ import annotations
@@ -38,26 +41,17 @@ class LogReader:
 
     def __init__(self, transport, principal: str = "",
                  locations: Optional[LocationCache] = None,
-                 retry_policy=None, verify: bool = False,
-                 max_inflight: int = 1, monitor=None) -> None:
-        from repro.rpc.retry import wrap_transport
-
+                 verify: bool = False, max_inflight: int = 1) -> None:
         if max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
-        transport = wrap_transport(transport, retry_policy)
         self.transport = transport
         self.principal = principal
         self.max_inflight = max_inflight
-        # Failed prefetches feed the failure detector exactly like
-        # synchronous failures would; the counters are per server.
-        self.monitor = monitor
         self.prefetch_failures: Dict[str, int] = {}
         self.locations = locations if locations is not None else \
             LocationCache(transport, principal)
         # Reconstruction shares the same placement cache, so stripe
-        # descriptors learned either way serve both paths. The policy is
-        # not passed down: self.transport already retries, and wrapping
-        # twice would square the attempt count.
+        # descriptors learned either way serve both paths.
         self.reconstructor = Reconstructor(
             transport, principal, locations=self.locations, verify=verify)
 
@@ -93,28 +87,17 @@ class LogReader:
         if not future.ok:
             if not isinstance(future.exception, SwarmError):
                 raise future.exception
-            self._note_prefetch_failure(fid, server_id, future.exception)
+            self._note_prefetch_failure(fid, server_id)
             return None
         return future.value.payload
 
-    def _note_prefetch_failure(self, fid: int, server_id: str,
-                               exc: SwarmError) -> None:
-        """Account one failed prefetched retrieve.
-
-        The placement is evicted (it pointed somewhere that could not
-        answer) and the outcome is folded into the health monitor the
-        same way the retry layer scores synchronous calls: a definitive
-        application error is still proof of life, only transient
-        unreachability counts against the server.
-        """
-        from repro.rpc.retry import TRANSIENT_ERRORS
-
+    def _note_prefetch_failure(self, fid: int, server_id: str) -> None:
+        """Account one failed prefetched retrieve: the placement is
+        evicted (it pointed somewhere that could not answer) and the
+        server's ``prefetch_failures`` count goes up."""
         self.locations.evict(fid)
         self.prefetch_failures[server_id] = \
             self.prefetch_failures.get(server_id, 0) + 1
-        if self.monitor is not None:
-            self.monitor.observe(
-                server_id, ok=not isinstance(exc, TRANSIENT_ERRORS))
 
     def _refill_window(self, pending: "OrderedDict", next_fid: int) -> None:
         """Dispatch the next read-ahead window as one scatter.
@@ -154,9 +137,9 @@ class LogReader:
         """Release prefetches the caller will never consume.
 
         Cancellation must not mask errors: a prefetch that already
-        failed still evicts its placement and feeds the failure
-        detector, and a non-protocol exception (a programming error)
-        is re-raised rather than swallowed.
+        failed still evicts its placement and is counted, and a
+        non-protocol exception (a programming error) is re-raised
+        rather than swallowed.
         """
         try:
             for fid, (server_id, future) in pending.items():
@@ -164,7 +147,7 @@ class LogReader:
                     continue
                 if not isinstance(future.exception, SwarmError):
                     raise future.exception
-                self._note_prefetch_failure(fid, server_id, future.exception)
+                self._note_prefetch_failure(fid, server_id)
         finally:
             pending.clear()
 

@@ -24,9 +24,10 @@ a survivor, joins the erased set) and is never retrieved again.
 **Re-locate once.** When a retrieve fails as unavailable and the
 placement came from the location cache, the fragment is re-located by
 one broadcast and retrieved again; when the placement came from a
-broadcast, the ladder goes straight to parity. Pass a
-:class:`~repro.rpc.retry.RetryPolicy` and flaky (rather than dead)
-servers are retried with backoff before any of this engages.
+broadcast, the ladder goes straight to parity. Over a
+:class:`~repro.rpc.retry.RetryingTransport` (the log layer's) flaky,
+rather than dead, servers are retried with backoff before any of this
+engages.
 
 Reconstruction itself is the paper's protocol. Servers take no part in
 it — reconstruction is *transparent to the servers, not the clients*:
@@ -105,10 +106,7 @@ class Reconstructor:
 
     def __init__(self, transport, principal: str = "",
                  locations: Optional[LocationCache] = None,
-                 retry_policy=None, verify: bool = False) -> None:
-        from repro.rpc.retry import wrap_transport
-
-        transport = wrap_transport(transport, retry_policy)
+                 verify: bool = False) -> None:
         self.transport = transport
         self.principal = principal
         self.verify = verify

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SwarmError
 from repro.log.address import BlockAddress, make_fid
-from repro.log.location import LocationCache
 from repro.log.reader import LogReader
 from repro.log.records import (
     Record,
@@ -120,8 +119,6 @@ def recover_service_state(transport, client_id: int, service_id: int,
                           principal: str = "",
                           include_all_block_records: bool = False,
                           reader: Optional[LogReader] = None,
-                          locations: Optional[LocationCache] = None,
-                          max_inflight: int = 1,
                           ) -> RecoveredState:
     """Recover one service's state from the log.
 
@@ -132,17 +129,9 @@ def recover_service_state(transport, client_id: int, service_id: int,
         records (to rebuild its liveness table), not just its own.
     reader:
         Share one :class:`LogReader` across several services' recoveries
-        to reuse its placement cache.
-    locations:
-        When no ``reader`` is given, build one around this shared
-        :class:`LocationCache` (e.g. the restarting client's own cache)
-        instead of an empty one.
-    max_inflight:
-        Read-ahead window depth for the rollforward scan when no
-        ``reader`` is given (a given reader keeps its own).
+        to reuse its placement cache and read-ahead window.
     """
-    reader = reader or LogReader(transport, principal, locations=locations,
-                                 max_inflight=max_inflight)
+    reader = reader or LogReader(transport, principal)
     marked_fid = find_newest_marked_fid(transport, client_id, principal)
     table: Dict[int, Tuple[BlockAddress, int]] = {}
     checkpoint_state: Optional[bytes] = None

@@ -45,6 +45,9 @@ def test_every_ci_chaos_line_parses():
     # Every kill in the crash sweep ends in fsck -> repair -> fsck; the
     # crash job replays the held-out seed too.
     assert "--crash-sweep --seed 4242 --replay" in commands
+    # The crash job's restart step replays the held-out seed: the one
+    # scenario whose readmission reads READMIT_PROBES.
+    assert "--kill-server --restart --seed 4242 --replay" in commands
     scenarios = {function for function, _ops, _blocks in SCENARIOS.values()}
     for command in commands:
         try:

@@ -3,15 +3,17 @@
 import pytest
 
 from repro import errors
+from repro.chaos.plan import FaultSpec
 from repro.cluster import build_local_cluster
 from repro.health import (
     DEAD,
     HEALTHY,
-    HealthConfig,
     HealthMonitor,
     PROBATION,
     SUSPECT,
 )
+from repro.health.monitor import (DEAD_CONSECUTIVE, EWMA_ALPHA,
+                                  SUSPECT_CONSECUTIVE)
 from repro.log.config import LogConfig
 from repro.log.layer import LogLayer
 from repro.rpc import messages as m
@@ -75,7 +77,7 @@ class TestStateMachine:
         # (3 failures, 1 success) cycles. The detector may suspect it,
         # but must never declare it dead — that is the safety half of
         # the detection argument (the liveness half: a crashed server
-        # fails everything and crosses dead_consecutive=6 quickly).
+        # fails everything and crosses DEAD_CONSECUTIVE=6 quickly).
         monitor = HealthMonitor()
         for _ in range(50):
             fail(monitor, "s0", times=3)
@@ -159,10 +161,11 @@ class TestStateMachine:
         assert run() == run()
 
     def test_config_validation(self):
-        with pytest.raises(errors.ConfigError):
-            HealthConfig(ewma_alpha=0.0).validate()
-        with pytest.raises(errors.ConfigError):
-            HealthConfig(dead_consecutive=1, suspect_consecutive=3).validate()
+        assert 0 < EWMA_ALPHA <= 1
+        assert SUSPECT_CONSECUTIVE <= DEAD_CONSECUTIVE
+        # The thresholds' rationale: a chaos fault burst never reaches
+        # DEAD_CONSECUTIVE, so only an unreachable server is declared dead.
+        assert FaultSpec().max_consecutive < DEAD_CONSECUTIVE
 
     def test_health_report_shape(self):
         monitor = HealthMonitor()

@@ -5,6 +5,7 @@ import pytest
 from repro import errors
 from repro.cluster import build_local_cluster
 from repro.health import RepairDaemon
+from repro.health.repair import THROTTLE_BYTES_PER_S
 from repro.log.fragment import Fragment
 from repro.log.reconstruct import Reconstructor
 from repro.rpc import messages as m
@@ -119,19 +120,18 @@ class TestRepair:
 
     def test_step_respects_batch_size(self, cluster5):
         log, _payloads, _addresses = written_group(cluster5)
-        lost, daemon = kill_and_daemon(cluster5, log, batch_fragments=2)
+        lost, daemon = kill_and_daemon(cluster5, log)
         daemon.discover(dead_server="s1")
-        assert daemon.step() == min(2, len(lost))
+        assert daemon.step(max_fragments=2) == min(2, len(lost))
         assert len(daemon.pending) == len(lost) - min(2, len(lost))
 
     def test_throttle_charges_repair_bandwidth(self, cluster5):
         log, _payloads, _addresses = written_group(cluster5)
-        lost, daemon = kill_and_daemon(cluster5, log,
-                                       throttle_bytes_per_s=1 << 20)
+        lost, daemon = kill_and_daemon(cluster5, log)
         daemon.run(dead_server="s1")
         assert daemon.bytes_repaired > 0
         assert daemon.throttle_charged_s == pytest.approx(
-            daemon.bytes_repaired / float(1 << 20))
+            daemon.bytes_repaired / float(THROTTLE_BYTES_PER_S))
 
     def test_marked_flag_preserved_through_repair(self, cluster5):
         group = cluster5.stripe_group(["s0", "s1", "s2", "s3"])
@@ -160,9 +160,9 @@ class TestRepair:
 class TestResume:
     def test_progress_roundtrip_skips_completed_work(self, cluster5):
         log, _payloads, _addresses = written_group(cluster5)
-        lost, daemon = kill_and_daemon(cluster5, log, batch_fragments=1)
+        lost, daemon = kill_and_daemon(cluster5, log)
         daemon.discover(dead_server="s1")
-        daemon.step()  # repair exactly one fragment, then "crash"
+        daemon.step(max_fragments=1)  # repair exactly one, then "crash"
         snapshot = daemon.progress()
         assert len(snapshot["completed"]) == 1
 

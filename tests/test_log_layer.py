@@ -277,36 +277,6 @@ class TestFlowControlSurface:
             ticket.wait()
 
 
-class TestPreallocation:
-    def test_preallocated_stripes_round_trip(self, cluster4):
-        from repro.log import LogConfig, LogLayer
-
-        log = LogLayer(cluster4.transport, cluster4.stripe_group(),
-                       LogConfig(client_id=3, fragment_size=FRAG,
-                                 preallocate_stripes=True))
-        addresses = [log.write_block(SVC, bytes([i]) * 20000)
-                     for i in range(12)]
-        log.flush().wait()
-        for i, addr in enumerate(addresses):
-            assert log.read(addr) == bytes([i]) * 20000
-
-    def test_preallocation_reserves_before_store(self, cluster4):
-        """With preallocation on, every stored fragment's slot was
-        reserved first — observable as preallocate-then-fill."""
-        from repro.log import LogConfig, LogLayer
-
-        log = LogLayer(cluster4.transport, cluster4.stripe_group(),
-                       LogConfig(client_id=3, fragment_size=FRAG,
-                                 preallocate_stripes=True))
-        log.write_block(SVC, b"x" * 1000)
-        ticket = log.flush()
-        ticket.wait()
-        # Stores succeeded into preallocated slots; fragments readable.
-        held = [fid for server in cluster4.servers.values()
-                for fid in server.list_fids()]
-        assert len(held) == ticket.fragment_count
-
-
 class TestDegradedWritesAndReform:
     def test_flush_with_one_server_down_is_degraded_but_readable(self, cluster4):
         log = cluster4.make_log(client_id=1)
@@ -345,86 +315,16 @@ class TestDegradedWritesAndReform:
 
 
 class TestAdaptiveGroupCommit:
-    """Latency-bounded group commit: batches drain by age, not only size.
-
-    The clock is injected so the sim-time tests advance it
-    deterministically; one test uses the real wall clock to prove the
-    bound holds outside the lab.
-    """
-
-    def make_log(self, cluster, latency_ms, clock=None):
-        return LogLayer(cluster.transport, cluster.stripe_group(),
-                        LogConfig(client_id=1, fragment_size=FRAG,
-                                  group_commit_latency_ms=latency_ms),
-                        clock=clock)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(errors.ConfigError):
-            LogConfig(client_id=1, group_commit_latency_ms=-0.5)
-
-    def test_stale_batch_drains_when_next_record_arrives(self, cluster4):
-        now = [100.0]
-        log = self.make_log(cluster4, latency_ms=50.0, clock=lambda: now[0])
-        log.write_record(SVC, RecordType.USER_BASE, b"early")
-        assert log.buffered_records() == 1
-        now[0] += 0.049                  # still inside the bound
-        log.write_record(SVC, RecordType.USER_BASE, b"joins")
-        assert log.buffered_records() == 2
-        assert log.group_commit_timeouts == 0
-        now[0] += 0.002                  # the batch is now 51 ms old
-        log.write_record(SVC, RecordType.USER_BASE, b"late")
-        # The stale pair drained first; the newcomer opened a fresh
-        # window instead of extending the old one indefinitely.
-        assert log.buffered_records() == 1
-        assert log.group_commit_timeouts == 1
-        assert log.records_coalesced == 2
-
-    def test_poll_drains_idle_batch(self, cluster4):
-        now = [0.0]
-        log = self.make_log(cluster4, latency_ms=20.0, clock=lambda: now[0])
-        log.write_record(SVC, RecordType.USER_BASE, b"quiet client")
-        assert log.poll_group_commit() is False   # too young
-        assert log.buffered_records() == 1
-        now[0] += 0.021
-        assert log.poll_group_commit() is True
-        assert log.buffered_records() == 0
-        assert log.group_commit_timeouts == 1
-        assert log.poll_group_commit() is False   # nothing left to drain
+    """Group commit drains a record batch by size, and on flush."""
 
     def test_size_threshold_still_drains_without_timeout(self, cluster4):
-        now = [0.0]
-        log = self.make_log(cluster4, latency_ms=1000.0,
-                            clock=lambda: now[0])
+        log = cluster4.make_log(client_id=1)
         for _ in range(80):
             log.write_record(SVC, RecordType.USER_BASE, b"r" * 100)
         assert log.group_commit_batches >= 1
-        assert log.group_commit_timeouts == 0     # drained by bytes, not age
-
-    def test_disabled_by_default(self, cluster4):
-        now = [0.0]
-        log = self.make_log(cluster4, latency_ms=0.0, clock=lambda: now[0])
-        log.write_record(SVC, RecordType.USER_BASE, b"sits")
-        now[0] += 3600.0
-        assert log.poll_group_commit() is False   # no latency bound set
-        assert log.buffered_records() == 1
-        assert log.group_commit_timeouts == 0
-
-    def test_wall_clock_bound_holds(self, cluster4):
-        import time as _time
-        log = self.make_log(cluster4, latency_ms=10.0)   # real clock
-        log.write_record(SVC, RecordType.USER_BASE, b"tick")
-        deadline = _time.monotonic() + 2.0
-        while not log.poll_group_commit():
-            if _time.monotonic() > deadline:
-                raise AssertionError("latency bound never fired")
-            _time.sleep(0.002)
-        assert log.buffered_records() == 0
-        assert log.group_commit_timeouts == 1
 
     def test_flush_drains_batch_and_records_survive(self, cluster4):
-        now = [0.0]
-        log = self.make_log(cluster4, latency_ms=100.0,
-                            clock=lambda: now[0])
+        log = cluster4.make_log(client_id=1)
         first = log.write_record(SVC, RecordType.USER_BASE, b"alpha")
         second = log.write_record(SVC, RecordType.USER_BASE, b"beta")
         log.flush().wait()                        # flush drains, then ships

@@ -290,54 +290,33 @@ class TestPlacementProperty:
 
 
 # ---------------------------------------------------------------------------
-# Bounded location cache
+# Location cache
 # ---------------------------------------------------------------------------
 
 
 class TestLocationCacheLRU:
-    def test_bound_and_eviction_order(self):
-        cache = LocationCache(transport=None, max_entries=4)
-        for fid in range(6):
-            cache.record(fid, "s%d" % fid)
-        assert len(cache) == 4
-        assert cache.lru_evictions == 2
-        assert cache.get(0) is None and cache.get(1) is None
-        assert cache.get(5) == "s5"
-
-    def test_get_refreshes_recency(self):
-        cache = LocationCache(transport=None, max_entries=2)
-        cache.record(1, "a")
-        cache.record(2, "b")
-        assert cache.get(1) == "a"   # 1 becomes most recent
-        cache.record(3, "c")          # evicts 2, not 1
-        assert cache.get(2) is None
-        assert cache.get(1) == "a"
-
     def test_unbounded_by_default(self):
         cache = LocationCache(transport=None)
         for fid in range(100):
             cache.record(fid, "s")
-        assert len(cache) == 100 and cache.lru_evictions == 0
+        assert len(cache) == 100 and cache.evictions == 0
 
     def test_stats_keys(self):
-        cache = LocationCache(transport=None, max_entries=8)
-        stats = cache.stats()
-        for key in ("entries", "max_entries", "hits", "misses",
-                    "broadcasts", "evictions", "lru_evictions"):
-            assert key in stats
+        cache = LocationCache(transport=None)
+        assert sorted(cache.stats()) == ["broadcasts", "entries",
+                                         "evictions", "hits", "misses"]
 
     def test_counter_reaches_health_report(self):
         cluster = build_local_cluster(num_servers=4, fragment_size=4096)
-        log = cluster.make_log(1, location_cache_entries=3)
+        log = cluster.make_log(1)
         stack = ServiceStack(log)
         disk = stack.push(LogicalDiskService(SERVICE_DISK))
         for block in range(24):
             disk.write(block, b"x" * 900)
         stack.flush().wait()
         locations = log.health_report()["log"]["locations"]
-        assert locations["max_entries"] == 3
-        assert locations["entries"] <= 3
-        assert locations["lru_evictions"] > 0
+        assert locations == log.locations.stats()
+        assert locations["entries"] == len(log.locations) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +609,10 @@ class TestChaosAtScale:
         assert report.stats["fragments_repaired"] > 0
 
     def test_kill_server_256_four_clients_replays(self):
-        # The view payload for 256 servers needs roomier fragments; the
-        # bounded location cache keeps per-client memory flat.
+        # The view payload for 256 servers needs roomier fragments.
         first, second, identical = replay(
-            run_kill_server, 202, num_servers=256, num_clients=4, fragment_size=1 << 14,
-            log_overrides={"location_cache_entries": 512})
+            run_kill_server, 202, num_servers=256, num_clients=4,
+            fragment_size=1 << 14)
         assert first.ok, first.problems
         assert identical
         assert first.stats["victims_killed"] == 1

@@ -5,8 +5,9 @@ Covers the read-side pipelining contract end to end:
 
 * the reader's bounded in-flight window — identical record streams at
   any window depth, degraded fragments mid-window falling back to
-  parity, abandoned prefetches still accounted (placement eviction,
-  health-monitor fold-in) and never masking programming errors;
+  parity, abandoned prefetches still accounted (placement eviction)
+  and never masking programming errors, and recovery scoring each
+  failed prefetch on the health monitor once (in the retry layer);
 * ``LogLayer.read_ranges`` — one ``MultiRetrieveRequest`` per server,
   builder-served unflushed ranges, per-range reconstruction fallback,
   ``None`` for genuinely missing fragments;
@@ -36,13 +37,16 @@ from repro.bench.ablations import ablate_read_window
 from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.chaos.transport import FaultyTransport
 from repro.cluster import build_local_cluster
+from repro.health import HealthMonitor
 from repro.log.config import LogConfig
 from repro.log.fragment import HEADER_SIZE
+from repro.log.layer import LogLayer
 from repro.log.reader import LogReader
 from repro.rpc import messages as m
 from repro.rpc.retry import RetryPolicy, RetryingTransport
 from repro.services.cleaner import CleanerService
 from repro.services.logical_disk import LogicalDiskService
+from repro.services.stack import ServiceStack
 from repro.util.fids import make_fid
 
 SEEDS = [int(s) for s in
@@ -93,14 +97,6 @@ class _FakeFuture:
         self.exception = exception
         self.value = value
         self.ok = exception is None
-
-
-class _RecordingMonitor:
-    def __init__(self):
-        self.observations = []
-
-    def observe(self, server_id, ok):
-        self.observations.append((server_id, ok))
 
 
 def _churn_stack(cluster, rounds=6, files=40, threshold=0.95, cold=8):
@@ -163,16 +159,12 @@ class TestReadWindow:
         expected = _record_stream(_reader(cluster, log, max_inflight=1))
         victim = sorted(cluster.servers)[1]
         cluster.servers[victim].crash()
-        monitor = _RecordingMonitor()
-        reader = _reader(cluster, log, max_inflight=4, monitor=monitor)
+        reader = _reader(cluster, log, max_inflight=4)
         assert _record_stream(reader) == expected
-        # The victim's prefetches failed, were counted, evicted their
-        # placements, and fed the failure detector as transient.
+        # The victim's prefetches failed, were counted and evicted
+        # their placements.
         assert reader.prefetch_failures.get(victim, 0) >= 1
         assert set(reader.prefetch_failures) == {victim}
-        assert (victim, False) in monitor.observations
-        assert all(server_id == victim
-                   for server_id, _ok in monitor.observations)
 
     def test_abandoned_window_still_accounts_failures(self):
         cluster = _cluster()
@@ -197,16 +189,39 @@ class TestReadWindow:
         assert not pending
 
     def test_abandoned_swarm_failures_feed_the_accounting(self, cluster4):
-        monitor = _RecordingMonitor()
-        reader = LogReader(cluster4.transport, monitor=monitor)
+        reader = LogReader(cluster4.transport)
         pending = OrderedDict()
         pending[7] = ("s2", _FakeFuture(
             exception=errors.ServerUnavailableError("down")))
         pending[8] = ("s3", _FakeFuture(value=object()))  # consumed later: kept
         reader._abandon_window(pending)
         assert reader.prefetch_failures == {"s2": 1}
-        assert monitor.observations == [("s2", False)]
         assert not pending
+
+    def test_recovery_scores_each_failed_prefetch_once(self):
+        # recover_all reads through the log's retrying transport, which
+        # already scores every attempt on the client's monitor; the
+        # reader must not score a failed prefetch a second time.
+        cluster = _cluster()
+        stack = ServiceStack(cluster.make_log(client_id=1))
+        disk = stack.push(LogicalDiskService(2))
+        for block in range(40):
+            disk.write(block, bytes([block]) * 900)
+        stack.flush().wait()
+        cluster.servers["s2"].crash()
+        monitor = HealthMonitor(seed=1)
+        log = LogLayer(cluster.transport, cluster.fleet(),
+                       LogConfig(client_id=1,
+                                 fragment_size=cluster.config.fragment_size),
+                       retry_policy=RetryPolicy(seed=1, max_attempts=1),
+                       health_monitor=monitor)
+        fresh = ServiceStack(log)
+        fresh.push(LogicalDiskService(2))
+        fresh.recover_all()
+        scored = monitor.health_report()["servers"]["s2"]["failures"]
+        attempted = log.transport.health_report()["servers"]["s2"]["failures"]
+        assert attempted > 0
+        assert scored == attempted
 
 
 # ----------------------------------------------------------------------
@@ -316,15 +331,12 @@ class TestDoubleErasureReads:
         assert healthy, "workload produced no records"
         for victim in ("s1", "s3"):
             cluster.servers[victim].crash()
-        monitor = _RecordingMonitor()
-        reader = _reader(cluster, log, max_inflight=4, monitor=monitor)
+        reader = _reader(cluster, log, max_inflight=4)
         assert _record_stream(reader) == healthy
         # Both victims' prefetches failed and were accounted; nothing
         # was blamed on the survivors.
         assert set(reader.prefetch_failures) <= {"s1", "s3"}
         assert reader.prefetch_failures, "no degraded prefetch was seen"
-        assert all(server_id in ("s1", "s3")
-                   for server_id, _ok in monitor.observations)
 
     def test_read_ranges_falls_back_per_range_with_two_erasures(self):
         cluster = _cluster(num_servers=5)
