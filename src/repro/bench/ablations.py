@@ -315,9 +315,7 @@ def ablate_read_window(num_servers: int = 4, fragment_size: int = 1 << 16,
         _cluster, log, _addresses = _fill_stripes(
             num_servers, fragment_size, stripes)
         log.transport.take_deferred_time()  # drain the write-path charges
-        reader = LogReader(log.transport, log.config.principal,
-                           locations=log.locations,
-                           max_inflight=max_inflight)
+        reader = LogReader(log.reconstructor, max_inflight=max_inflight)
         fragments = sum(1 for _ in reader.fragments_from(make_fid(1, 1)))
         seconds = log.transport.take_deferred_time()
         return fragments * fragment_size / seconds / 1e6, seconds

@@ -186,6 +186,22 @@ def _check_crash_oracle(report, ptag: str, recovered: Dict[int, bytes],
                 "%sacked block %d lost by the crash" % (ptag, block_no))
 
 
+def _successor_writes_survive(cluster) -> bool:
+    """The succession oracle for one crash.
+
+    On the log exactly as the kill left it, a successor recovers, then
+    writes and fences two blocks; a client recovering after it must
+    read back exactly the successor's view — a torn stripe the kill
+    left behind must not hide writes acked past it.
+    """
+    successor = _sweep_client(cluster)
+    successor.stack.recover_all()
+    for block_no in (100, 101):  # outside the episode's block range
+        successor.disk.write(block_no, payload_of(block_no, 512))
+    successor.stack.flush().wait()
+    return _recover_crash_state(cluster) == read_all(successor.disk)
+
+
 def _pick_occurrences(hits: int, cap: int) -> List[int]:
     """Which k-th occurrences of a point to arm, given it fired ``hits``
     times in the census. All of them when few; an evenly spaced sample
@@ -238,7 +254,7 @@ def run_crash_sweep(seed: int, ops: Optional[Sequence[Op]] = None,
     fires), then re-runs it from a fresh cluster for each chosen
     ``(point, occurrence)`` pair with the injector armed to raise
     :class:`ClientCrash` at exactly that hit. After each kill a fresh
-    client recovers from the servers alone and four invariants are
+    client recovers from the servers alone and five invariants are
     checked:
 
     1. **durability** — every op acked (fenced or checkpointed) before
@@ -251,7 +267,11 @@ def run_crash_sweep(seed: int, ops: Optional[Sequence[Op]] = None,
        recovery after repair still equals recovery before it;
     4. **determinism** — the armed run's hook trace is a prefix of the
        census trace (the kill changed nothing before the kill), which
-       is what makes any pair replayable from ``(seed, point, k)``.
+       is what makes any pair replayable from ``(seed, point, k)``;
+    5. **succession** — on a re-run of the armed episode (fsck repair
+       has sealed the first run's torn stripes), a successor that
+       recovers, writes and fences two blocks loses none of them to
+       the next recovery (:func:`_successor_writes_survive`).
 
     ``point``/``occurrence`` restrict the sweep to one point (and
     optionally one k-th hit) — the replay knob for debugging a single
@@ -335,6 +355,11 @@ def run_crash_sweep(seed: int, ops: Optional[Sequence[Op]] = None,
             report.problems.append(
                 ptag + "repair changed the recovered state")
         report.pairs.append((name, k, state_digest(first), pair_repaired))
+        cluster, *_rerun = _run_crash_episode(
+            seed, ops, CrashInjector(point=name, occurrence=k), num_servers)
+        if not _successor_writes_survive(cluster):
+            report.problems.append(
+                ptag + "writes acked after recovery lost at the next one")
         repaired_total += pair_repaired
 
     acc = hashlib.sha256()

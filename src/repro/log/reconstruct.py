@@ -50,8 +50,8 @@ when unverified; verified, the payload CRC covers whole fragments, so
 they fetch whole images through the ladder and slice them.
 
 Rebuilt images are cached. A :class:`Reconstructor` lives as long as
-its owner (a client's log layer, a :class:`~repro.log.reader.LogReader`,
-a repair daemon, an fsck pass), so a scan that reads eight blocks of
+its owner (a client's log layer, whose rollforward reads through it
+too; a repair daemon; an fsck pass), so a scan that reads eight blocks of
 one lost fragment pays one broadcast, one stripe fetch and one decode,
 not eight. What goes in: only images that :meth:`_decode_erased`
 rebuilt and that passed ``Fragment.decode(verify_crc=True)``, plus the
@@ -96,7 +96,7 @@ class Reconstructor:
     """Owns the fragment-read ladder (see the module docstring).
 
     Pass ``locations`` to share one :class:`LocationCache` with the log
-    layer / reader driving the reconstruction: placements learned here
+    layer driving the reconstruction: placements learned here
     (including whole stripe descriptors) then benefit every later read,
     and placements that fail a retrieve are evicted for everyone.
 

@@ -108,11 +108,6 @@ def decode_record_payload_block(payload: bytes) -> Tuple[BlockAddress, int, byte
     return BlockAddress(fid, offset, length), owner, info
 
 
-def encode_checkpoint_payload(service_id: int, state: bytes) -> bytes:
-    """Payload of a CHECKPOINT record: the owning service and its state."""
-    return struct.pack(">I", service_id) + pack_bytes(state)
-
-
 _TABLE_ENTRY = struct.Struct(">IQIIQ")
 
 

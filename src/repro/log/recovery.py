@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import SwarmError
 from repro.log.address import BlockAddress, make_fid
 from repro.log.reader import LogReader
+from repro.log.reconstruct import Reconstructor
 from repro.log.records import (
     Record,
     RecordType,
@@ -129,9 +130,10 @@ def recover_service_state(transport, client_id: int, service_id: int,
         records (to rebuild its liveness table), not just its own.
     reader:
         Share one :class:`LogReader` across several services' recoveries
-        to reuse its placement cache and read-ahead window.
+        to reuse its reconstructor's placements and rebuilt images. By
+        default a fresh reconstructor over ``transport`` reads.
     """
-    reader = reader or LogReader(transport, principal)
+    reader = reader or LogReader(Reconstructor(transport, principal))
     marked_fid = find_newest_marked_fid(transport, client_id, principal)
     table: Dict[int, Tuple[BlockAddress, int]] = {}
     checkpoint_state: Optional[bytes] = None

@@ -6,7 +6,8 @@ stripe lives on a different server of the client's *stripe group*;
 which server holds which member — and how the parity server rotates
 across successive stripes, the distributed analogue of RAID-5's rotated
 parity — is decided by :class:`repro.placement.Placement`. This module
-only computes and inverts the parity itself.
+only computes the parity itself; :func:`repro.log.coding.decode_data`
+inverts it.
 """
 
 from __future__ import annotations
@@ -132,13 +133,3 @@ class ParityAccumulator:
                 total_len = end
         return total.to_bytes(total_len, "little")
 
-
-def recover_data_image(parity_payload: bytes,
-                       surviving_data_images: Sequence[bytes]) -> bytes:
-    """Recover one missing *data* fragment image from a stripe.
-
-    The parity payload is the XOR of all data images, so XOR-ing it with
-    the surviving data images yields the missing one (possibly with
-    trailing zero padding, which fragment headers make harmless).
-    """
-    return parity_of_fast([parity_payload, *surviving_data_images])

@@ -207,14 +207,14 @@ class ServiceStack:
         transport = self.log.transport
         client_id = self.log.config.client_id
         # Rollforward shares one reader so every service's scan reuses
-        # the placement cache and the configured read-ahead window.
-        # The reader's transport is the log's retrying one, so the
-        # retry layer scores every prefetch on the client's health
-        # monitor. It reads with the log's verify setting: records
-        # carry no checksum of their own, so a verified client must
-        # never replay a corrupt fragment.
-        reader = LogReader(transport, self.log.config.principal,
-                           verify=self.log.reconstructor.verify,
+        # the configured read-ahead window. It reads through the log's
+        # own reconstructor: its transport is the log's retrying one,
+        # so the retry layer scores every prefetch on the client's
+        # health monitor; it verifies as the log does (records carry
+        # no checksum of their own, so a verified client must never
+        # replay a corrupt fragment); and the placements the scan
+        # learns serve the first reads after recovery.
+        reader = LogReader(self.log.reconstructor,
                            max_inflight=self.log.config.max_inflight_reads)
         highest_fid = 0
         highest_lsn = 0

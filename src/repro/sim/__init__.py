@@ -25,7 +25,6 @@ from repro.sim.resources import Resource, Store
 from repro.sim.network import Message, NetworkParams, Nic, Switch
 from repro.sim.disk import DiskModel, DiskParams, SimDisk
 from repro.sim.cpu import CpuModel, CpuParams, SimCpu
-from repro.sim.stats import UtilizationTracker
 
 __all__ = [
     "AllOf",
@@ -46,5 +45,4 @@ __all__ = [
     "CpuModel",
     "CpuParams",
     "SimCpu",
-    "UtilizationTracker",
 ]

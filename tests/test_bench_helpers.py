@@ -15,45 +15,8 @@ from repro.bench.report import (
     format_read_result,
     format_server_result,
 )
-from repro.sim.stats import BandwidthSample, SweepResult, UtilizationTracker
 from repro.workloads.mab import MabResult
 from repro.workloads.microbench import WriteBenchResult
-
-
-class TestUtilizationTracker:
-    def test_accumulates_by_name(self):
-        tracker = UtilizationTracker()
-        tracker.add("cpu", 2.0)
-        tracker.add("cpu", 1.0)
-        tracker.add("disk", 0.5)
-        assert tracker.busy("cpu") == 3.0
-        assert tracker.utilization("cpu", 6.0) == 0.5
-        assert tracker.utilization("disk", 1.0) == 0.5
-
-    def test_capped_at_one(self):
-        tracker = UtilizationTracker()
-        tracker.add("cpu", 10.0)
-        assert tracker.utilization("cpu", 5.0) == 1.0
-
-    def test_zero_elapsed(self):
-        assert UtilizationTracker().utilization("cpu", 0.0) == 0.0
-
-
-class TestBandwidthSample:
-    def test_mb_per_s(self):
-        sample = BandwidthSample(clients=1, servers=2,
-                                 bytes_moved=10_000_000, elapsed_s=2.0)
-        assert sample.mb_per_s == pytest.approx(5.0)
-
-    def test_zero_elapsed_is_zero(self):
-        sample = BandwidthSample(1, 2, 100, 0.0)
-        assert sample.mb_per_s == 0.0
-
-    def test_sweep_series_sorted(self):
-        sweep = SweepResult("one client")
-        sweep.add(BandwidthSample(1, 4, 4_000_000, 1.0))
-        sweep.add(BandwidthSample(1, 2, 2_000_000, 1.0))
-        assert sweep.series() == [(2, 2.0), (4, 4.0)]
 
 
 def _result(clients, servers, useful, raw, elapsed=1.0):

@@ -45,6 +45,10 @@ def test_every_ci_chaos_line_parses():
     # Every kill in the crash sweep ends in fsck -> repair -> fsck; the
     # crash job replays the held-out seed too.
     assert "--crash-sweep --seed 4242 --replay" in commands
+    # Seeds 2 and 3 kill mid-scatter where a torn stripe used to hide
+    # the successor's acked writes (the sweep's succession clause).
+    assert "--crash-sweep --seed 2 --replay" in commands
+    assert "--crash-sweep --seed 3 --replay" in commands
     # The crash job's restart step replays the held-out seed: the one
     # scenario whose readmission reads READMIT_PROBES.
     assert "--kill-server --restart --seed 4242 --replay" in commands

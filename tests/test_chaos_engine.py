@@ -556,6 +556,7 @@ class TestVerifiedDegradedReads:
 
     def test_reader_verify_falls_back(self, cluster4):
         from repro.log.reader import LogReader
+        from repro.log.reconstruct import Reconstructor
 
         log = cluster4.make_log(client_id=1)
         addr = log.write_block(SVC, b"r" * 30000)
@@ -563,7 +564,8 @@ class TestVerifiedDegradedReads:
         FailureInjector(cluster4).corrupt_fragment(
             log.known_location(addr.fid), addr.fid,
             bit_index=8 * HEADER_SIZE + 2)
-        reader = LogReader(cluster4.transport, "client-1", verify=True)
+        reader = LogReader(Reconstructor(cluster4.transport, "client-1",
+                                         verify=True))
         fragment = reader.read_fragment(addr.fid)
         assert fragment is not None
         Fragment.decode(fragment.encode(), verify_crc=True)

@@ -351,16 +351,15 @@ class TestOneLadder:
             image = log.read_fragment(addr.fid)
             reconstructor = log.reconstructor
         else:
-            reader = LogReader(cluster.transport, log.config.principal,
-                               locations=log.locations,
-                               verify=log.reconstructor.verify)
+            reader = LogReader(Reconstructor(
+                cluster.transport, log.config.principal,
+                locations=log.locations, verify=log.reconstructor.verify))
             prefetched = None
             if entry.endswith("(prefetched)"):
-                holder = log.known_location(addr.fid)
-                [future] = reader.transport.submit_many([
-                    (holder, m.RetrieveRequest(
-                        fid=addr.fid, principal=log.config.principal))])
-                prefetched = (holder, future)
+                prefetched = cluster.transport.call(
+                    log.known_location(addr.fid), m.RetrieveRequest(
+                        fid=addr.fid, principal=log.config.principal),
+                ).payload
             image = reader.read_fragment(addr.fid, prefetched).encode()
             reconstructor = reader.reconstructor
         return (bytes(image[addr.offset:addr.offset + addr.length]),
@@ -407,8 +406,9 @@ class TestOneLadder:
         from repro.util.fids import make_fid
 
         log, _payloads, _addresses = written_cluster(cluster4)
-        reader = LogReader(cluster4.transport, log.config.principal,
-                           locations=log.locations)
+        reader = LogReader(Reconstructor(
+            cluster4.transport, log.config.principal,
+            locations=log.locations))
         before_parity = []
         real = Reconstructor.reconstruct
 

@@ -2,14 +2,21 @@
 
 import pytest
 
+from repro.chaos.crashpoints import ClientCrash, CrashInjector
+from repro.chaos.harness import build_client
+from repro.cluster import build_local_cluster
 from repro.cluster.failures import FailureInjector
 from repro.errors import SwarmError
+from repro.log.config import LogConfig
 from repro.log.reader import LogReader
+from repro.log.reconstruct import Reconstructor
 from repro.log.records import RecordType
 from repro.log.recovery import (
     find_newest_marked_fid,
     recover_service_state,
 )
+from repro.placement import Placement
+from repro.rpc import messages as m
 from repro.util.fids import make_fid
 
 SVC_A, SVC_B = 11, 12
@@ -27,7 +34,7 @@ class TestLogReader:
         for i in range(10):
             log.write_block(SVC_A, bytes([i]) * 30000)
         log.flush().wait()
-        reader = LogReader(cluster4.transport, "client-1")
+        reader = LogReader(Reconstructor(cluster4.transport, "client-1"))
         fids = [f.fid for f in reader.fragments_from(make_fid(1, 1))]
         assert fids == sorted(fids)
         assert len(fids) >= 5
@@ -36,7 +43,7 @@ class TestLogReader:
         log = cluster4.make_log(client_id=1)
         log.write_block(SVC_A, b"only")
         log.flush().wait()
-        reader = LogReader(cluster4.transport, "client-1")
+        reader = LogReader(Reconstructor(cluster4.transport, "client-1"))
         fragments = list(reader.fragments_from(make_fid(1, 1)))
         assert 1 <= len(fragments) <= 2
 
@@ -46,23 +53,83 @@ class TestLogReader:
             log.write_block(SVC_A, bytes([i]) * 30000)
         log.flush().wait()
         cluster4.servers["s0"].crash()
-        reader = LogReader(cluster4.transport, "client-1")
+        reader = LogReader(Reconstructor(cluster4.transport, "client-1"))
         fragments = list(reader.fragments_from(make_fid(1, 1)))
         data_fragments = [f for f in fragments if not f.header.is_parity]
         blocks = sum(1 for f in data_fragments for item in f.items()
                      if item.record is None)
         assert blocks == 10
 
-    def test_records_from_filters_lsn(self, cluster4):
-        log = cluster4.make_log(client_id=1)
-        log.write_record(SVC_A, RecordType.USER_BASE, b"one")
-        cut = log.write_record(SVC_A, RecordType.USER_BASE, b"two").lsn
-        log.write_record(SVC_A, RecordType.USER_BASE, b"three")
-        log.flush().wait()
-        reader = LogReader(cluster4.transport, "client-1")
-        records = reader.records_from(make_fid(1, 1), min_lsn=cut)
-        assert [r.payload for r in records
-                if r.rtype == RecordType.USER_BASE] == [b"three"]
+
+class TestTornTail:
+    """A client that dies mid-scatter leaves a stripe whose stores
+    landed as a prefix; rollforward passes it, never a hole."""
+
+    def test_scan_stops_at_a_hole_but_passes_a_torn_tail(
+            self, two_second_allowance):
+        for member, passes in ((1, False), (2, True)):
+            cluster = build_local_cluster(num_servers=4,
+                                          fragment_size=1 << 12,
+                                          server_slots=512)
+            log = cluster.make_log(client_id=1)
+            for i in range(20):
+                log.write_block(SVC_A, bytes([i]) * 1500)
+            log.flush().wait()
+            start = make_fid(1, 1)
+            healthy = [f.fid for f in LogReader(Reconstructor(
+                cluster.transport)).fragments_from(start)]
+            width = 4
+            base = start + width  # the second stripe
+            doomed = (base + member, base + width - 1)
+            for fid in doomed:
+                cluster.transport.call(_holder_of(cluster, fid),
+                                       m.DeleteRequest(fid=fid))
+            fids = [f.fid for f in LogReader(Reconstructor(
+                cluster.transport), max_inflight=4).fragments_from(start)]
+            if passes:
+                # Member 2 and the parity: an unreadable suffix, skipped.
+                assert fids == [fid for fid in healthy
+                                if fid not in doomed]
+            else:
+                # Member 1 and the parity: member 2 survives, a hole.
+                assert fids == healthy[:healthy.index(base + member)]
+
+    def test_torn_tail_does_not_hide_later_writes(self,
+                                                  two_second_allowance):
+        cluster = build_local_cluster(num_servers=4, fragment_size=1 << 12,
+                                      server_slots=512)
+
+        def client(**log_kwargs):
+            return build_client(
+                cluster.transport,
+                Placement(sorted(cluster.servers), stripe_width=4),
+                LogConfig(client_id=1, fragment_size=1 << 12), **log_kwargs)
+
+        injector = CrashInjector()
+        doomed = client(crash_injector=injector)
+        for block in range(12):
+            doomed.disk.write(block, bytes([block]) * 1000)
+        doomed.stack.checkpoint_all()
+        # Die before the second store of the next stripe: only its
+        # first member lands.
+        injector.point = "scatter_dispatch"
+        injector.occurrence = injector.hits["scatter_dispatch"] + 2
+        with pytest.raises(ClientCrash):
+            for block in range(12, 40):
+                doomed.disk.write(block, bytes([block]) * 1000)
+            doomed.stack.flush().wait()
+        successor = client()
+        successor.stack.recover_all()
+        acked = {block: bytes([block]) * 1000 for block in range(100, 110)}
+        for block, data in acked.items():
+            successor.disk.write(block, data)
+        successor.stack.flush().wait()
+        third = client()
+        third.stack.recover_all()
+        missing = [block for block in acked if not third.disk.exists(block)]
+        assert missing == []
+        assert all(third.disk.read(block) == data
+                   for block, data in acked.items())
 
 
 class TestCheckpointDiscovery:
@@ -73,7 +140,7 @@ class TestCheckpointDiscovery:
         log.checkpoint(SVC_A, b"second").wait()
         newest = find_newest_marked_fid(cluster4.transport, 1)
         assert newest > 0
-        reader = LogReader(cluster4.transport, "client-1")
+        reader = LogReader(Reconstructor(cluster4.transport, "client-1"))
         fragment = reader.read_fragment(newest)
         payloads = [r.payload for r in fragment.records()
                     if r.rtype == RecordType.CHECKPOINT]
@@ -257,7 +324,7 @@ class TestRecovery:
         log.write_block(SVC_B, b"pad" * 4000)
         log.checkpoint(SVC_B, b"b-state").wait()
         ckpt_fid = log.checkpoint_table[SVC_A][0].fid
-        reader = LogReader(cluster4.transport, "client-1")
+        reader = LogReader(Reconstructor(cluster4.transport, "client-1"))
         header = reader.read_fragment(ckpt_fid).header
         sibling = next(f for f in header.sibling_fids() if f != ckpt_fid)
         injector = FailureInjector(cluster4)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
+from repro.log.coding import decode_data
 from repro.log.stripe import (
     ParityAccumulator,
     parity_of,
     parity_of_fast,
-    recover_data_image,
 )
 from repro.placement import Placement
 
@@ -36,8 +36,9 @@ class TestParityAlgebra:
         parity = parity_of_fast(images)
         missing = data.draw(st.integers(min_value=0,
                                         max_value=len(images) - 1))
-        survivors = [img for i, img in enumerate(images) if i != missing]
-        recovered = recover_data_image(parity, survivors)
+        present = {i: img for i, img in enumerate(images) if i != missing}
+        present[len(images)] = parity
+        recovered = decode_data(len(images), 1, present)[missing]
         original = images[missing]
         assert recovered[:len(original)] == original
         # Only zero padding beyond the original length.

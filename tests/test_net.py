@@ -24,6 +24,7 @@ from repro.cluster import build_local_cluster
 from repro.health import HealthMonitor
 from repro.log.address import make_fid
 from repro.log.reader import LogReader
+from repro.log.reconstruct import Reconstructor
 from repro.rpc import messages as m
 from repro.rpc import net
 from repro.rpc.codec import decode_message, encode_message
@@ -373,8 +374,9 @@ class TestTcpLogLayer:
             for _ in range(40):
                 log.write_block(SVC, b"\x17" * 1024)
             log.flush().wait()
-            reader = LogReader(tcp, log.config.principal,
-                               locations=log.locations, max_inflight=4)
+            reader = LogReader(Reconstructor(
+                tcp, log.config.principal, locations=log.locations),
+                max_inflight=4)
             fragments = sum(1 for _ in reader.fragments_from(make_fid(1, 1)))
             assert fragments > 0
         finally:
@@ -398,8 +400,9 @@ class TestTcpLogLayer:
                 log.flush().wait()
                 before = [(server.retrieve_ops, server.bytes_retrieved)
                           for _, server in sorted(cluster.servers.items())]
-                reader = LogReader(transport, log.config.principal,
-                                   locations=log.locations, max_inflight=4)
+                reader = LogReader(Reconstructor(
+                    transport, log.config.principal,
+                    locations=log.locations), max_inflight=4)
                 for _ in reader.fragments_from(make_fid(1, 1)):
                     pass
                 after = [(server.retrieve_ops, server.bytes_retrieved)

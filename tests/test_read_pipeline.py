@@ -5,9 +5,9 @@ Covers the read-side pipelining contract end to end:
 
 * the reader's bounded in-flight window — identical record streams at
   any window depth, degraded fragments mid-window falling back to
-  parity, abandoned prefetches still accounted (placement eviction)
-  and never masking programming errors, and recovery scoring each
-  failed prefetch on the health monitor once (in the retry layer);
+  parity, window retrieves never masking programming errors, and
+  recovery scoring each failed prefetch on the health monitor once (in
+  the retry layer);
 * ``LogLayer.read_ranges`` — one ``MultiRetrieveRequest`` per server,
   builder-served unflushed ranges, per-range reconstruction fallback,
   ``None`` for genuinely missing fragments;
@@ -28,7 +28,6 @@ property suite.
 
 import os
 import struct
-from collections import OrderedDict
 
 import pytest
 
@@ -42,6 +41,7 @@ from repro.log.config import LogConfig
 from repro.log.fragment import HEADER_SIZE
 from repro.log.layer import LogLayer
 from repro.log.reader import LogReader
+from repro.log.reconstruct import Reconstructor
 from repro.rpc import messages as m
 from repro.rpc.retry import RetryPolicy, RetryingTransport
 from repro.services.cleaner import CleanerService
@@ -77,12 +77,14 @@ def _seeded_log(cluster, blocks=30, block_size=1500):
 
 def _reader(cluster, log, **kwargs):
     """A fresh reader (own placement cache) over the cluster."""
-    return LogReader(cluster.transport, log.config.principal, **kwargs)
+    return LogReader(Reconstructor(cluster.transport, log.config.principal),
+                     **kwargs)
 
 
 def _record_stream(reader):
-    return [(r.lsn, bytes(r.payload)) for r in
-            reader.records_from(make_fid(1, 1))]
+    return [(r.lsn, bytes(r.payload))
+            for fragment in reader.fragments_from(make_fid(1, 1))
+            for r in fragment.records()]
 
 
 def _retrieve_ops(cluster):
@@ -130,7 +132,7 @@ def _churn_stack(cluster, rounds=6, files=40, threshold=0.95, cold=8):
 class TestReadWindow:
     def test_zero_window_is_a_config_error(self, cluster4):
         with pytest.raises(errors.ConfigError):
-            LogReader(cluster4.transport, max_inflight=0)
+            LogReader(Reconstructor(cluster4.transport), max_inflight=0)
         with pytest.raises(errors.ConfigError):
             LogConfig(client_id=1, fragment_size=1 << 16,
                       max_inflight_reads=0)
@@ -159,44 +161,30 @@ class TestReadWindow:
         expected = _record_stream(_reader(cluster, log, max_inflight=1))
         victim = sorted(cluster.servers)[1]
         cluster.servers[victim].crash()
-        reader = _reader(cluster, log, max_inflight=4)
-        assert _record_stream(reader) == expected
-        # The victim's prefetches failed, were counted and evicted
-        # their placements.
-        assert reader.prefetch_failures.get(victim, 0) >= 1
-        assert set(reader.prefetch_failures) == {victim}
+        assert _record_stream(_reader(cluster, log, max_inflight=4)) == \
+            expected
 
-    def test_abandoned_window_still_accounts_failures(self):
+    def test_abandoned_window_reraises_programming_errors(self,
+                                                          monkeypatch):
+        # A window retrieve that fails with a programming error (not a
+        # protocol error) must escape the scan, never read as a miss.
         cluster = _cluster()
         log, _written = _seeded_log(cluster)
-        # Crash the server holding the *second* fragment: the first
-        # read succeeds and fills the window, and the in-flight
-        # prefetch for fid 2 is the one the early exit abandons.
-        victim = log.locations.get(make_fid(1, 1) + 1)
-        cluster.servers[victim].crash()
-        reader = _reader(cluster, log, max_inflight=4)
-        stream = reader.fragments_from(make_fid(1, 1))
-        next(stream)
-        stream.close()
-        assert reader.prefetch_failures.get(victim, 0) >= 1
+        doomed = make_fid(1, 1) + 1
+        submit_many = cluster.transport.submit_many
 
-    def test_abandoned_window_reraises_programming_errors(self, cluster4):
-        reader = LogReader(cluster4.transport)
-        pending = OrderedDict()
-        pending[7] = ("s0", _FakeFuture(exception=ValueError("boom")))
+        def failing_submit_many(plan):
+            return [_FakeFuture(exception=ValueError("boom"))
+                    if getattr(request, "fid", None) == doomed else future
+                    for (_server_id, request), future
+                    in zip(plan, submit_many(plan))]
+
+        monkeypatch.setattr(cluster.transport, "submit_many",
+                            failing_submit_many)
+        stream = _reader(cluster, log, max_inflight=4).fragments_from(
+            make_fid(1, 1))
         with pytest.raises(ValueError):
-            reader._abandon_window(pending)
-        assert not pending
-
-    def test_abandoned_swarm_failures_feed_the_accounting(self, cluster4):
-        reader = LogReader(cluster4.transport)
-        pending = OrderedDict()
-        pending[7] = ("s2", _FakeFuture(
-            exception=errors.ServerUnavailableError("down")))
-        pending[8] = ("s3", _FakeFuture(value=object()))  # consumed later: kept
-        reader._abandon_window(pending)
-        assert reader.prefetch_failures == {"s2": 1}
-        assert not pending
+            list(stream)
 
     def test_recovery_scores_each_failed_prefetch_once(self):
         # recover_all reads through the log's retrying transport, which
@@ -331,12 +319,8 @@ class TestDoubleErasureReads:
         assert healthy, "workload produced no records"
         for victim in ("s1", "s3"):
             cluster.servers[victim].crash()
-        reader = _reader(cluster, log, max_inflight=4)
-        assert _record_stream(reader) == healthy
-        # Both victims' prefetches failed and were accounted; nothing
-        # was blamed on the survivors.
-        assert set(reader.prefetch_failures) <= {"s1", "s3"}
-        assert reader.prefetch_failures, "no degraded prefetch was seen"
+        assert _record_stream(_reader(cluster, log, max_inflight=4)) == \
+            healthy
 
     def test_read_ranges_falls_back_per_range_with_two_erasures(self):
         cluster = _cluster(num_servers=5)
@@ -487,8 +471,9 @@ class TestRetrieveBills:
             log.write_block(1, payload)
         log.flush().wait()
         before = _retrieve_bill(cluster)
-        reader = LogReader(cluster.transport, log.config.principal,
-                           locations=log.locations, max_inflight=4)
+        reader = LogReader(Reconstructor(
+            cluster.transport, log.config.principal,
+            locations=log.locations), max_inflight=4)
         for _ in reader.fragments_from(make_fid(1, 1)):
             pass
         assert _bill_since(cluster, before) == (20, 302132)

@@ -16,6 +16,7 @@ from repro.log.config import LogConfig
 from repro.log.fragment import Fragment, HEADER_SIZE
 from repro.log.layer import LogLayer
 from repro.log.reader import LogReader
+from repro.log.reconstruct import Reconstructor
 from repro.log.records import RecordType
 from repro.log.stripe import parity_of
 from repro.util.fids import make_fid
@@ -285,9 +286,9 @@ class TestGroupCommit:
         ticket = log.flush()
         ticket.wait()
         assert log.buffered_records() == 0
-        reader = LogReader(cluster4.transport, "client-1")
-        stored = [r for r in reader.records_from(make_fid(1, 1))
-                  if r.rtype == RecordType.USER_BASE]
+        reader = LogReader(Reconstructor(cluster4.transport, "client-1"))
+        stored = [r for f in reader.fragments_from(make_fid(1, 1))
+                  for r in f.records() if r.rtype == RecordType.USER_BASE]
         assert [r.lsn for r in stored] == [record.lsn]
 
     def test_large_record_bypasses_buffer(self, cluster4):
@@ -312,8 +313,9 @@ class TestGroupCommit:
             if i % 2:
                 log.write_block(SVC, b"b" * 5000)
         log.flush().wait()
-        reader = LogReader(cluster4.transport, "client-1")
-        stored = [r.lsn for r in reader.records_from(make_fid(1, 1))]
+        reader = LogReader(Reconstructor(cluster4.transport, "client-1"))
+        stored = [r.lsn for f in reader.fragments_from(make_fid(1, 1))
+                  for r in f.records()]
         assert stored == sorted(stored)
         assert [l for l in stored if l in lsns] == lsns
 
