@@ -27,29 +27,31 @@ Wire protocol (§2.1.2 flow control over Swarm's striped verbs):
   buffer to the socket without being copied into a wire image.
 
 Both ends share one I/O model: a :class:`_Connection` per non-blocking
-socket, driven by a ``PollSelector`` on one thread. The client has no
+socket, driven by one ``select.poll`` on one thread. The client has no
 thread of its own: Swarm's servers are dumb and the client drives
 every fan-out (§2.1.2), so the thread that calls the
 :class:`TcpTransport` does the socket work itself. One exchange queues
-every frame of a call or plan on its pooled sockets; one selector then
-writes whatever each socket accepts and reads answers as they arrive,
-so a large request and a large answer on one connection never wait on
-each other. The server reads a connection only while its answers are
-all sent, and the client writes only what a socket accepts, so TCP's
-own window is the §2.1.2 flow control. An exchange still owed answers
-:data:`REQUEST_TIMEOUT_S` after it began fails them with
-``ServerUnavailableError`` and drops their connections, so a server
-that accepts a request and then hangs becomes a retry and, past that,
-a failure-detector verdict.
+every frame of a call or plan on its pooled sockets and writes what
+each socket takes before it first waits, so a call whose frames fit in
+the socket buffer waits in one poll. The same poll then writes the
+rest and reads answers as they arrive, so a large request and a large
+answer on one connection never wait on each other. The server reads a
+connection only while its answers are all sent, and the client writes
+only what a socket accepts, so TCP's own window is the §2.1.2 flow
+control. An exchange still owed answers :data:`REQUEST_TIMEOUT_S`
+after it began fails them with ``ServerUnavailableError`` and drops
+their connections, so a server that accepts a request and then hangs
+becomes a retry and, past that, a failure-detector verdict.
 """
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
 import time
 import traceback
-from selectors import EVENT_READ, EVENT_WRITE, PollSelector
+from select import POLLIN, POLLOUT
 from struct import Struct
 from typing import Dict, List, Optional, Tuple
 
@@ -195,7 +197,7 @@ def serve(server, listener: socket.socket,
     """Serve one ``StorageServer`` on ``listener`` until ``stop`` (if
     given) turns readable; then close the listener and every connection.
 
-    One selector loop on the calling thread accepts connections and
+    One ``select.poll`` loop on the calling thread accepts connections and
     dispatches each request frame as it arrives. A connection is read
     only while its outbox is empty, so a client that stops reading its
     answers stops having its requests read: that and TCP's own window
@@ -205,50 +207,53 @@ def serve(server, listener: socket.socket,
     so its traceback goes to stderr.
     """
     listener.setblocking(False)
-    with PollSelector() as selector:
-        selector.register(listener, EVENT_READ)
-        if stop is not None:
-            selector.register(stop, EVENT_READ)
-        try:
-            while True:
-                for key, _events in selector.select():
-                    if key.fileobj is stop:
-                        return
-                    if key.fileobj is listener:
-                        try:
-                            sock, _ = listener.accept()
-                        except BlockingIOError:
-                            continue
-                        sock.setsockopt(socket.IPPROTO_TCP,
-                                        socket.TCP_NODELAY, 1)
-                        selector.register(sock, EVENT_READ, _Connection(sock))
-                        continue
-                    connection = key.data
+    poller = select.poll()
+    poller.register(listener, POLLIN)
+    stop_fd = -1
+    if stop is not None:
+        stop_fd = stop.fileno()
+        poller.register(stop_fd, POLLIN)
+    connections: Dict[int, _Connection] = {}
+    try:
+        while True:
+            for fd, _event in poller.poll():
+                if fd == stop_fd:
+                    return
+                connection = connections.get(fd)
+                if connection is None:  # the listener
                     try:
-                        if not connection.outbox:
-                            for request_id, payload in connection.frames():
-                                response = dispatch(
-                                    server, decode_message(payload))
-                                connection.outbox.extend(
-                                    frame_parts(request_id, response))
-                        if connection.outbox:
-                            connection.write()
+                        sock, _ = listener.accept()
                     except BlockingIOError:
-                        pass
-                    except Exception as exc:
-                        if not isinstance(exc, (OSError, ValueError,
-                                                errors.BadRequestError)):
-                            traceback.print_exc()  # a bug, not a bad peer
-                        selector.unregister(connection.sock)
-                        connection.sock.close()
                         continue
-                    wanted = EVENT_WRITE if connection.outbox else EVENT_READ
-                    if key.events != wanted:
-                        selector.modify(connection.sock, wanted, connection)
-        finally:
-            for key in selector.get_map().values():
-                if key.fileobj is not stop:
-                    key.fileobj.close()
+                    sock.setsockopt(socket.IPPROTO_TCP,
+                                    socket.TCP_NODELAY, 1)
+                    connections[sock.fileno()] = _Connection(sock)
+                    poller.register(sock, POLLIN)
+                    continue
+                try:
+                    if not connection.outbox:
+                        for request_id, payload in connection.frames():
+                            response = dispatch(
+                                server, decode_message(payload))
+                            connection.outbox.extend(
+                                frame_parts(request_id, response))
+                    if connection.outbox:
+                        connection.write()
+                except BlockingIOError:
+                    pass
+                except Exception as exc:
+                    if not isinstance(exc, (OSError, ValueError,
+                                            errors.BadRequestError)):
+                        traceback.print_exc()  # a bug, not a bad peer
+                    poller.unregister(fd)
+                    del connections[fd]
+                    connection.sock.close()
+                    continue
+                poller.register(fd, POLLOUT if connection.outbox else POLLIN)
+    finally:
+        listener.close()
+        for connection in connections.values():
+            connection.sock.close()
 
 
 class InProcessHost:
@@ -335,53 +340,59 @@ class TcpTransport(Transport):
         """Run every operation of ``plan``; completions in plan order.
 
         Each frame is queued on a pooled connection to its server
-        without waiting for earlier answers. One selector then writes
-        what each socket accepts and reads answers as they arrive, in
-        any order, until none is owed or :data:`REQUEST_TIMEOUT_S` has
-        passed. Per-operation failures stay inside their completions.
+        without waiting for earlier answers, and each socket is written
+        once before the first wait, as if write-ready. One
+        ``select.poll`` then writes the rest and reads answers as they
+        arrive, in any order, until none is owed or
+        :data:`REQUEST_TIMEOUT_S` has passed. Per-operation failures
+        stay inside their completions.
         """
         answers: List[CompletedFuture] = [None] * len(plan)
-        with PollSelector() as selector:
-            try:
-                for slot, (server_id, request) in enumerate(plan):
+        poller = select.poll()
+        owing: Dict[int, _Connection] = {}  # by fd: still owes answers
+        try:
+            for slot, (server_id, request) in enumerate(plan):
+                try:
+                    connection = self._checkout(server_id)
+                except errors.ServerUnavailableError as exc:
+                    answers[slot] = CompletedFuture(exception=exc)
+                    continue
+                fd = connection.sock.fileno()
+                owing[fd] = connection
+                poller.register(fd, POLLIN)
+                connection.queue(slot, request)
+            deadline = time.monotonic() + REQUEST_TIMEOUT_S
+            ready = [(fd, POLLOUT) for fd in owing]  # write before waiting
+            while True:
+                for fd, event in ready:
+                    connection = owing[fd]
                     try:
-                        connection = self._checkout(server_id)
-                    except errors.ServerUnavailableError as exc:
-                        answers[slot] = CompletedFuture(exception=exc)
-                        continue
-                    if not connection.owed:  # first frame of this exchange
-                        selector.register(connection.sock,
-                                          EVENT_READ | EVENT_WRITE, connection)
-                    connection.queue(slot, request)
-                deadline = time.monotonic() + REQUEST_TIMEOUT_S
-                while selector.get_map():
-                    ready = selector.select(deadline - time.monotonic())
-                    if not ready:
-                        break  # past the deadline
-                    for key, events in ready:
-                        connection = key.data
-                        try:
-                            if events & EVENT_WRITE:
-                                connection.write()
-                            if events & EVENT_READ:
-                                connection.read(answers)
-                        except BlockingIOError:
-                            pass
-                        except (OSError, errors.BadRequestError) as exc:
-                            selector.unregister(connection.sock)
-                            connection.drop(answers, exc)
-                            continue
-                        if not connection.owed:
-                            selector.unregister(connection.sock)
-                        elif not connection.outbox:
-                            selector.modify(connection.sock, EVENT_READ,
-                                            connection)
-            finally:
-                # Still registered means still owed: past the deadline,
-                # or the exchange was interrupted, perhaps mid-frame.
-                for key in selector.get_map().values():
-                    key.data.drop(answers, "no answer within %gs"
-                                  % REQUEST_TIMEOUT_S)
+                        if event & POLLOUT:
+                            connection.write()
+                        if event & ~POLLOUT:  # readable, or hung up
+                            connection.read(answers)
+                    except BlockingIOError:
+                        pass
+                    except (OSError, errors.BadRequestError) as exc:
+                        connection.drop(answers, exc)
+                    if connection.owed:
+                        poller.register(fd, POLLIN | (
+                            POLLOUT if connection.outbox else 0))
+                    else:  # all answered, or dropped
+                        poller.unregister(fd)
+                        del owing[fd]
+                if not owing:
+                    break
+                timeout_ms = (deadline - time.monotonic()) * 1000
+                ready = poller.poll(max(timeout_ms, 0))
+                if not ready:
+                    break  # past the deadline
+        finally:
+            # Still owing means past the deadline, or the exchange was
+            # interrupted, perhaps mid-frame.
+            for connection in owing.values():
+                connection.drop(answers, "no answer within %gs"
+                                % REQUEST_TIMEOUT_S)
         return answers
 
     def call(self, server_id: str, request) -> m.Response:

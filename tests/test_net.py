@@ -3,12 +3,13 @@
 The framing tests are hermetic (the shared frame reader over a local
 ``socket.socketpair()``, no TCP) and run in tier 1. Everything in the
 ``net``-marked classes opens real loopback TCP sockets: the same
-in-process servers, each served by the selector loop in
+in-process servers, each served by the ``select.poll`` loop in
 :func:`repro.rpc.net.serve`, driven through a :class:`TcpTransport`,
 with the existing wrappers (retry, chaos faults, health) layered on
 top unchanged. Run them with ``pytest -m net``.
 """
 
+import select
 import socket
 import threading
 import time
@@ -303,6 +304,38 @@ class TestTcpTransport:
                 assert not exchange.is_alive(), "plan still blocked after 5 s"
                 assert [future.ok for future in futures] == [True] * 32
                 assert bytes(futures[15].value.payload) == b"\x01" * big
+
+    @pytest.mark.usefixtures("two_second_allowance")
+    def test_small_call_waits_in_one_poll(self, monkeypatch):
+        # A call whose frame fits in the socket buffer is written before
+        # the exchange first waits, so it waits once: for the answer.
+        # The host starts first, so only the calling thread's exchange
+        # builds the counting poll object.
+        real_poll = select.poll
+        caller = threading.current_thread()
+        waits = []
+
+        class CountingPoll:
+            def __init__(self):
+                self._poll = real_poll()
+
+            def __getattr__(self, name):
+                return getattr(self._poll, name)
+
+            def poll(self, *timeout):
+                if threading.current_thread() is caller:
+                    waits.append(timeout)
+                return self._poll.poll(*timeout)
+
+        with InProcessHost(small_servers(1)) as host:
+            with TcpTransport(host.addresses) as tcp:
+                for _ in range(tcp.pool_size):  # dial the whole pool
+                    tcp.call("s0", m.HoldsRequest(fids=()))
+                with monkeypatch.context() as patch:
+                    patch.setattr(select, "poll", CountingPoll)
+                    response = tcp.call("s0", m.HoldsRequest(fids=()))
+        assert response.value == 0
+        assert len(waits) == 1
 
     def test_transport_starts_no_thread(self):
         with InProcessHost(small_servers(2)) as host:
