@@ -214,7 +214,8 @@ def _fill_stripes(num_servers: int, fragment_size: int, stripes: int,
                   **log_overrides):
     """A fresh testbed whose one client has flushed ``stripes`` stripes.
 
-    The log runs in deferred mode, so the simulated cost of whatever
+    The simulation is idle between calls, so every RPC runs as a
+    simulator process to completion and the simulated cost of whatever
     the caller did since its last ``log.transport.take_deferred_time()``
     — starting with these writes — is read off that call. Returns
     ``(cluster, log, addresses)``.
@@ -222,7 +223,7 @@ def _fill_stripes(num_servers: int, fragment_size: int, stripes: int,
     cluster = SimCluster(ClusterConfig(
         num_servers=num_servers, num_clients=1,
         fragment_size=fragment_size))
-    log = cluster.make_log(0, deferred_mode=True, **log_overrides)
+    log = cluster.make_log(0, **log_overrides)
     block_size = 4096
     data_members = num_servers - log.config.parity_fragments
     blocks_per_stripe = data_members * (fragment_size // (block_size + 64))
@@ -240,11 +241,11 @@ def ablate_degraded_read(num_servers: int = 4, parity: int = 1,
 
     Writes three width-``num_servers`` stripes, crashes ``parity``
     servers at once, and compares rebuilding one lost fragment against
-    one healthy whole-fragment retrieve. The scatter-gather read path
+    one healthy whole-fragment retrieve. The scattered read path
     makes the rebuild two overlapped round trips (the stripe descriptor
     probe, then the remaining survivors fetched together), so the ratio
-    stays far under the serial bound of ``num_servers - 1``: 2.421 for
-    width-4 XOR, 2.869 for a double erasure under RS(4+2).
+    stays far under the serial bound of ``num_servers - 1``: 2.046 for
+    width-4 XOR, 2.585 for a double erasure under RS(4+2).
     """
     cluster, log, addresses = _fill_stripes(
         num_servers, fragment_size, stripes=3,

@@ -59,9 +59,9 @@ def run_chaos(seed: int, ops: Optional[Sequence[Op]] = None,
     """Execute one seeded chaos run; see the module docstring.
 
     ``log_overrides`` merges extra :class:`LogConfig` fields into the
-    chaos clients' configuration (e.g. a wider ``max_inflight_stripes``
+    chaos clients' configuration (e.g. a wider ``max_inflight_reads``
     window, or group commit off) so the determinism and oracle
-    invariants can be asserted across write-path configurations.
+    invariants can be asserted across log configurations.
 
     With ``num_clients > 1`` the seeded op sequence is dealt round-robin
     across that many independent clients sharing one faulty wire; each

@@ -30,7 +30,7 @@ The wrapper sees the synchronous path (``call``) and the scatter path
 fault decision and a faulted operation fails only its own future);
 single asynchronous ``submit`` is intercepted through ``call`` whenever
 the wrapped transport resolves submissions synchronously, and passed
-through untouched on the simulator's true-async path.
+through untouched on a running simulation's process path.
 """
 
 from __future__ import annotations

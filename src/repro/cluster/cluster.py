@@ -186,13 +186,11 @@ class SimCluster(_Placements):
         """The simulated machine of client ``index``."""
         return self.client_nodes[self.config.client_name(index)]
 
-    def make_transport(self, client_index: int,
-                       deferred_mode: bool = False) -> SimTransport:
+    def make_transport(self, client_index: int) -> SimTransport:
         """A transport for client ``client_index`` over this testbed."""
         return SimTransport(self.sim, self.switch,
                             self.client_node(client_index),
-                            self.server_nodes, self.cpu_model,
-                            deferred_mode=deferred_mode)
+                            self.server_nodes, self.cpu_model)
 
     def fleet(self) -> Tuple[str, ...]:
         """Every server of this testbed, in construction order."""
@@ -201,7 +199,6 @@ class SimCluster(_Placements):
     def make_log(self, client_index: int,
                  group=None,
                  cost_hook: Optional[Callable[[str, int], None]] = None,
-                 deferred_mode: bool = False,
                  retry_policy=None, verify_reads: bool = False,
                  **config_overrides) -> LogLayer:
         """A log layer for one simulated client.
@@ -211,7 +208,7 @@ class SimCluster(_Placements):
         a server sequence or a :class:`~repro.placement.Placement`
         (default: the whole fleet).
         """
-        transport = self.make_transport(client_index, deferred_mode)
+        transport = self.make_transport(client_index)
         return LogLayer(
             transport, self.fleet() if group is None else group,
             LogConfig(client_id=client_index + 1,

@@ -44,23 +44,19 @@ class LogConfig:
     spare is used at most once. Empty means a dead member is dropped
     and the group shrinks (never below ``max(2, parity_fragments + 1)``
     servers)."""
-    max_inflight_stripes: int = 2
-    """Write-behind window: how many closed stripes may have stores in
-    flight at once. Stripe N+1 builds and dispatches while stripe N's
-    stores travel; the window filling up applies backpressure at the
-    next stripe close. 1 restores the strict stripe-at-a-time barrier."""
     pipeline_stores: bool = True
     """Dispatch a stripe's fragment stores as one ``submit_many`` plan
-    (overlapped in sim deferred mode) instead of one submit at a time."""
+    (overlapped on the simulated testbed) instead of one submit at a
+    time."""
     group_commit_bytes: int = 4096
     """Coalesce service records smaller than this into a client-side
     batch flushed before the next block append, checkpoint, or flush.
     0 disables group commit (every record hits a builder immediately)."""
     max_inflight_reads: int = 2
     """Read-ahead window: how many fragment retrieves a sequential
-    reader keeps in flight while consuming the log in order. Mirrors
-    ``max_inflight_stripes`` on the read side; 1 restores the strict
-    one-fragment-ahead prefetch."""
+    reader keeps in flight while consuming the log in order; each
+    window's retrieves go out as one overlapped scatter. 1 restores the
+    strict one-fragment-ahead prefetch."""
     parity_fragments: int = 1
     """Parity members per stripe (``m`` of the k-of-n code). 1 is the
     paper's rotated single parity; 0 writes replication-free stripes
@@ -77,8 +73,6 @@ class LogConfig:
             raise ConfigError("client_id must be non-negative")
         if self.fragment_size < 4096:
             raise ConfigError("fragment_size unreasonably small")
-        if self.max_inflight_stripes < 1:
-            raise ConfigError("max_inflight_stripes must be >= 1")
         if self.max_inflight_reads < 1:
             raise ConfigError("max_inflight_reads must be >= 1")
         if self.group_commit_bytes < 0:

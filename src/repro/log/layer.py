@@ -189,7 +189,7 @@ class LogLayer:
         # parity member, or mid-stripe after recovery).
         self._parity_acc = None
         # Write-behind: stripes whose stores are still in flight, oldest
-        # first, bounded by config.max_inflight_stripes.
+        # first; a simulated driver bounds them (the stripe window).
         self._inflight: List[StripeTicket] = []
         # Stores dispatched while unresolved; their outcomes are folded
         # into the failure counters when the futures resolve.
@@ -542,9 +542,9 @@ class LogLayer:
         ``Transport.submit_many``: on the simulated testbed the stripe's
         fragments cross the network as concurrent processes (NIC, fabric
         and disk contention come from the resource model), instead of
-        being charged one serial round trip each. The write-behind
-        window is enforced *before* dispatch, so stripe N+1 was free to
-        build while stripe N's stores were still in flight.
+        one at a time. The stores are not waited for here: stripe N+1
+        builds while stripe N's stores are still in flight, and a
+        simulated driver bounds how many are (its stripe window).
         """
         builders = [b for b in self._building if b.item_count > 0]
         self._building = []
@@ -595,7 +595,6 @@ class LogLayer:
         # Everything below the seal is durability-critical: the stripe
         # exists only in client memory until the stores land.
         self.crash_point("stripe_seal")
-        self._make_room()
         marked_flags = [b.marked for b in builders] + [False] * (width - ndata)
         plan: List[Tuple[str, m.StoreRequest]] = []
         for fragment, image, marked in zip(fragments, images, marked_flags):
@@ -638,27 +637,6 @@ class LogLayer:
         self._inflight.append(StripeTicket(list(futures)))
         self._stripe_number += 1
         self.stripes_written += 1
-
-    def _make_room(self) -> None:
-        """Write-behind backpressure: bound the stripes in flight.
-
-        Completed stripes leave the window as their stores resolve.
-        When the window is still full, block on the oldest stripe's
-        remaining stores — except from inside a running simulation,
-        where the log layer cannot block; there the window is advisory
-        and the simulated driver enforces it between appends (via
-        :meth:`oldest_inflight_events`).
-        """
-        from repro.rpc.completion import can_gather, gather
-
-        window = self.config.max_inflight_stripes
-        self._inflight = [t for t in self._inflight if not t.done]
-        while len(self._inflight) >= window:
-            if not can_gather(self.transport):
-                break
-            gather([e for e in self._inflight[0].events if not e.triggered])
-            self._account_store_outcomes()
-            self._inflight = [t for t in self._inflight if not t.done]
 
     def flush(self) -> FlushTicket:
         """Seal and dispatch everything buffered; return the ticket.

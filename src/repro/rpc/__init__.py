@@ -51,7 +51,6 @@ from repro.rpc.messages import (
 from repro.rpc.codec import decode_message, encode_message, wire_size
 from repro.rpc.completion import (
     CompletedFuture,
-    gather,
     scatter_call,
 )
 from repro.rpc.retry import RetryPolicy, RetryingTransport, wrap_transport
@@ -63,7 +62,6 @@ from repro.rpc.transport import (
 
 __all__ = [
     "CompletedFuture",
-    "gather",
     "scatter_call",
     "wrap_transport",
     "CreateAclRequest",

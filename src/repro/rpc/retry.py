@@ -128,8 +128,8 @@ class RetryingTransport(TransportWrapper):
     """Applies a :class:`RetryPolicy` to every synchronous call.
 
     Wraps any transport; only transient errors are retried, with the
-    at-least-once resolutions described in the module docstring. The
-    simulator's true-async path passes through unretried (see
+    at-least-once resolutions described in the module docstring. A
+    running simulation's process path passes through unretried (see
     :class:`~repro.rpc.transport.TransportWrapper`).
     """
 
@@ -239,7 +239,7 @@ class RetryingTransport(TransportWrapper):
 
         The whole plan goes to the inner transport in one scatter;
         only the operations that failed transiently are re-scattered
-        (see :meth:`_retry`). The simulator's true-async path passes
+        (see :meth:`_retry`). A running simulation's process path passes
         through unretried, like :meth:`submit`.
         """
         plan = list(plan)

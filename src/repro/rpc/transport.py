@@ -59,9 +59,9 @@ class Transport(ABC):
 
         The default is the synchronous one — :meth:`call` now, outcome
         captured — which is right for every transport whose
-        submissions resolve at once; only a plane with genuinely
-        asynchronous work (the simulator's process path, the socket
-        loop) overrides it.
+        submissions resolve at once; a plane with its own shape (the
+        simulator, whose submissions inside a running simulation are
+        processes; the socket loop) overrides it.
         """
         return capture(self.call, server_id, request)
 
@@ -86,10 +86,10 @@ class Transport(ABC):
     def submit_is_synchronous(self) -> bool:
         """Whether :meth:`submit` returns already-resolved futures.
 
-        True for every transport except the simulated one in
-        process (non-deferred) mode. Wrapper transports (retry, fault
-        injection) use this to decide whether they can intercept the
-        synchronous path.
+        True for every transport except the simulated one while its
+        simulation runs. Wrapper transports (retry, fault injection)
+        use this to decide whether they can intercept the synchronous
+        path.
         """
         return True
 
@@ -98,7 +98,7 @@ class Transport(ABC):
 
         ``plan`` is a sequence of ``(server_id, request)`` pairs. The
         default implementation simply submits each operation — already
-        overlapped on the simulator's true-async path, where every
+        overlapped on a running simulation's process path, where every
         submission is a concurrent process contending for NICs, CPUs,
         and disk arms. Transports with a cheaper batched shape (and
         wrappers that must decide per operation) override this.
@@ -199,7 +199,7 @@ class TransportWrapper(Transport):
     server list and the synchrony flag are the inner transport's, and
     a single :meth:`submit` goes through the wrapper's own ``call``
     whenever the inner transport resolves submissions synchronously.
-    The simulator's true-async path passes through untouched — its
+    A running simulation's process path passes through untouched — its
     drivers model failure at a different layer.
     """
 
@@ -222,29 +222,33 @@ class TransportWrapper(Transport):
 class SimTransport(Transport):
     """Transport that routes operations through the simulated testbed.
 
-    Each :meth:`submit` becomes a simulator process walking the real
-    pipeline — client CPU (protocol send cost), client NIC, switch
-    fabric, server NIC, server CPU, server disk, and the reply path —
-    while the *functional* effect is applied to the in-process server at
-    the disk stage. Because NICs, CPUs, and disk arms are simulator
-    resources, overlapping operations contend exactly where real ones
-    would: a fragment can be crossing the wire while the server's disk
-    writes its predecessor, which is the pipelining §2.2 describes.
+    Every operation is a simulator process walking the real pipeline —
+    client CPU (protocol send cost), client NIC, switch fabric, server
+    NIC, server CPU, server disk, and the reply path — while the
+    *functional* effect is applied to the in-process server at the disk
+    stage. Because NICs, CPUs, and disk arms are simulator resources,
+    overlapping operations contend exactly where real ones would: a
+    fragment can be crossing the wire while the server's disk writes
+    its predecessor, which is the pipelining §2.2 describes.
 
-    :meth:`call` applies the functional effect immediately and adds the
-    operation's modeled service time to a *deferred-time ledger* that
-    single-threaded simulated drivers (e.g. the Andrew-benchmark runner)
-    fold into their timeline.
+    The simulator's state picks the shape, not a setting. Inside a
+    running simulation :meth:`submit` returns the process, for the
+    driver to ``yield``; :meth:`call` applies only the functional
+    effect (a driver that wants the time submits). Outside one,
+    :meth:`submit_many` runs its plan's processes to completion and
+    adds the elapsed simulated time to a *deferred-time ledger* that
+    single-threaded drivers (the Andrew benchmark, the ablations) read
+    back; :meth:`call` is a one-operation plan, so an operation costs
+    the same whether it was called or overlapped.
     """
 
     def __init__(self, sim, switch, client_node, server_nodes: Dict[str, Any],
-                 cpu_model, deferred_mode: bool = False) -> None:
+                 cpu_model) -> None:
         self.sim = sim
         self.switch = switch
         self.client_node = client_node
         self.server_nodes = dict(server_nodes)
         self.cpu_model = cpu_model
-        self.deferred_mode = deferred_mode
         self.deferred_time = 0.0
 
     def server_ids(self) -> List[str]:
@@ -252,96 +256,44 @@ class SimTransport(Transport):
 
     @property
     def submit_is_synchronous(self) -> bool:
-        return self.deferred_mode
-
-    # -- synchronous path ---------------------------------------------------
+        return not self.sim._running
 
     def call(self, server_id: str, request) -> m.Response:
-        node = self._node(server_id)
-        response = dispatch(node.server, request)
-        self.deferred_time += self._estimate_round_trip(node, request, response)
+        if not self.sim._running:
+            return self.submit_many([(server_id, request)])[0].result()
+        response = dispatch(self._node(server_id).server, request)
         if isinstance(response, m.ErrorResponse):
             raise_error_response(response)
         return response
 
     def take_deferred_time(self) -> float:
-        """Return and clear the accumulated synchronous service time."""
+        """Return and clear the accumulated simulated service time."""
         elapsed, self.deferred_time = self.deferred_time, 0.0
         return elapsed
 
-    def _estimate_round_trip(self, node, request, response) -> float:
-        params = self.switch.params
-        out = wire_size(request)
-        back = wire_size(response)
-        time = self.cpu_model.send_cost(out) + self.cpu_model.receive_cost(back)
-        time += params.wire_time(out) + params.wire_time(back)
-        time += 2 * params.per_message_latency_s
-        time += self.cpu_model.server_request_cost(out + back)
-        time += self._disk_time(node, request)
-        return time
-
-    def _disk_time(self, node, request) -> float:
-        model = node.disk.model
-        if isinstance(request, m.StoreRequest):
-            # Fragment write plus the fragment-map commit (small, seeks).
-            return (model.access_time(len(request.data), sequential=False,
-                                      nearby=True)
-                    + model.access_time(4096, sequential=False))
-        if isinstance(request, m.RetrieveRequest):
-            if not node.server.last_disk_spans:
-                return 0.0
-            length = (request.length if request.length >= 0
-                      else node.server.config.fragment_size)
-            return model.access_time(length, sequential=False)
-        if isinstance(request, m.MultiRetrieveRequest):
-            # One positioned access per uncached fragment the batch
-            # touched (the server coalesced each fragment's ranges into
-            # a span); cached fragments cost no disk time.
-            return sum(model.access_time(max(span_len, 1), sequential=False)
-                       for _fid, _offset, span_len
-                       in node.server.last_disk_spans)
-        if isinstance(request, m.DeleteRequest):
-            return model.access_time(4096, sequential=False)
-        return 0.0
-
-    # -- asynchronous path ----------------------------------------------------
-
     def submit(self, server_id: str, request):
-        if self.deferred_mode:
-            # Deferred mode: apply the functional effect now and fold the
-            # modeled service time into the ledger. Used by sequential
-            # single-client workloads (e.g. the Andrew benchmark), whose
-            # drivers cannot yield from inside synchronous FS code.
-            return super().submit(server_id, request)
-        return self.sim.process(self._operation(server_id, request),
-                                name="rpc %s" % type(request).__name__)
+        if not self.sim._running:
+            return capture(self.call, server_id, request)
+        return self._start(server_id, request)
 
     def submit_many(self, plan):
         """Launch every operation of ``plan`` as a concurrent process.
 
-        On the true-async path this is the default behavior (each
-        submission already runs concurrently). In *deferred* mode the
-        override is where read-side pipelining happens: instead of
-        charging each call's full estimated round trip serially, all
-        operations are launched as simultaneous simulator processes and
-        the *elapsed simulated time of the overlapped batch* is charged
-        to the ledger — so a width-W scatter costs roughly one round
-        trip plus whatever NIC/fabric/disk contention the resource
-        model produces, not W serial round trips. Contention emerges
-        from the model; nothing here guesses at it.
+        Inside a running simulation the processes are returned for the
+        driver to wait on. Outside one the batch runs to completion
+        here and its elapsed simulated time is charged to the ledger —
+        so a width-W scatter costs roughly one round trip plus whatever
+        NIC/fabric/disk contention the resource model produces, not W
+        serial round trips. Contention emerges from the model; nothing
+        here guesses at it.
         """
-        plan = list(plan)
-        if not self.deferred_mode or len(plan) <= 1 or self.sim._running:
-            # The last case is a re-entrant batch from inside a driven
-            # simulation: fall back to the serial deferred estimate
-            # rather than nesting.
-            return super().submit_many(plan)
+        if self.sim._running:
+            return [self._start(server_id, request)
+                    for server_id, request in plan]
         started = self.sim.now
         processes = []
         for server_id, request in plan:
-            process = self.sim.process(
-                self._operation(server_id, request),
-                name="rpc %s" % type(request).__name__)
+            process = self._start(server_id, request)
             # A waiter keeps per-operation failures inside the process
             # instead of sim.run() re-raising the first one.
             process.add_callback(lambda _event: None)
@@ -351,6 +303,10 @@ class SimTransport(Transport):
         return [CompletedFuture(value=process.value,
                                 exception=process.exception)
                 for process in processes]
+
+    def _start(self, server_id: str, request):
+        return self.sim.process(self._operation(server_id, request),
+                                name="rpc %s" % type(request).__name__)
 
     def _operation(self, server_id: str, request):
         node = self._node(server_id)

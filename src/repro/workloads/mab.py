@@ -176,7 +176,7 @@ class _StingDriver(_MabDriver):
                  cluster: SimCluster) -> None:
         super().__init__(costs, tree)
         self.cluster = cluster
-        self.transport = cluster.make_transport(0, deferred_mode=True)
+        self.transport = cluster.make_transport(0)
         from repro.log.config import LogConfig
         from repro.log.layer import LogLayer
 

@@ -235,7 +235,7 @@ class TestFaultyTransport:
 
     def test_delay_charges_simulated_clock(self):
         cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
-        inner = cluster.make_transport(0, deferred_mode=True)
+        inner = cluster.make_transport(0)
         plan = FaultPlan(1, full_spec(delay=1.0, delay_s=0.5,
                                       max_consecutive=10 ** 9,
                                       pinned_victim="s0"))
@@ -252,12 +252,12 @@ class TestFaultyTransport:
 
     def test_async_sim_submit_passes_through(self):
         cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
-        inner = cluster.make_transport(0)  # true-async path
+        inner = cluster.make_transport(0)
         plan = FaultPlan(1, full_spec(drop_request=1.0, pinned_victim="s0"))
         faulty = FaultyTransport(inner, plan)
-        assert not faulty.submit_is_synchronous
 
         def workload():
+            assert not faulty.submit_is_synchronous
             response = yield faulty.submit(
                 "s0", m.StoreRequest(fid=1, data=b"x"))
             return response.value
@@ -443,7 +443,7 @@ class TestRetryingTransport:
 
     def test_backoff_charged_to_sim_ledger(self):
         cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
-        inner = cluster.make_transport(0, deferred_mode=True)
+        inner = cluster.make_transport(0)
         flaky = FlakyTransport(inner, failures=2)
         retrying = RetryingTransport(
             flaky, RetryPolicy(max_attempts=5, base_backoff_s=0.1,
@@ -454,7 +454,7 @@ class TestRetryingTransport:
 
     def test_charge_delay_walks_wrapper_chain(self):
         cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
-        inner = cluster.make_transport(0, deferred_mode=True)
+        inner = cluster.make_transport(0)
         plan = FaultPlan(1, full_spec())
         faulty = FaultyTransport(inner, plan)
         assert charge_delay(faulty, 0.25)

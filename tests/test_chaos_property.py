@@ -106,77 +106,27 @@ def test_kill_server_replays_identically(seed):
            else "differ", first.state_digest[:12], second.state_digest[:12]))
 
 
-#: Write-behind wide open: several stripes may be in flight at once.
-WRITE_BEHIND = {"max_inflight_stripes": 4}
-
-#: The pre-pipelining write path: strict stripe barrier, per-store
-#: submits, no group commit.
-SERIAL_PATH = {"max_inflight_stripes": 1, "pipeline_stores": False,
-               "group_commit_bytes": 0}
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_chaos_zero_data_loss_with_write_behind(seed):
-    """The full chaos matrix must hold with several stripes in flight."""
-    report = run_chaos(seed, log_overrides=WRITE_BEHIND)
-    if not report.ok:
-        _fail(report, "invariants violated with max_inflight_stripes=4")
-
-
-@pytest.mark.parametrize("seed", SEEDS[:1])
-def test_chaos_replays_identically_with_write_behind(seed):
-    first, second, identical = replay(run_chaos, seed,
-                                      log_overrides=WRITE_BEHIND)
-    if not (first.ok and second.ok):
-        _fail(first if not first.ok else second,
-              "invariants violated with max_inflight_stripes=4")
-    assert identical, (
-        "chaos seed=%d: write-behind replay diverged (histories %s, "
-        "digests %s vs %s)"
-        % (seed, "equal" if first.fault_history == second.fault_history
-           else "differ", first.state_digest[:12], second.state_digest[:12]))
+#: The pre-pipelining write path: per-store submits, no group commit.
+SERIAL_PATH = {"pipeline_stores": False, "group_commit_bytes": 0}
 
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_chaos_outcome_invariant_across_write_path_configs(seed):
     """The recovered state must not depend on the write-path
-    configuration: group commit reorders nothing and the window changes
-    only overlap, so every config converges on the same oracle state.
+    configuration: group commit reorders nothing and a scattered plan
+    changes only overlap, so every config converges on the same oracle
+    state.
     (The fault *schedules* legitimately differ — a scattered plan draws
     its decisions before any store executes, a serial path interleaves
     them — but each is deterministic under replay, which the replay
     tests assert per config.)"""
     base = run_chaos(seed)
     assert base.ok, base.problems
-    for overrides in (SERIAL_PATH, WRITE_BEHIND):
-        other = run_chaos(seed, log_overrides=overrides)
-        assert other.ok, (
-            "chaos seed=%d overrides=%r: %s"
-            % (seed, overrides, other.problems))
-        assert other.state_digest == base.state_digest, (
-            "chaos seed=%d: recovered state depends on %r" % (seed, overrides))
-
-
-@pytest.mark.parametrize("seed", SEEDS[:1])
-def test_kill_server_self_heals_with_write_behind(seed):
-    report = run_kill_server(seed, log_overrides=WRITE_BEHIND)
-    if not report.ok:
-        _fail(report, "self-healing invariants violated with "
-                      "max_inflight_stripes=4")
-    assert report.stats["reform_gap_ops"] >= 0, (
-        "chaos seed=%d: no automatic reform with write-behind" % seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:1])
-def test_kill_server_replays_identically_with_write_behind(seed):
-    first, second, identical = replay(
-        run_kill_server, seed, log_overrides=WRITE_BEHIND)
-    if not (first.ok and second.ok):
-        _fail(first if not first.ok else second,
-              "self-healing invariants violated with max_inflight_stripes=4")
-    assert identical, (
-        "chaos seed=%d: kill-server write-behind replay diverged"
-        % seed)
+    other = run_chaos(seed, log_overrides=SERIAL_PATH)
+    assert other.ok, (
+        "chaos seed=%d overrides=%r: %s" % (seed, SERIAL_PATH, other.problems))
+    assert other.state_digest == base.state_digest, (
+        "chaos seed=%d: recovered state depends on %r" % (seed, SERIAL_PATH))
 
 
 #: Read-ahead wide open: recovery and verification scans keep up to
@@ -219,8 +169,7 @@ def test_chaos_outcome_invariant_across_read_window(seed):
     window recovers the identical state, digest for digest."""
     base = run_chaos(seed)
     assert base.ok, base.problems
-    for overrides in (SERIAL_READS, READ_AHEAD,
-                      {**WRITE_BEHIND, **READ_AHEAD}):
+    for overrides in (SERIAL_READS, READ_AHEAD):
         other = run_chaos(seed, log_overrides=overrides)
         assert other.ok, (
             "chaos seed=%d overrides=%r: %s"
@@ -247,13 +196,12 @@ def test_kill_server_self_heals_with_read_ahead(seed):
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_kill_server_replays_identically_with_both_windows(seed):
     first, second, identical = replay(
-        run_kill_server, seed, log_overrides={**WRITE_BEHIND, **READ_AHEAD})
+        run_kill_server, seed, log_overrides=READ_AHEAD)
     if not (first.ok and second.ok):
         _fail(first if not first.ok else second,
-              "self-healing invariants violated with write-behind + "
-              "read-ahead")
+              "self-healing invariants violated with read-ahead")
     assert identical, (
-        "chaos seed=%d: kill-server replay diverged with both windows "
+        "chaos seed=%d: kill-server replay diverged with the read window "
         "open" % seed)
 
 

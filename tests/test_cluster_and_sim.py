@@ -100,12 +100,55 @@ class TestSimTransport:
 
     def test_deferred_mode_accumulates_time(self):
         cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
-        transport = cluster.make_transport(0, deferred_mode=True)
+        transport = cluster.make_transport(0)
         future = transport.submit("s0", m.StoreRequest(fid=1,
                                                        data=b"y" * 50000))
         assert future.triggered and future.ok
         assert transport.take_deferred_time() > 0
         assert transport.take_deferred_time() == 0.0
+
+    @pytest.mark.usefixtures("two_second_allowance")
+    def test_call_priced_like_a_simulated_process(self):
+        """One cost model: an operation called outside a run is charged
+        exactly what the same operation takes as a process in a run."""
+        request = m.StoreRequest(fid=1, data=b"q" * (1 << 20))
+        called = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
+        transport = called.make_transport(0)
+        transport.call("s0", request)
+        call_s = transport.take_deferred_time()
+
+        driven = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
+        in_run = driven.make_transport(0)
+
+        def workload():
+            yield in_run.submit("s0", request)
+
+        driven.sim.run_process(workload())
+        assert call_s > 0
+        assert call_s == driven.sim.now
+        assert in_run.take_deferred_time() == 0.0
+
+    @pytest.mark.usefixtures("two_second_allowance")
+    def test_sim_futures_resolve_outside_a_run(self):
+        """Outside a run every future comes back resolved; inside one a
+        submit is a process the driver yields on."""
+        cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
+        transport = cluster.make_transport(0)
+        assert transport.submit_is_synchronous
+        idle = transport.submit("s0", m.StoreRequest(fid=1, data=b"idle"))
+        assert idle.triggered and idle.ok
+        before = cluster.sim.now
+        assert before > 0
+
+        def workload():
+            assert not transport.submit_is_synchronous
+            future = transport.submit("s0", m.RetrieveRequest(fid=1))
+            assert not future.triggered
+            response = yield future
+            return bytes(response.payload)
+
+        assert cluster.sim.run_process(workload()) == b"idle"
+        assert cluster.sim.now > before
 
     def test_more_servers_absorb_multi_client_load_faster(self):
         """Pipelining/contention (§2.1.2): with two offered client

@@ -368,7 +368,6 @@ class TestLogLayerScaleOut:
         cluster = build_local_cluster(num_servers=32, fragment_size=4096)
         fleet = cluster.fleet()
         log, stack, disk = self._stack(cluster, fleet[:8],
-                                       max_inflight_stripes=4,
                                        group_commit_bytes=0)
         # No flush: stripes seal and dispatch as fragments fill.
         _write_blocks(disk, 0, 12)

@@ -3,12 +3,10 @@ and the degraded-read latency bound.
 
 Covers the read-side pipelining contract end to end:
 
-* ``gather`` over mixed success/failure completions and over live
-  simulator processes; ``scatter_call``'s failure classification;
+* ``scatter_call``'s failure classification;
 * ``submit_many`` on the local transport (mixed outcomes stay inside
-  their futures) and on the simulated transport in deferred mode
-  (a scatter charges roughly one overlapped round trip, not W serial
-  ones);
+  their futures) and on the idle simulated transport (a scatter
+  charges roughly one overlapped round trip, not W serial ones);
 * fan-out reads under :class:`FaultyTransport` — a mid-scatter drop
   fails exactly its own future, the schedule replays bit-identically
   per seed, and a retry wrapper recovers the whole scatter;
@@ -30,11 +28,7 @@ from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.chaos.transport import FaultyTransport
 from repro.cluster import ClusterConfig, SimCluster
 from repro.rpc import messages as m
-from repro.rpc.completion import (
-    CompletedFuture,
-    gather,
-    scatter_call,
-)
+from repro.rpc.completion import CompletedFuture, scatter_call
 from repro.rpc.retry import RetryPolicy, RetryingTransport
 from repro.rpc.transport import LocalTransport
 from repro.server.config import ServerConfig
@@ -71,17 +65,6 @@ def _retrieve_plan(transport):
 # ----------------------------------------------------------------------
 
 class TestGatherCombinators:
-    def test_gather_keeps_failures_inside_futures(self):
-        futures = [
-            CompletedFuture(value=1),
-            CompletedFuture(exception=errors.ServerUnavailableError("down")),
-            CompletedFuture(value=3),
-        ]
-        gathered = gather(futures)
-        assert [f.ok for f in gathered] == [True, False, True]
-        assert gathered[1].exception.args == ("down",)
-        assert gathered[0].value + gathered[2].value == 4
-
     def test_scatter_call_reraises_only_programming_errors(self):
         class Scripted(LocalTransport):
             def submit_many(self, plan):
@@ -99,21 +82,6 @@ class TestGatherCombinators:
                             ValueError("bug"), TypeError("later bug")]
         with pytest.raises(ValueError, match="bug"):
             scatter_call(transport, plan + plan[:1])
-
-    def test_gather_drives_simulator_processes(self):
-        cluster = SimCluster(ClusterConfig(num_servers=2, num_clients=1))
-        transport = cluster.make_transport(0)  # true-async path
-        for i, server_id in enumerate(sorted(cluster.server_nodes)):
-            transport.call(server_id, m.StoreRequest(
-                fid=i + 1, data=b"sim-%d" % (i + 1)))
-        futures = [transport.submit(server_id, m.RetrieveRequest(fid=i + 1))
-                   for i, server_id in
-                   enumerate(sorted(cluster.server_nodes))]
-        assert not any(f.triggered for f in futures)
-        gathered = gather(futures)
-        assert all(f.ok for f in gathered)
-        payloads = [bytes(f.value.payload) for f in gathered]
-        assert payloads == [b"sim-1", b"sim-2"]
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +112,7 @@ class TestSubmitMany:
         """A width-W scatter must cost far less than W serial trips."""
         width = 4
         cluster = SimCluster(ClusterConfig(num_servers=width, num_clients=1))
-        transport = cluster.make_transport(0, deferred_mode=True)
+        transport = cluster.make_transport(0)
         server_ids = sorted(cluster.server_nodes)
         for i, server_id in enumerate(server_ids):
             transport.call(server_id, m.StoreRequest(

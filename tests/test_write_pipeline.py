@@ -2,8 +2,8 @@
 
 Covers the four tentpole behaviors: scattered stripe stores
 (``submit_many`` plans), incremental parity (stored parity must equal
-the one-shot oracle), the bounded write-behind window, and group
-commit of small records — plus the late-failure accounting that rides
+the one-shot oracle), write-behind (stripe close never waits on its
+stores), and group commit of small records — plus the late-failure accounting that rides
 the flush ticket, and the acceptance bound that on the simulated
 testbed pipelined stripe stores beat their serial sum.
 """
@@ -119,8 +119,7 @@ class TestIncrementalParity:
 
 
 class ManualFuture:
-    def __init__(self, sim):
-        self.sim = sim
+    def __init__(self):
         self.triggered = False
         self.value = None
         self.exception = None
@@ -138,44 +137,23 @@ class ManualFuture:
         self.exception = exception
 
 
-class ManualSim:
-    """Just enough simulator for ``gather`` to drive: ``run`` resolves
-    everything queued."""
-
-    _running = False
-
-    def __init__(self):
-        self.queue = []
-        self.runs = 0
-
-    def run(self):
-        self.runs += 1
-        for future in self.queue:
-            if not future.triggered:
-                future.resolve(value=None)
-        self.queue.clear()
-
-
 class ManualTransport:
+    """Hands out futures that resolve only when a test resolves them,
+    like a simulator's processes seen from inside a running run."""
+
     submit_is_synchronous = False
 
-    def __init__(self, gatherable=True):
-        self.sim = ManualSim() if gatherable else None
+    def __init__(self):
         self.plans = []
         self.futures = []
-        self.prior_all_resolved_at_dispatch = []
 
     def submit(self, server_id, request):
-        future = ManualFuture(self.sim)
-        if self.sim is not None:
-            self.sim.queue.append(future)
+        future = ManualFuture()
         self.futures.append(future)
         return future
 
     def submit_many(self, plan):
         plan = list(plan)
-        self.prior_all_resolved_at_dispatch.append(
-            all(f.triggered for f in self.futures))
         self.plans.append(plan)
         return [self.submit(server_id, request)
                 for server_id, request in plan]
@@ -212,33 +190,11 @@ class TestWriteBehindWindow:
         assert transport.plans == []
         assert len(transport.futures) == 8
 
-    def test_window_bounds_inflight_stripes(self):
-        transport = ManualTransport()
-        log = manual_log(transport, max_inflight_stripes=2)
-        fill_stripes(log, 5)
-        assert log.inflight_stripes() <= 2
-        assert transport.sim.runs >= 1
-
-    def test_window_one_restores_store_barrier(self):
-        """With a window of one, every stripe's stores must be resolved
-        before the next stripe's plan is dispatched."""
-        transport = ManualTransport()
-        log = manual_log(transport, max_inflight_stripes=1)
-        fill_stripes(log, 4)
-        assert transport.prior_all_resolved_at_dispatch == [True] * 4
-
-    def test_window_two_dispatches_ahead(self):
-        """A window of two admits an unresolved predecessor stripe."""
-        transport = ManualTransport()
-        log = manual_log(transport, max_inflight_stripes=2)
-        fill_stripes(log, 4)
-        assert False in transport.prior_all_resolved_at_dispatch
-
     def test_window_is_advisory_when_it_cannot_block(self):
-        """No simulator to drive (the in-sim case): the layer must not
-        deadlock; the window is enforced by the driver instead."""
-        transport = ManualTransport(gatherable=False)
-        log = manual_log(transport, max_inflight_stripes=1)
+        """Unresolved stores (the in-sim case) never block stripe close:
+        the window is enforced by the simulated driver instead."""
+        transport = ManualTransport()
+        log = manual_log(transport)
         fill_stripes(log, 3)
         assert log.inflight_stripes() == 3
         oldest = log.oldest_inflight_events()
@@ -249,8 +205,8 @@ class TestWriteBehindWindow:
         assert log.oldest_inflight_events() == []
 
     def test_flush_ticket_covers_all_inflight_stripes(self):
-        transport = ManualTransport(gatherable=False)
-        log = manual_log(transport, max_inflight_stripes=4)
+        transport = ManualTransport()
+        log = manual_log(transport)
         fill_stripes(log, 3)
         ticket = log.flush()
         assert ticket.fragment_count == len(transport.futures)
@@ -332,8 +288,8 @@ class TestLateFailureAccounting:
     not vanish."""
 
     def run_one_failing_stripe(self, monitor=None):
-        transport = ManualTransport(gatherable=False)
-        log = manual_log(transport, max_inflight_stripes=8)
+        transport = ManualTransport()
+        log = manual_log(transport)
         if monitor is not None:
             log.monitor = monitor
         fill_stripes(log, 1)
@@ -379,8 +335,8 @@ class TestLateFailureAccounting:
         assert observed == [(bad_server, False)]
 
     def test_clean_stripe_counts_nothing(self):
-        transport = ManualTransport(gatherable=False)
-        log = manual_log(transport, max_inflight_stripes=8)
+        transport = ManualTransport()
+        log = manual_log(transport)
         fill_stripes(log, 1)
         ticket = log.flush()
         for future in transport.futures:
