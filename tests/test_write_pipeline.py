@@ -1,11 +1,12 @@
 """Tests for the pipelined write path.
 
-Covers the four tentpole behaviors: scattered stripe stores
+Covers the four write-path behaviors: scattered stripe stores
 (``submit_many`` plans), incremental parity (stored parity must equal
 the one-shot oracle), write-behind (stripe close never waits on its
-stores), and group commit of small records — plus the late-failure accounting that rides
-the flush ticket, and the acceptance bound that on the simulated
-testbed pipelined stripe stores beat their serial sum.
+stores), and group commit of small records — plus the late-failure
+accounting that rides the flush ticket, and the acceptance bound that
+on the simulated testbed pipelined stripe stores beat their serial
+sum.
 """
 
 import pytest
