@@ -2,8 +2,8 @@
 
 Usage::
 
-    python -m repro.bench            # full sweeps (~25 s)
-    python -m repro.bench --quick    # reduced block counts (~7 s)
+    python -m repro.bench            # full sweeps (~18 s)
+    python -m repro.bench --quick    # reduced block counts (~6 s)
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
 
     print("== Figure 4: useful write throughput (MB/s) ==")
     print("paper: 1 client 3.0 @2 -> 5.5 @4; 4 clients 6.7 @2 -> 16.0 @8")
-    fig4 = run_fig4_useful_bandwidth(blocks=blocks)
+    fig4 = run_fig4_useful_bandwidth(fig3)
     print(format_figure_table(fig4, raw=False))
     print()
 

@@ -63,19 +63,17 @@ def run_fig3_raw_bandwidth(client_counts=DEFAULT_CLIENT_COUNTS,
     return sweep
 
 
-def run_fig4_useful_bandwidth(client_counts=DEFAULT_CLIENT_COUNTS,
-                              server_counts=DEFAULT_SERVER_COUNTS,
-                              blocks: int = 10_000) -> FigureSweep:
+def run_fig4_useful_bandwidth(fig3: FigureSweep) -> FigureSweep:
     """Figure 4: useful write throughput (application bytes only).
 
-    The minimum configuration is two servers — one for data, one for
-    parity — exactly as in the paper.
+    Read off Figure 3's runs: each :class:`WriteBenchResult` counts both
+    the useful and the raw bytes, so Figure 4 is the same runs, not a
+    second sweep. The minimum configuration is two servers — one for
+    data, one for parity — exactly as in the paper.
     """
     sweep = FigureSweep("fig4")
-    for clients in client_counts:
-        sweep.curves[clients] = [
-            run_write_bench(clients, servers, blocks=blocks)
-            for servers in server_counts if servers >= 2]
+    for clients, results in fig3.curves.items():
+        sweep.curves[clients] = [r for r in results if r.servers >= 2]
     return sweep
 
 

@@ -15,11 +15,6 @@ from repro.cluster.cluster import SimCluster
 from repro.log.layer import LogLayer
 from repro.rpc import messages as m
 
-#: Write-behind window: how many closed stripes may have stores in
-#: flight at once. Stripe N+1 builds and dispatches while stripe N's
-#: stores travel; the driver waits on the oldest stripe beyond it.
-STRIPE_WINDOW = 2
-
 
 class CostLedger:
     """Accumulates the log layer's reported work, by kind."""
@@ -70,22 +65,6 @@ class SimClientDriver:
         while len(pending) > window:
             yield self.cluster.sim.any_of(pending)
             pending = [e for e in pending if not e.triggered]
-        # Stripe-level write-behind window. Inside the simulation the
-        # log layer cannot block at stripe close, so the driver enforces
-        # it between appends by waiting on the oldest in-flight stripe's
-        # stores. The stripe window bounds buffered-stripe memory *on
-        # top of* the paper's fragment flow control — never below it:
-        # for narrow groups (a stripe of one or two fragments) the
-        # fragment window needs more stripes in flight to keep §2.1.2's
-        # pipeline full.
-        stripe_window = max(
-            STRIPE_WINDOW,
-            -(-window // self.log.placement.max_data_fragments()))
-        while self.log.inflight_stripes() > stripe_window:
-            oldest = self.log.oldest_inflight_events()
-            if not oldest:
-                break
-            yield self.cluster.sim.any_of(oldest)
 
     # ------------------------------------------------------------------
 

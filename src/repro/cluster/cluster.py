@@ -169,7 +169,7 @@ class SimCluster(_Placements):
                 enforce_acls=config.enforce_acls))
             self.server_nodes[server_id] = ServerNode(
                 server=server,
-                cpu=SimCpu(self.sim, "%s.cpu" % server_id, config.cpu),
+                cpu=SimCpu(self.sim, "%s.cpu" % server_id),
                 disk=SimDisk(self.sim, "%s.disk" % server_id, config.disk),
                 nic=self.switch.attach(server_id))
         self.client_nodes: Dict[str, ClientNode] = {}
@@ -177,7 +177,7 @@ class SimCluster(_Placements):
             name = config.client_name(index)
             self.client_nodes[name] = ClientNode(
                 name=name,
-                cpu=SimCpu(self.sim, "%s.cpu" % name, config.cpu),
+                cpu=SimCpu(self.sim, "%s.cpu" % name),
                 nic=self.switch.attach(name))
 
     # ------------------------------------------------------------------
@@ -228,17 +228,3 @@ class SimCluster(_Placements):
     def restart_server(self, server_id: str) -> None:
         """Bring a crashed server back with its durable state."""
         self.server_nodes[server_id].server.restart()
-
-    # ------------------------------------------------------------------
-    # Measurement helpers
-    # ------------------------------------------------------------------
-
-    def total_bytes_stored(self) -> int:
-        """Bytes accepted by all servers so far."""
-        return sum(node.server.bytes_stored
-                   for node in self.server_nodes.values())
-
-    def disk_utilizations(self) -> Dict[str, float]:
-        """Per-server disk-arm utilization over the simulated run."""
-        return {server_id: node.disk.utilization()
-                for server_id, node in self.server_nodes.items()}

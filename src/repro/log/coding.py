@@ -320,10 +320,6 @@ class XorEngine:
     def make_accumulator(self) -> XorAccumulator:
         return XorAccumulator()
 
-    def decode_data(self, k: int,
-                    present: Dict[int, bytes]) -> Dict[int, bytes]:
-        return decode_data(k, 1, present)
-
 
 class ReedSolomonEngine:
     """Systematic Reed–Solomon over GF(256), any ``m`` parity slots."""
@@ -356,10 +352,6 @@ class ReedSolomonEngine:
 
     def make_accumulator(self) -> RSAccumulator:
         return RSAccumulator(self.parity_count)
-
-    def decode_data(self, k: int,
-                    present: Dict[int, bytes]) -> Dict[int, bytes]:
-        return decode_data(k, self.parity_count, present)
 
 
 CODING_SCHEMES = ("xor", "rs")

@@ -61,10 +61,11 @@ UsageListener = Callable[[str, BlockAddress, int, int, bytes], None]
 class StripeTicket:
     """Completion handle for one stripe's dispatched stores.
 
-    The write-behind window counts these: a stripe is *in flight* until
-    every one of its store futures has resolved. Stripe tickets compose
-    into the :class:`FlushTicket` full barrier — a flush's events are
-    exactly the events of every stripe dispatched since the last flush.
+    :meth:`LogLayer.inflight_stripes` counts these: a stripe is *in
+    flight* until every one of its store futures has resolved. Stripe
+    tickets compose into the :class:`FlushTicket` full barrier — a
+    flush's events are exactly the events of every stripe dispatched
+    since the last flush.
     """
 
     __slots__ = ("events",)
@@ -189,7 +190,7 @@ class LogLayer:
         # parity member, or mid-stripe after recovery).
         self._parity_acc = None
         # Write-behind: stripes whose stores are still in flight, oldest
-        # first; a simulated driver bounds them (the stripe window).
+        # first (a simulated driver bounds the stores themselves).
         self._inflight: List[StripeTicket] = []
         # Stores dispatched while unresolved; their outcomes are folded
         # into the failure counters when the futures resolve.
@@ -257,18 +258,6 @@ class LogLayer:
         """Stripes whose stores are still in flight (write-behind)."""
         self._inflight = [t for t in self._inflight if not t.done]
         return len(self._inflight)
-
-    def oldest_inflight_events(self) -> List:
-        """Unresolved store events of the oldest in-flight stripe.
-
-        Simulated drivers wait on these to enforce the write-behind
-        window from inside the simulation, where the log layer itself
-        cannot block.
-        """
-        self._inflight = [t for t in self._inflight if not t.done]
-        if not self._inflight:
-            return []
-        return [e for e in self._inflight[0].events if not e.triggered]
 
     def buffered_records(self) -> int:
         """Records held by group commit, not yet in any fragment."""
@@ -544,7 +533,8 @@ class LogLayer:
         and disk contention come from the resource model), instead of
         one at a time. The stores are not waited for here: stripe N+1
         builds while stripe N's stores are still in flight, and a
-        simulated driver bounds how many are (its stripe window).
+        simulated driver bounds how many fragment stores are (its
+        flow-control window).
         """
         builders = [b for b in self._building if b.item_count > 0]
         self._building = []
@@ -608,13 +598,16 @@ class LogLayer:
                 principal=self.config.principal, marked=marked,
                 acl_ranges=acl_ranges)))
             self.raw_bytes_written += len(image)
-        if self.crash_injector is not None:
-            # Under crash injection the stores dispatch one by one, in
-            # stripe order, with a crash point before each: dying at the
-            # k-th hit leaves exactly the first k-1 members durable — a
-            # clean torn tail, the shape rollforward and fsck must
-            # handle. Census and armed runs both take this path, so hit
-            # numbering is identical between them.
+        if (self.crash_injector is None and self.config.pipeline_stores
+                and len(plan) > 1):
+            futures = self.transport.submit_many(plan)
+        else:
+            # One by one, in stripe order, with a crash point before
+            # each: under crash injection dying at the k-th hit leaves
+            # exactly the first k-1 members durable — a clean torn
+            # tail, the shape rollforward and fsck must handle. Census
+            # and armed runs both take this path, so hit numbering is
+            # identical between them.
             futures = []
             for server_id, request in plan:
                 if request.marked:
@@ -622,11 +615,6 @@ class LogLayer:
                 self.crash_point("scatter_dispatch")
                 futures.append(self.transport.submit(server_id, request))
             self.crash_point("post_store_pre_ack")
-        elif self.config.pipeline_stores and len(plan) > 1:
-            futures = self.transport.submit_many(plan)
-        else:
-            futures = [self.transport.submit(server_id, request)
-                       for server_id, request in plan]
         for (server_id, _request), future in zip(plan, futures):
             if future.triggered:
                 if future.exception is not None:

@@ -315,7 +315,7 @@ class SimTransport(Transport):
         # Client-side protocol processing.
         yield from client.cpu.compute(self.cpu_model.send_cost(out_size))
         # Network: client NIC -> fabric -> server NIC.
-        yield from self._transfer(client.nic, node.nic, out_size)
+        yield from self.switch.transfer(client.nic, node.nic, out_size)
         # Server-side protocol processing.
         yield from node.cpu.compute(self.cpu_model.server_request_cost(out_size))
         # Functional effect, then the disk work it implies.
@@ -323,7 +323,7 @@ class SimTransport(Transport):
         yield from self._disk_work(node, request, response)
         # Reply.
         back_size = wire_size(response)
-        yield from self._transfer(node.nic, client.nic, back_size)
+        yield from self.switch.transfer(node.nic, client.nic, back_size)
         yield from client.cpu.compute(self.cpu_model.receive_cost(back_size))
         if isinstance(response, m.ErrorResponse):
             raise_error_response(response)
@@ -334,9 +334,9 @@ class SimTransport(Transport):
     def _disk_work(self, node, request, response):
         """Charge the disk operations one request implies."""
         if isinstance(request, m.StoreRequest) and isinstance(response, m.Response):
-            yield from node.disk.positioned_access(len(request.data),
-                                                   float(response.value))
-            yield from node.disk.positioned_access(4096, self._MAP_REGION)
+            yield from node.disk.access(len(request.data),
+                                        float(response.value))
+            yield from node.disk.access(4096, self._MAP_REGION)
         elif isinstance(request, (m.RetrieveRequest, m.MultiRetrieveRequest)
                         ) and isinstance(response, m.Response):
             # One access per span the server read from disk; a cache hit
@@ -346,28 +346,10 @@ class SimTransport(Transport):
             for fid, offset, span_len in node.server.last_disk_spans:
                 slot = node.server.slots.slot_of(fid) or 0
                 position = float(slot) + max(0, offset) / float(1 << 20)
-                yield from node.disk.positioned_access(
+                yield from node.disk.access(
                     max(span_len, 1), position, write=False)
         elif isinstance(request, m.DeleteRequest):
-            yield from node.disk.positioned_access(4096, self._MAP_REGION)
-
-    def _transfer(self, src_nic, dst_nic, size: int):
-        params = self.switch.params
-        wire = params.wire_time(size)
-        yield src_nic.tx.request()
-        try:
-            yield self.sim.timeout(wire)
-        finally:
-            src_nic.tx.release()
-        fabric = getattr(self.switch, "fabric", None)
-        if fabric is not None:
-            yield from fabric.use(size / params.fabric_bandwidth_bytes_per_s)
-        yield self.sim.timeout(params.per_message_latency_s)
-        yield dst_nic.rx.request()
-        try:
-            yield self.sim.timeout(wire)
-        finally:
-            dst_nic.rx.release()
+            yield from node.disk.access(4096, self._MAP_REGION)
 
     def _node(self, server_id: str):
         node = self.server_nodes.get(server_id)

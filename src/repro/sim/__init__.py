@@ -21,8 +21,8 @@ from repro.sim.core import (
     Simulator,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
-from repro.sim.network import Message, NetworkParams, Nic, Switch
+from repro.sim.resources import Resource
+from repro.sim.network import NetworkParams, Nic, Switch
 from repro.sim.disk import DiskModel, DiskParams, SimDisk
 from repro.sim.cpu import CpuModel, CpuParams, SimCpu
 
@@ -34,8 +34,6 @@ __all__ = [
     "Simulator",
     "Timeout",
     "Resource",
-    "Store",
-    "Message",
     "NetworkParams",
     "Nic",
     "Switch",

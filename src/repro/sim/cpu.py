@@ -37,7 +37,10 @@ class CpuParams:
     (memcpy + cache misses); ``xor_per_byte`` covers parity
     accumulation; ``network_per_byte`` covers TCP/IP protocol
     processing, paid for every byte sent or received; the per-op
-    constants cover fixed log bookkeeping and RPC dispatch.
+    constants cover fixed log bookkeeping and RPC dispatch. The log
+    work (copy, XOR, per-block) is priced from these fields by the
+    simulated client driver's ``CostLedger``; :class:`CpuModel` prices
+    the RPC path.
     """
 
     copy_per_byte: float = 15e-9
@@ -55,14 +58,6 @@ class CpuModel:
     def __init__(self, params: CpuParams = CpuParams()) -> None:
         self.params = params
 
-    def copy_cost(self, nbytes: int) -> float:
-        """Cost of appending ``nbytes`` of application data to the log."""
-        return nbytes * self.params.copy_per_byte
-
-    def xor_cost(self, nbytes: int) -> float:
-        """Cost of XOR-ing ``nbytes`` into a parity accumulator."""
-        return nbytes * self.params.xor_per_byte
-
     def send_cost(self, nbytes: int) -> float:
         """Client protocol cost of transmitting ``nbytes``."""
         return self.params.per_rpc_overhead_s + nbytes * self.params.network_per_byte
@@ -77,30 +72,17 @@ class CpuModel:
 
 
 class SimCpu:
-    """A single simulated CPU: one core, FIFO, utilization-tracked.
+    """A single simulated CPU: one core, FIFO.
 
     Simulated node code charges computation with::
 
-        yield from cpu.compute(model.copy_cost(len(data)))
+        yield from cpu.compute(model.send_cost(size_bytes))
     """
 
-    def __init__(self, sim: Simulator, name: str = "cpu",
-                 params: CpuParams = CpuParams()) -> None:
-        self.sim = sim
-        self.name = name
-        self.model = CpuModel(params)
+    def __init__(self, sim: Simulator, name: str = "cpu") -> None:
         self.core = Resource(sim, 1, name="%s.core" % name)
 
     def compute(self, seconds: float) -> Generator[Event, Any, None]:
         """Process generator: occupy the CPU for ``seconds``."""
-        if seconds <= 0:
-            return
-        yield self.core.request()
-        try:
-            yield self.sim.timeout(seconds)
-        finally:
-            self.core.release()
-
-    def utilization(self, elapsed: float = None) -> float:
-        """Fraction of time the CPU was busy."""
-        return self.core.utilization(elapsed)
+        if seconds > 0:
+            yield from self.core.use(seconds)

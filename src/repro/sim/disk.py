@@ -109,23 +109,3 @@ class SimDisk:
                 self.bytes_read += size_bytes
         finally:
             self.arm.release()
-
-    def positioned_access(self, size_bytes: int, position: float,
-                          write: bool = True) -> Generator[Event, Any, None]:
-        """Like :meth:`access`, but classifies sequentiality while the
-        arm is held, so interleaved requests see realistic seeks."""
-        yield from self.access(size_bytes, position, write)
-
-    def busy(self, seconds: float) -> Generator[Event, Any, None]:
-        """Occupy the disk arm for a precomputed service time."""
-        if seconds <= 0:
-            return
-        yield self.arm.request()
-        try:
-            yield self.sim.timeout(seconds)
-        finally:
-            self.arm.release()
-
-    def utilization(self) -> float:
-        """Fraction of simulated time the disk arm was busy."""
-        return self.arm.utilization()

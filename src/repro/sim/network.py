@@ -5,27 +5,25 @@ captures what matters for the figures:
 
 * each node has a full-duplex NIC — independent transmit and receive
   channels, each serialized at the link bandwidth;
-* the switch is non-blocking (no shared backplane contention), so two
-  disjoint node pairs transfer at full rate concurrently;
-* every message pays a small fixed latency (propagation + switch
+* the switch's forwarding fabric is one shared resource, calibrated to
+  the aggregate rate the paper's multi-client runs reached;
+* every transfer pays a small fixed latency (propagation + switch
   forwarding) plus per-byte serialization on the sender's TX channel and
-  the receiver's RX channel;
-* broadcast delivers a copy of the message to every attached node, used
-  by fragment reconstruction to locate stripe neighbors without any
-  central metadata service.
+  the receiver's RX channel.
 
-Messages carry opaque payload objects; ``size_bytes`` drives timing so
-the functional payloads need not be serialized for real.
+:meth:`Switch.transfer` is the one pipeline every simulated RPC's
+request and reply crosses. Only ``size_bytes`` drives timing, so the
+functional payloads need not be serialized for real.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator
 
 from repro.errors import SimulationError
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 @dataclass(frozen=True)
@@ -58,40 +56,20 @@ class NetworkParams:
         return effective / self.bandwidth_bytes_per_s
 
 
-@dataclass
-class Message:
-    """A network message between two simulated nodes."""
-
-    source: str
-    destination: str
-    payload: Any
-    size_bytes: int
-    reply_to: Any = None
-    kind: str = "request"
-    trace: Dict[str, float] = field(default_factory=dict)
-
-
 class Nic:
     """A full-duplex network interface attached to one node."""
 
-    def __init__(self, sim: Simulator, node_id: str, params: NetworkParams) -> None:
-        self.sim = sim
-        self.node_id = node_id
-        self.params = params
+    def __init__(self, sim: Simulator, node_id: str) -> None:
         self.tx = Resource(sim, 1, name="%s.tx" % node_id)
         self.rx = Resource(sim, 1, name="%s.rx" % node_id)
-        self.inbox: Store = Store(sim, name="%s.inbox" % node_id)
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
 
 class Switch:
-    """A non-blocking switch connecting named nodes.
+    """A switch connecting named nodes.
 
-    Use :meth:`attach` to register a node and get its NIC; a node process
-    sends with ``yield switch.send(msg)`` (returns when the message has
-    been fully delivered to the destination inbox) or fire-and-forget via
-    :meth:`post`.
+    :meth:`attach` registers a node and returns its NIC; a simulated
+    process moves bytes between two NICs with
+    ``yield from switch.transfer(src_nic, dst_nic, size_bytes)``.
     """
 
     def __init__(self, sim: Simulator, params: NetworkParams = NetworkParams()) -> None:
@@ -104,73 +82,22 @@ class Switch:
         """Register ``node_id`` on the switch and return its NIC."""
         if node_id in self.nics:
             raise SimulationError("node %r already attached" % node_id)
-        nic = Nic(self.sim, node_id, self.params)
+        nic = Nic(self.sim, node_id)
         self.nics[node_id] = nic
         return nic
 
-    def detach(self, node_id: str) -> None:
-        """Remove a node (e.g. crashed server) from the network."""
-        self.nics.pop(node_id, None)
+    def transfer(self, src_nic: Nic, dst_nic: Nic,
+                 size_bytes: int) -> Generator[Event, Any, None]:
+        """Process generator: move ``size_bytes`` from one NIC to another.
 
-    # -- transfer mechanics -------------------------------------------------
-
-    def _transfer(self, message: Message) -> Generator[Event, Any, None]:
-        """Process: move ``message`` from source NIC to destination inbox."""
-        sender = self.nics.get(message.source)
-        if sender is None:
-            raise SimulationError("unknown sender %r" % message.source)
-        wire = self.params.wire_time(message.size_bytes)
-        # Serialize on the sender's transmit channel.
-        yield sender.tx.request()
-        try:
-            yield self.sim.timeout(wire)
-        finally:
-            sender.tx.release()
-        sender.bytes_sent += message.size_bytes
-        # Shared switch fabric, then propagation + forwarding latency.
-        yield from self.fabric.use(
-            message.size_bytes / self.params.fabric_bandwidth_bytes_per_s)
-        yield self.sim.timeout(self.params.per_message_latency_s)
-        receiver = self.nics.get(message.destination)
-        if receiver is None:
-            # Destination crashed mid-flight: the message is dropped.
-            # Callers time out / see unavailability at the RPC layer.
-            return
-        # Serialize on the receiver's receive channel.
-        yield receiver.rx.request()
-        try:
-            yield self.sim.timeout(wire)
-        finally:
-            receiver.rx.release()
-        receiver.bytes_received += message.size_bytes
-        receiver.inbox.put(message)
-
-    def send(self, message: Message) -> Event:
-        """Start delivering ``message``; the returned event triggers when
-        it has been placed in the destination inbox (or dropped)."""
-        return self.sim.process(self._transfer(message),
-                                name="xfer %s->%s" % (message.source,
-                                                      message.destination))
-
-    def post(self, message: Message) -> None:
-        """Fire-and-forget variant of :meth:`send`."""
-        self.send(message)
-
-    def broadcast(self, source: str, payload: Any, size_bytes: int,
-                  kind: str = "broadcast") -> Event:
-        """Deliver a copy of ``payload`` to every other attached node.
-
-        Returns an event that triggers when all copies are delivered.
-        Modeled as a unicast to each destination (a switched network
-        replicates broadcast frames per port; the sender also pays per
-        copy here, a conservative approximation that only affects the
-        rare reconstruction path).
+        Serialized on the sender's transmit channel, then the shared
+        fabric, then propagation + forwarding latency, then serialized
+        on the receiver's receive channel.
         """
-        deliveries = []
-        for node_id in list(self.nics):
-            if node_id == source:
-                continue
-            deliveries.append(self.send(Message(
-                source=source, destination=node_id, payload=payload,
-                size_bytes=size_bytes, kind=kind)))
-        return self.sim.all_of(deliveries)
+        params = self.params
+        wire = params.wire_time(size_bytes)
+        yield from src_nic.tx.use(wire)
+        yield from self.fabric.use(
+            size_bytes / params.fabric_bandwidth_bytes_per_s)
+        yield self.sim.timeout(params.per_message_latency_s)
+        yield from dst_nic.rx.use(wire)

@@ -10,7 +10,7 @@ application's bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.cluster.client import SimClientDriver
 from repro.cluster.cluster import SimCluster
@@ -74,23 +74,3 @@ def run_write_bench(clients: int, servers: int,
         block_size=block_size, elapsed_s=cluster.sim.now,
         useful_bytes=useful, raw_bytes=raw)
 
-
-def sweep(client_counts: List[int], server_counts: List[int],
-          blocks: int = DEFAULT_BLOCKS,
-          min_servers_for_useful: bool = False,
-          ) -> Dict[int, List[WriteBenchResult]]:
-    """Run the full figure sweep: one curve per client count.
-
-    With ``min_servers_for_useful`` the 1-server points are skipped,
-    matching Figure 4's minimum configuration of one data server plus
-    one parity server.
-    """
-    curves: Dict[int, List[WriteBenchResult]] = {}
-    for clients in client_counts:
-        curve: List[WriteBenchResult] = []
-        for servers in server_counts:
-            if min_servers_for_useful and servers < 2:
-                continue
-            curve.append(run_write_bench(clients, servers, blocks=blocks))
-        curves[clients] = curve
-    return curves

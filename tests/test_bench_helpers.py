@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.bench import figures
 from repro.bench.__main__ import main
 from repro.bench.figures import (
     Fig5Result,
     FigureSweep,
     ReadBenchResult,
     ServerSustainedResult,
+    run_fig3_raw_bandwidth,
+    run_fig4_useful_bandwidth,
 )
 from repro.bench.report import (
     format_figure_table,
@@ -58,6 +61,28 @@ class TestFigureTable:
         sweep.curves[1] = [_result(1, 4, 4.5, 6.2), _result(1, 2, 3.0, 6.0)]
         series = sweep.series(1, raw=False)
         assert series == [(4, pytest.approx(4.5)), (2, pytest.approx(3.0))]
+
+
+@pytest.mark.usefixtures("two_second_allowance")
+def test_fig4_reads_fig3_runs_without_simulating(monkeypatch):
+    calls = []
+
+    def counting_bench(clients, servers, blocks):
+        calls.append((clients, servers))
+        return _result(clients, servers, useful=1.0, raw=2.0)
+
+    monkeypatch.setattr(figures, "run_write_bench", counting_bench)
+    fig3 = run_fig3_raw_bandwidth(client_counts=(1, 4),
+                                  server_counts=(1, 2, 8), blocks=10)
+    assert len(calls) == 6
+    del calls[:]
+    fig4 = run_fig4_useful_bandwidth(fig3)
+    assert calls == []
+    assert sorted(fig4.curves) == [1, 4]
+    for clients, curve in fig4.curves.items():
+        expected = [r for r in fig3.curves[clients] if r.servers >= 2]
+        assert [r.servers for r in curve] == [2, 8]
+        assert all(got is want for got, want in zip(curve, expected))
 
 
 class TestMabTable:

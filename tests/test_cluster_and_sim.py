@@ -194,7 +194,8 @@ class TestSimClientDriver:
         driver = SimClientDriver(cluster, 0)
         process = cluster.sim.process(driver.write_blocks(100, 4096))
         cluster.sim.run()
-        assert cluster.total_bytes_stored() >= 100 * 4096
+        assert sum(node.server.bytes_stored
+                   for node in cluster.server_nodes.values()) >= 100 * 4096
 
     def test_two_drivers_share_cluster(self):
         cluster = SimCluster(ClusterConfig(num_servers=2, num_clients=2))
@@ -210,9 +211,10 @@ class TestSimClientDriver:
         driver = SimClientDriver(cluster, 0)
         cluster.sim.process(driver.write_blocks(500, 4096))
         cluster.sim.run()
-        utils = cluster.disk_utilizations()
-        assert set(utils) == {"s0", "s1"}
-        assert all(0 <= value <= 1 for value in utils.values())
+        written = {server_id: node.disk.bytes_written
+                   for server_id, node in cluster.server_nodes.items()}
+        assert set(written) == {"s0", "s1"}
+        assert all(value > 0 for value in written.values())
 
 
 class TestInjectorStateTracking:

@@ -6,7 +6,7 @@ from repro.errors import SimulationError
 from repro.sim import Simulator
 from repro.sim.cpu import CpuModel, CpuParams, SimCpu
 from repro.sim.disk import DiskModel, DiskParams, SimDisk
-from repro.sim.network import Message, NetworkParams, Switch
+from repro.sim.network import NetworkParams, Switch
 
 
 class TestNetworkModel:
@@ -15,33 +15,25 @@ class TestNetworkModel:
         expected = 1e6 * 1.06 / (100e6 / 8)
         assert params.wire_time(1_000_000) == pytest.approx(expected)
 
-    def test_transfer_delivers_to_inbox(self):
+    def test_idle_transfer_costs_exactly_its_pipeline(self):
+        """On an idle switch a transfer pays both NIC channels, the
+        fabric and the fixed latency, nothing else."""
         sim = Simulator()
         switch = Switch(sim)
-        switch.attach("a")
-        nic_b = switch.attach("b")
-        message = Message("a", "b", payload={"op": "x"}, size_bytes=1000)
-
-        def proc():
-            yield switch.send(message)
-            item = yield nic_b.inbox.get()
-            return item
-
-        delivered = sim.run_process(proc())
-        assert delivered.payload == {"op": "x"}
-        assert sim.now > 0
+        a, b = switch.attach("a"), switch.attach("b")
+        sim.run_process(switch.transfer(a, b, 1_000_000))
+        params = NetworkParams()
+        assert sim.now == pytest.approx(
+            2 * params.wire_time(1_000_000)
+            + 1_000_000 / params.fabric_bandwidth_bytes_per_s
+            + params.per_message_latency_s)
 
     def test_transfer_time_scales_with_size(self):
         def elapsed(size):
             sim = Simulator()
             switch = Switch(sim)
-            switch.attach("a")
-            switch.attach("b")
-
-            def proc():
-                yield switch.send(Message("a", "b", None, size))
-
-            sim.run_process(proc())
+            a, b = switch.attach("a"), switch.attach("b")
+            sim.run_process(switch.transfer(a, b, size))
             return sim.now
 
         assert elapsed(2_000_000) > 1.8 * elapsed(1_000_000)
@@ -49,51 +41,22 @@ class TestNetworkModel:
     def test_sender_nic_serializes_two_flows(self):
         sim = Simulator()
         switch = Switch(sim)
-        switch.attach("a")
-        switch.attach("b")
-        switch.attach("c")
+        a, b, c = (switch.attach(name) for name in "abc")
 
         def proc():
-            one = switch.send(Message("a", "b", None, 1_000_000))
-            two = switch.send(Message("a", "c", None, 1_000_000))
+            one = sim.process(switch.transfer(a, b, 1_000_000))
+            two = sim.process(switch.transfer(a, c, 1_000_000))
             yield sim.all_of([one, two])
 
         sim.run_process(proc())
         # Two 1 MB sends through one NIC take ~2x one send.
         assert sim.now > 2 * NetworkParams().wire_time(1_000_000)
 
-    def test_crashed_destination_drops_message(self):
-        sim = Simulator()
-        switch = Switch(sim)
-        switch.attach("a")
-        nic_b = switch.attach("b")
-
-        def proc():
-            event = switch.send(Message("a", "b", None, 100))
-            switch.detach("b")
-            yield event
-
-        sim.run_process(proc())
-        assert len(nic_b.inbox) == 0
-
     def test_duplicate_attach_rejected(self):
         switch = Switch(Simulator())
         switch.attach("a")
         with pytest.raises(SimulationError):
             switch.attach("a")
-
-    def test_broadcast_reaches_everyone_but_sender(self):
-        sim = Simulator()
-        switch = Switch(sim)
-        nics = {name: switch.attach(name) for name in ("a", "b", "c", "d")}
-
-        def proc():
-            yield switch.broadcast("a", "probe", 64)
-
-        sim.run_process(proc())
-        assert len(nics["a"].inbox) == 0
-        for name in "bcd":
-            assert len(nics[name].inbox) == 1
 
 
 class TestDiskModel:
@@ -163,8 +126,9 @@ class TestDiskModel:
 class TestCpuModel:
     def test_costs_scale_linearly(self):
         model = CpuModel()
-        assert model.copy_cost(2000) == pytest.approx(2 * model.copy_cost(1000))
-        assert model.xor_cost(4096) > 0
+        fixed = model.send_cost(0)
+        assert model.send_cost(2000) - fixed == pytest.approx(
+            2 * (model.send_cost(1000) - fixed))
 
     def test_send_cost_has_fixed_part(self):
         model = CpuModel()
@@ -174,15 +138,16 @@ class TestCpuModel:
     def test_simcpu_serializes_and_tracks_utilization(self):
         sim = Simulator()
         cpu = SimCpu(sim)
+        ends = []
 
         def worker():
             yield from cpu.compute(1.0)
-            yield sim.timeout(1.0)
-            yield from cpu.compute(1.0)
+            ends.append(sim.now)
 
-        sim.run_process(worker())
-        assert sim.now == pytest.approx(3.0)
-        assert cpu.utilization() == pytest.approx(2.0 / 3.0)
+        for _ in range(2):
+            sim.process(worker())
+        sim.run()
+        assert ends == [1.0, 2.0]
 
     def test_zero_compute_is_free(self):
         sim = Simulator()

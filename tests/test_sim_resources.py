@@ -1,9 +1,9 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 class TestResource:
@@ -71,63 +71,7 @@ class TestResource:
 
         assert sim.run_process(worker()) == 3.0
 
-    def test_utilization_tracks_busy_time(self):
-        sim = Simulator()
-        resource = Resource(sim, 1)
-
-        def worker():
-            yield sim.process(resource.use(2.0))
-            yield sim.timeout(2.0)  # idle
-            yield sim.process(resource.use(1.0))
-
-        sim.run_process(worker())
-        assert resource.utilization() == pytest.approx(3.0 / 5.0)
-
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             Resource(Simulator(), 0)
 
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-
-        def getter():
-            value = yield store.get()
-            return value
-
-        assert sim.run_process(getter()) == "x"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-
-        def producer():
-            yield sim.timeout(4.0)
-            store.put("late")
-
-        def consumer():
-            value = yield store.get()
-            return (value, sim.now)
-
-        sim.process(producer())
-        proc = sim.process(consumer())
-        sim.run()
-        assert proc.value == ("late", 4.0)
-
-    def test_fifo_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        for item in (1, 2, 3):
-            store.put(item)
-
-        def consumer():
-            out = []
-            for _ in range(3):
-                out.append((yield store.get()))
-            return out
-
-        assert sim.run_process(consumer()) == [1, 2, 3]
-        assert len(store) == 0

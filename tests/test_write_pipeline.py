@@ -193,17 +193,15 @@ class TestWriteBehindWindow:
 
     def test_window_is_advisory_when_it_cannot_block(self):
         """Unresolved stores (the in-sim case) never block stripe close:
-        the window is enforced by the simulated driver instead."""
+        the simulated driver's flow-control window bounds them instead."""
         transport = ManualTransport()
         log = manual_log(transport)
         fill_stripes(log, 3)
         assert log.inflight_stripes() == 3
-        oldest = log.oldest_inflight_events()
-        assert oldest and all(not e.triggered for e in oldest)
+        assert all(not future.triggered for future in transport.futures)
         for future in transport.futures:
             future.resolve(value=None)
         assert log.inflight_stripes() == 0
-        assert log.oldest_inflight_events() == []
 
     def test_flush_ticket_covers_all_inflight_stripes(self):
         transport = ManualTransport()
