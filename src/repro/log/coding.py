@@ -2,14 +2,22 @@
 
 The paper's stripes tolerate exactly one failure (RAID-5-style XOR
 parity). This module generalizes the write/reconstruct math to *(k data,
-m parity)* codes behind one small :class:`CodingEngine` interface, with
-two implementations:
+m parity)* codes. Two engines share the writer's three methods —
+``encode(data_images)`` (every parity payload), ``encode_slot(data_images,
+slot)`` (one of them) and ``make_accumulator()`` (a running parity the
+log folds fragments into as they fill) — plus ``name`` and
+``parity_count``:
 
 * :class:`XorEngine` — the original single-parity path, bit-identical
-  to the pre-refactor XOR code (it *is* that code, behind the
-  interface);
+  to the pre-refactor XOR code;
 * :class:`ReedSolomonEngine` — a systematic Reed–Solomon code over
   GF(256) that recovers any ``m`` erased stripe members.
+
+The writer gets its engine from :func:`make_engine`. Readers need no
+engine to decode: the module-level :func:`decode_data` rebuilds erased
+data images from any ``k`` survivors, and :func:`engine_for_stripe`
+gives the engine that re-encodes or checks a stored stripe's parity,
+from the stripe's geometry alone.
 
 **Coefficients.** Parity slot ``j`` of a stripe with data images
 ``D_0..D_{k-1}`` is ``P_j = sum_i C[j][i] * D_i`` over GF(256), where

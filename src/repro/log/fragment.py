@@ -18,10 +18,18 @@ fragment image.
 Zero-copy invariants (who owns what):
 
 * A :class:`FragmentBuilder` accumulates items directly into one
-  preallocated buffer with the header region in place, so sealing
+  capacity-sized buffer with the header region in place, so sealing
   patches the header in with a ``memoryview`` and materializes the
   complete image **exactly once**. No ``header + payload``
   concatenation happens on the write path.
+* That buffer may be a recycled one (the log layer hands a sealed
+  builder's buffer to the next builder), so it is not zero-filled:
+  only bytes below the builder's write offset are meaningful, and the
+  header region holds stale bytes until :meth:`FragmentBuilder.seal`
+  overwrites all of it. No view of the buffer leaves the builder
+  except :meth:`FragmentBuilder.buffered_image`, which the caller
+  releases before the stripe closes; :meth:`FragmentBuilder.peek_range`
+  returns owned ``bytes``.
 * :meth:`Fragment.decode` keeps the caller's image and serves
   ``payload`` (and block item data) as ``memoryview`` slices of it —
   readers that only parse, XOR, or re-store images never copy them.
@@ -281,16 +289,26 @@ class FragmentBuilder:
     via :meth:`seal`, but block addresses are final as soon as
     :meth:`add_block` returns — the header size is constant.
 
-    The builder preallocates the whole image buffer up front, header
-    region included, and writes every item at its final image offset.
+    The builder holds the whole image buffer up front, header region
+    included, and writes every item at its final image offset.
     :meth:`seal` therefore only patches the header bytes in place and
     materializes the immutable image in a single copy — the zero-copy
     write path the paper's client-bound bandwidth numbers assume.
+
+    ``buffer``, when given, is a ``bytearray`` of exactly ``capacity``
+    bytes to build in instead of a fresh one — typically one a sealed
+    builder gave up through :meth:`release_buffer`. Its old contents
+    are never read, so it needs no clearing.
     """
 
-    def __init__(self, fid: int, client_id: int, capacity: int) -> None:
+    def __init__(self, fid: int, client_id: int, capacity: int,
+                 buffer: Optional[bytearray] = None) -> None:
         if capacity <= HEADER_SIZE:
             raise ValueError("fragment capacity smaller than header")
+        if buffer is None:
+            buffer = bytearray(capacity)
+        elif len(buffer) != capacity:
+            raise ValueError("buffer size disagrees with fragment capacity")
         self.fid = fid
         self.client_id = client_id
         self.capacity = capacity
@@ -300,8 +318,9 @@ class FragmentBuilder:
         self.parity_folded = False
         # Complete image buffer: header region (patched at seal) plus
         # payload. ``_end`` is the absolute image offset of the next
-        # item; bytes at [HEADER_SIZE, _end) never change once written.
-        self._buf = bytearray(capacity)
+        # item; bytes at [HEADER_SIZE, _end) never change once written,
+        # and bytes at or above ``_end`` are whatever the buffer held.
+        self._buf = buffer
         self._end = HEADER_SIZE
         self._item_count = 0
         self._first_lsn = 0
@@ -380,21 +399,35 @@ class FragmentBuilder:
 
         Lets the log layer serve reads of not-yet-flushed blocks from
         memory, the way a log-structured file system serves reads from
-        its write buffer. Returns a read-only ``memoryview`` of the
-        buffer — already-written payload bytes never change, so the
-        view stays valid (callers needing ownership take ``bytes()``).
+        its write buffer. Returns owned ``bytes``: the buffer is
+        reused for a later fragment once this one is sealed, so no view
+        of it may outlive the builder.
         """
         if offset < HEADER_SIZE or offset + length > self._end:
             raise ValueError("peek outside buffered payload")
-        return memoryview(self._buf).toreadonly()[offset:offset + length]
+        with memoryview(self._buf) as view:
+            return bytes(view[offset:offset + length])
 
     def buffered_image(self):
-        """Read-only view of the accumulated image bytes so far (the
-        header region is still zero before :meth:`seal`). This is what
-        the incremental-parity accumulator folds when a fragment fills:
-        payload bytes never change once written, so the view is final
-        for everything below ``payload_used``."""
+        """Read-only view of the accumulated image bytes so far. This
+        is what the incremental-parity accumulator folds when a
+        fragment fills: payload bytes never change once written, so the
+        view is final for everything in ``[HEADER_SIZE, _end)``. The
+        header region is unspecified before :meth:`seal` (it may hold
+        an earlier fragment's bytes), as is everything at or above
+        ``_end``. The caller must release the view before the builder's
+        buffer is released."""
         return memoryview(self._buf).toreadonly()[:self._end]
+
+    def release_buffer(self) -> bytearray:
+        """Give up the image buffer so a later builder can reuse it.
+
+        Call only after :meth:`seal` (whose image is an owned copy) or
+        on a builder that will not be sealed; the builder is unusable
+        afterwards.
+        """
+        buffer, self._buf = self._buf, None
+        return buffer
 
     # -- sealing -----------------------------------------------------------
 
@@ -402,8 +435,10 @@ class FragmentBuilder:
              parity_index: int, servers: Tuple[str, ...]) -> Fragment:
         """Finalize the fragment with its stripe descriptor.
 
-        Patches the header into the preallocated buffer and materializes
-        the complete image in one copy.
+        Overwrites the whole header region of the buffer and
+        materializes the complete image (``[0, _end)``) in one owned
+        copy, so nothing of the buffer's earlier contents survives into
+        the image and the buffer may be reused once this returns.
         """
         if len(servers) != stripe_width:
             raise ValueError("stripe descriptor width mismatch")

@@ -184,6 +184,10 @@ class LogLayer:
         # is the open builder; earlier entries are full but unsealed
         # (their stripe descriptor is patched at stripe close).
         self._building: List[FragmentBuilder] = []
+        # Image buffers of sealed builders, reused by the next builders
+        # so a fragment does not pay to allocate and zero-fill
+        # ``fragment_size`` bytes; never more than a stripe's data width.
+        self._spare_buffers: List[bytearray] = []
         self._pending: List = []
         # Running parity of the open stripe's data images — the coding
         # engine's incremental accumulator (None when the group has no
@@ -191,6 +195,7 @@ class LogLayer:
         self._parity_acc = None
         # Write-behind: stripes whose stores are still in flight, oldest
         # first (a simulated driver bounds the stores themselves).
+        # Finished tickets are dropped whenever a stripe is appended.
         self._inflight: List[StripeTicket] = []
         # Stores dispatched while unresolved; their outcomes are folded
         # into the failure counters when the futures resolve.
@@ -492,8 +497,10 @@ class LogLayer:
         if not self._building and self._engine is not None:
             self._parity_acc = self._engine.make_accumulator()
         fid = make_fid(self.config.client_id, self._seq.next())
-        self._building.append(FragmentBuilder(fid, self.config.client_id,
-                                              self.config.fragment_size))
+        spare = self._spare_buffers
+        self._building.append(FragmentBuilder(
+            fid, self.config.client_id, self.config.fragment_size,
+            spare.pop() if spare else None))
 
     def _advance_fragment(self) -> None:
         """Current fragment is full: open the next one, closing the
@@ -536,10 +543,11 @@ class LogLayer:
         simulated driver bounds how many fragment stores are (its
         flow-control window).
         """
-        builders = [b for b in self._building if b.item_count > 0]
-        self._building = []
+        building, self._building = self._building, []
+        builders = [b for b in building if b.item_count > 0]
         acc, self._parity_acc = self._parity_acc, None
         if not builders:
+            self._recycle_buffers(building)
             return
         ndata = len(builders)
         width = self.placement.width_for(ndata)
@@ -565,6 +573,8 @@ class LogLayer:
                 acc.add_range(index, 0, image[:HEADER_SIZE])
                 if not builder.parity_folded:
                     acc.add_range(index, HEADER_SIZE, image[HEADER_SIZE:])
+        # Every image is an owned copy now, so the buffers are free.
+        self._recycle_buffers(building)
         if nparity:
             data_images = list(images)
             payloads = (acc.payloads() if acc is not None
@@ -622,9 +632,17 @@ class LogLayer:
             else:
                 self._store_ledger.append((server_id, future))
             self._pending.append(future)
+        self._inflight = [t for t in self._inflight if not t.done]
         self._inflight.append(StripeTicket(list(futures)))
         self._stripe_number += 1
         self.stripes_written += 1
+
+    def _recycle_buffers(self, builders: List[FragmentBuilder]) -> None:
+        """Keep the buffers of closed ``builders`` for the next
+        fragments, at most one per data member of a stripe."""
+        spare = self._spare_buffers
+        spare.extend(builder.release_buffer() for builder in builders)
+        del spare[self.placement.max_data_fragments():]
 
     def flush(self) -> FlushTicket:
         """Seal and dispatch everything buffered; return the ticket.
@@ -856,7 +874,7 @@ class LogLayer:
         """
         for builder in self._building:
             if builder.fid == fid:
-                return bytes(builder.peek_range(offset, length))
+                return builder.peek_range(offset, length)
         return self.reconstructor.fetch_range(fid, offset, length)
 
     def read_ranges(self, ranges: List[Tuple[int, int, int]],
@@ -874,7 +892,7 @@ class LogLayer:
         for index, (fid, offset, length) in enumerate(ranges):
             for builder in self._building:
                 if builder.fid == fid:
-                    results[index] = bytes(builder.peek_range(offset, length))
+                    results[index] = builder.peek_range(offset, length)
                     break
             else:
                 remote.append(index)

@@ -132,8 +132,11 @@ class _Connection:
         outbox = self.outbox
         # sendmsg takes at most IOV_MAX (1024 on Linux) buffers per call.
         sent = self.sock.sendmsg(outbox[:64])
-        while outbox and sent >= len(outbox[0]):
-            sent -= len(outbox.pop(0))
+        taken = 0  # buffers the socket took whole
+        while taken < len(outbox) and sent >= len(outbox[taken]):
+            sent -= len(outbox[taken])
+            taken += 1
+        del outbox[:taken]
         if sent:
             outbox[0] = memoryview(outbox[0])[sent:]
 
@@ -323,7 +326,10 @@ class TcpTransport(Transport):
         """The next pooled connection to ``server_id``, round-robin; dials
         one more while the pool is short of :attr:`pool_size`."""
         pool = self._pools.setdefault(server_id, [])
-        pool[:] = [conn for conn in pool if not conn.dead]
+        for conn in pool:
+            if conn.dead:  # rebuilt only when a connection has died
+                pool[:] = [live for live in pool if not live.dead]
+                break
         if len(pool) < self.pool_size:
             try:
                 sock = socket.create_connection(self.addresses[server_id],

@@ -188,6 +188,24 @@ class TestTcpTransport:
                     payload = bytes(future.result().payload)
                     assert payload == bytes([request.fid - 1000]) * 64
 
+    def test_long_plan_to_one_server_answers_every_store_in_order(self):
+        # More frame buffers queue on each pooled connection than one
+        # sendmsg takes (64), so the outbox drains over several writes.
+        servers = small_servers(1)
+        plan = [("s0", m.StoreRequest(fid=100 + i, data=bytes([i]) * (50 + i)))
+                for i in range(100)]
+        queued = len(plan) // net.POOL_SIZE * len(frame_parts(0, plan[0][1]))
+        assert queued > 64
+        with InProcessHost(servers) as host:
+            with TcpTransport(host.addresses) as tcp:
+                futures = tcp.submit_many(plan)
+                assert len(futures) == len(plan)
+                for (_sid, request), future in zip(plan, futures):
+                    slot = servers["s0"].slots.info_of(request.fid)["slot"]
+                    assert future.result().value == slot
+                    stored = tcp.call("s0", m.RetrieveRequest(fid=request.fid))
+                    assert bytes(stored.payload) == request.data
+
     def test_submit_many_isolates_per_op_failures(self):
         with InProcessHost(small_servers(2)) as host:
             with TcpTransport(host.addresses) as tcp:

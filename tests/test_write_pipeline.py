@@ -13,13 +13,15 @@ import pytest
 
 from repro import errors
 from repro.bench.ablations import ablate_write_pipeline
+from repro.cluster import build_local_cluster
+from repro.log import layer as layer_module
 from repro.log.config import LogConfig
-from repro.log.fragment import Fragment, HEADER_SIZE
+from repro.log.fragment import Fragment, FragmentBuilder, HEADER_SIZE
 from repro.log.layer import LogLayer
 from repro.log.reader import LogReader
 from repro.log.reconstruct import Reconstructor
 from repro.log.records import RecordType
-from repro.log.stripe import parity_of
+from repro.log.stripe import parity_of, parity_of_fast
 from repro.util.fids import make_fid
 
 SVC = 7
@@ -210,6 +212,17 @@ class TestWriteBehindWindow:
         ticket = log.flush()
         assert ticket.fragment_count == len(transport.futures)
 
+    def test_finished_stripes_leave_the_window(self):
+        """On the local plane every store resolves at once, so each
+        stripe close drops the tickets before it: the window holds at
+        most the newest stripe, however many were written."""
+        cluster = build_local_cluster(num_servers=4, fragment_size=1 << 12)
+        log = cluster.make_log(client_id=1)
+        fill_stripes(log, 45)
+        log.flush().wait()
+        assert log.stripes_written >= 45
+        assert len(log._inflight) <= 1
+
 
 class TestGroupCommit:
     def make_log(self, cluster4, threshold=512):
@@ -343,6 +356,95 @@ class TestLateFailureAccounting:
         ticket.wait()
         assert ticket.failures() == []
         assert log.failures() == {}
+
+
+# ----------------------------------------------------------------------
+# Recycled fragment buffers
+# ----------------------------------------------------------------------
+
+def recycling_log(fragment_size):
+    cluster = build_local_cluster(num_servers=4, fragment_size=fragment_size,
+                                  server_slots=512)
+    return cluster, cluster.make_log(client_id=1)
+
+
+class TestBufferRecycling:
+    @pytest.mark.usefixtures("two_second_allowance")
+    def test_sync_writes_reuse_a_stripe_of_buffers(self, monkeypatch):
+        """Each flush seals the open fragment, so every small sync write
+        opens a builder; after a warm-up flush each one builds in a
+        sealed builder's buffer instead of allocating 1 MiB."""
+        _cluster, log = recycling_log(1 << 20)
+        log.write_block(SVC, b"warm-up" * 512)
+        log.flush().wait()
+        buffers, fresh = {}, []  # id -> buffer; per builder: allocated?
+
+        class Recording(FragmentBuilder):
+            def __init__(self, fid, client_id, capacity, buffer=None):
+                fresh.append(buffer is None)
+                super().__init__(fid, client_id, capacity, buffer)
+                buffers[id(self._buf)] = self._buf
+
+        monkeypatch.setattr(layer_module, "FragmentBuilder", Recording)
+        bound = log.placement.max_data_fragments()
+        for i in range(100):
+            log.write_block(SVC, bytes([i]) * 4096)
+            log.flush().wait()
+            assert len(buffers) <= bound
+        assert len(fresh) == 100
+        assert not any(fresh)
+
+    @pytest.mark.usefixtures("two_second_allowance")
+    def test_stale_bytes_never_reach_an_image(self, monkeypatch):
+        """A near-full fragment of 0xFF leaves its buffer dirty for the
+        next, short one, and for a fragment that fills short of its
+        capacity and folds into a two-member stripe's parity early.
+        Every stored image, parity included, matches a log that builds
+        each fragment in a zeroed buffer."""
+        largest = FragmentBuilder.max_block_size(FRAG)
+
+        def run(cluster, log):
+            log.write_block(SVC, b"\xff" * (largest - 200))
+            log.flush().wait()
+            log.write_block(SVC, b"small")
+            log.flush().wait()
+            log.write_block(SVC, b"\x01" * (largest * 3 // 5))
+            log.write_block(SVC, b"\x02" * (largest * 3 // 5))
+            log.flush().wait()
+            return stored_fragments(cluster)
+
+        reused = run(*recycling_log(FRAG))
+        monkeypatch.setattr(LogLayer, "_recycle_buffers",
+                            lambda self, builders: None)
+        fresh = run(*recycling_log(FRAG))
+        assert sorted(reused) == sorted(fresh)
+        assert len(reused) == 7  # stripes of 1, 1 and 2 data members
+        for fid, (_fragment, image) in reused.items():
+            assert image == fresh[fid][1]
+            Fragment.decode(image, verify_payload=True)
+        stripes = {}
+        for fid, (fragment, image) in sorted(reused.items()):
+            stripes.setdefault(fragment.header.stripe_base_fid, []).append(
+                (fragment, image))
+        for members in stripes.values():
+            data = [img for f, img in members if not f.header.is_parity]
+            (parity,) = [img for f, img in members if f.header.is_parity]
+            assert parity[HEADER_SIZE:] == parity_of_fast(data)
+
+    @pytest.mark.usefixtures("two_second_allowance")
+    def test_peeked_bytes_survive_buffer_reuse(self):
+        _cluster, log = recycling_log(FRAG)
+        address = log.write_block(SVC, b"\xaa" * 1000)
+        builder = log._building[-1]
+        buffer = builder._buf
+        peeked = builder.peek_range(address.offset, address.length)
+        log.flush().wait()
+        log.write_block(SVC, b"\x55" * 5000)  # over the same offsets
+        reused = log._building[-1]._buf is buffer
+        assert reused
+        assert peeked == b"\xaa" * 1000
+        assert log.read_range(address.fid, address.offset,
+                              address.length) == b"\xaa" * 1000
 
 
 # ----------------------------------------------------------------------
