@@ -89,9 +89,6 @@ class SimClientDriver:
         ticket = self.log.flush()
         if ticket.events:
             yield self.cluster.sim.all_of(ticket.events)
-        # Now that every store has resolved, fold late failures into
-        # the layer's per-server accounting.
-        ticket.failures()
         return (self.log.useful_bytes_written, self.log.raw_bytes_written)
 
     def read_blocks(self, addresses: List, service_id: int = 1) -> Generator:

@@ -3,9 +3,10 @@
 The monitor never issues traffic of its own for scoring: it is *fed*
 by the layers that already talk to servers — every attempt outcome the
 :class:`~repro.rpc.retry.RetryingTransport` sees (synchronous calls,
-scatter fan-outs, retry exhaustions) becomes one observation here. The
-score per server is two signals the spec-sheet failure detectors
-(Lustre's health network, SWIM-style suspicion) also use:
+scatter fan-outs, simulated processes as they resolve, retry
+exhaustions) becomes one observation here. The score per server is two
+signals the spec-sheet failure detectors (Lustre's health network,
+SWIM-style suspicion) also use:
 
 * an **EWMA of failures** — smooth evidence, robust to one-off drops;
 * a **consecutive-failure count** — sharp evidence; a chaos plan with
@@ -68,7 +69,12 @@ READMIT_PROBES = 3        # successes a server in probation needs to return
 
 @dataclass
 class ServerHealth:
-    """Everything the monitor knows about one server."""
+    """The monitor's verdict state for one server.
+
+    Outcome counts are not kept here: the retry layer's ``per_server``
+    counts every RPC outcome once (see
+    :meth:`~repro.rpc.retry.RetryingTransport.health_report`).
+    """
 
     server_id: str
     status: str = HEALTHY
@@ -76,10 +82,7 @@ class ServerHealth:
     consecutive_failures: int = 0
     consecutive_exhaustions: int = 0
     probation_successes: int = 0
-    # Cumulative counters (never reset; read by reports and tests).
-    successes: int = 0
-    failures: int = 0
-    exhaustions: int = 0
+    # Probe counters (never reset; the chaos runner reads ``probes``).
     probes: int = 0
     probe_successes: int = 0
 
@@ -90,9 +93,6 @@ class ServerHealth:
             "ewma": self.ewma,
             "consecutive_failures": self.consecutive_failures,
             "consecutive_exhaustions": self.consecutive_exhaustions,
-            "successes": self.successes,
-            "failures": self.failures,
-            "exhaustions": self.exhaustions,
             "probes": self.probes,
             "probe_successes": self.probe_successes,
         }
@@ -160,7 +160,8 @@ class HealthMonitor:
                       if st.status == DEAD)
 
     def health_report(self) -> Dict[str, object]:
-        """Structured snapshot: per-server counters plus transitions."""
+        """Structured snapshot: per-server verdict state, transitions,
+        and the number of outcomes observed."""
         return {
             "servers": {sid: state.as_dict()
                         for sid, state in sorted(self._servers.items())},
@@ -176,19 +177,13 @@ class HealthMonitor:
         """Feed one RPC outcome. ``ok`` means the server *answered* —
         a definitive application error (not-found, ACL denial) is still
         proof of life; only unreachability counts as failure."""
-        state = self._state(server_id)
         self._observations += 1
-        if ok:
-            state.successes += 1
-        else:
-            state.failures += 1
-        self._score(state, ok)
+        self._score(self._state(server_id), ok)
         self._maybe_probe()
 
     def note_exhausted(self, server_id: str) -> None:
         """A whole retry ladder against ``server_id`` failed."""
         state = self._state(server_id)
-        state.exhaustions += 1
         state.consecutive_exhaustions += 1
         if state.consecutive_exhaustions >= DEAD_EXHAUSTIONS:
             self._transition(state, DEAD)

@@ -385,20 +385,17 @@ def make_engine(coding: str, parity_count: int):
                       % (coding, ", ".join(CODING_SCHEMES)))
 
 
-def engine_for_stripe(stripe_width: int, parity_index: int):
+def engine_for_stripe(parity_count: int):
     """The engine a *reader* needs, from stripe geometry alone.
 
-    ``parity_index`` is the first parity member's stripe index (the
-    header field), so ``m = width - parity_index``. The normalized
-    matrix makes ``m == 1`` literally XOR, so no scheme tag is stored
-    anywhere — geometry is sufficient. Returns ``None`` for
-    replication-free stripes.
+    ``parity_count`` is the stripe's parity member count
+    (:attr:`~repro.log.fragment.FragmentHeader.parity_count`). The
+    normalized matrix makes ``m == 1`` literally XOR, so no scheme tag
+    is stored anywhere — geometry is sufficient. Returns ``None`` for
+    stripes without parity.
     """
-    from repro.log.fragment import NO_PARITY
-
-    if parity_index == NO_PARITY or parity_index >= stripe_width:
+    if parity_count == 0:
         return None
-    parity_count = stripe_width - parity_index
     if parity_count == 1:
         return XorEngine()
     return ReedSolomonEngine(parity_count)

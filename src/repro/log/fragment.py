@@ -98,6 +98,16 @@ class FragmentHeader:
     read can detect silent payload corruption — a flipped bit anywhere
     in the image fails either the header CRC or this one."""
 
+    @property
+    def parity_count(self) -> int:
+        """Parity members of this stripe (0 for a stripe without
+        parity). The parity members are the last ones, from
+        ``parity_index`` on."""
+        if self.parity_index == NO_PARITY or (
+                self.parity_index >= self.stripe_width):
+            return 0
+        return self.stripe_width - self.parity_index
+
     def server_of_index(self, index: int) -> str:
         """Name of the server holding stripe member ``index``."""
         return self.servers[index]
@@ -458,33 +468,18 @@ class FragmentBuilder:
         return Fragment(header, memoryview(image)[HEADER_SIZE:], image=image)
 
 
-def make_parity_fragment(fid: int, client_id: int, data_images: List[bytes],
+def make_parity_fragment(fid: int, client_id: int, payload: bytes,
                          stripe_base_fid: int, stripe_width: int,
                          stripe_index: int, servers: Tuple[str, ...],
-                         payload: Optional[bytes] = None,
-                         parity_index: Optional[int] = None) -> Fragment:
-    """Build one parity fragment for a stripe.
+                         parity_index: int) -> Fragment:
+    """Build one parity fragment of a stripe around ``payload``.
 
-    With the default single-parity layout the payload is the byte-wise
-    XOR of the data fragments' complete images, zero-padded to the
-    longest image, so any single missing data fragment's full image can
-    be recovered by XOR-ing the parity payload with the surviving
-    images. Multi-parity stripes (``coding="rs"``) pass the Reed-Solomon
-    slot payload explicitly, plus ``parity_index`` — the stripe index of
-    the *first* parity member (data members sit below it). When omitted,
-    ``parity_index`` defaults to ``stripe_index``, the single-parity
-    convention, which keeps pre-refactor headers bit-identical.
-
-    Callers that kept a running accumulator as the stripe filled (the
-    incremental-parity write path) pass the finished ``payload``
-    directly; for XOR it must equal ``parity_of_fast(data_images)``.
+    ``payload`` is one parity slot of the stripe's data images, as the
+    coding engine produced it (for a single-parity stripe, the XOR of
+    the complete images, zero-padded to the longest); ``parity_index``
+    is the stripe index of the *first* parity member (data members sit
+    below it), ``stripe_index`` this member's own.
     """
-    from repro.log.stripe import parity_of_fast  # local import to avoid a cycle
-
-    if payload is None:
-        payload = parity_of_fast(data_images)
-    if parity_index is None:
-        parity_index = stripe_index
     header = FragmentHeader(
         fid=fid, client_id=client_id, is_parity=True, marked=False,
         stripe_base_fid=stripe_base_fid, stripe_width=stripe_width,

@@ -58,27 +58,6 @@ CostHook = Callable[[str, int], None]
 UsageListener = Callable[[str, BlockAddress, int, int, bytes], None]
 
 
-class StripeTicket:
-    """Completion handle for one stripe's dispatched stores.
-
-    :meth:`LogLayer.inflight_stripes` counts these: a stripe is *in
-    flight* until every one of its store futures has resolved. Stripe
-    tickets compose into the :class:`FlushTicket` full barrier — a
-    flush's events are exactly the events of every stripe dispatched
-    since the last flush.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: List) -> None:
-        self.events = events
-
-    @property
-    def done(self) -> bool:
-        """True once every store of this stripe has resolved."""
-        return all(event.triggered for event in self.events)
-
-
 class FlushTicket:
     """Handle for the asynchronous stores one flush started.
 
@@ -87,20 +66,14 @@ class FlushTicket:
     callers use :meth:`wait`; simulated drivers ``yield
     sim.all_of(ticket.events)``.
 
-    ``on_observe`` is the issuing log layer's accounting hook: store
-    failures that only become visible once the futures resolve (the
-    pipelined write-behind path) are folded into the layer's per-server
-    failure counters the moment a caller looks at the ticket.
+    The ticket only reports outcomes; it counts nothing. Each store's
+    outcome is counted once, per server, by the retry layer (when the
+    log has one) as the store resolves, however often the ticket is
+    looked at.
     """
 
-    def __init__(self, events: List,
-                 on_observe: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self, events: List) -> None:
         self.events = events
-        self._on_observe = on_observe
-
-    def _observe(self) -> None:
-        if self._on_observe is not None:
-            self._on_observe()
 
     def wait(self, allow_degraded: bool = False) -> None:
         """Verify every store finished; raises the first failure.
@@ -117,13 +90,10 @@ class FlushTicket:
             if not event.triggered:
                 raise LogError("flush not complete; drive the simulator first")
             if event.exception is not None and not allow_degraded:
-                self._observe()
                 raise event.exception
-        self._observe()
 
     def failures(self) -> List[BaseException]:
         """Exceptions of the stores that failed (empty when clean)."""
-        self._observe()
         return [event.exception for event in self.events
                 if event.triggered and event.exception is not None]
 
@@ -193,13 +163,11 @@ class LogLayer:
         # engine's incremental accumulator (None when the group has no
         # parity member, or mid-stripe after recovery).
         self._parity_acc = None
-        # Write-behind: stripes whose stores are still in flight, oldest
-        # first (a simulated driver bounds the stores themselves).
-        # Finished tickets are dropped whenever a stripe is appended.
-        self._inflight: List[StripeTicket] = []
-        # Stores dispatched while unresolved; their outcomes are folded
-        # into the failure counters when the futures resolve.
-        self._store_ledger: List[Tuple[str, object]] = []
+        # Write-behind: the store futures of each stripe still in
+        # flight, oldest first (a simulated driver bounds the stores
+        # themselves). Finished stripes are dropped whenever a stripe
+        # is appended.
+        self._inflight: List[List] = []
         # Group commit: small service records waiting to hit a builder.
         self._record_batch: List[Record] = []
         self._record_batch_bytes = 0
@@ -223,10 +191,8 @@ class LogLayer:
         self.raw_bytes_written = 0
         self.useful_bytes_written = 0
         self.stripes_written = 0
-        self.delete_failures = 0
         self.group_commit_batches = 0
         self.records_coalesced = 0
-        self._failures_by_server: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -260,8 +226,11 @@ class LogLayer:
         return list(self._pending)
 
     def inflight_stripes(self) -> int:
-        """Stripes whose stores are still in flight (write-behind)."""
-        self._inflight = [t for t in self._inflight if not t.done]
+        """Stripes whose stores are still in flight (write-behind): a
+        stripe is in flight until every one of its store futures has
+        resolved. Drops the finished ones from the window."""
+        self._inflight = [futures for futures in self._inflight
+                          if not all(f.triggered for f in futures)]
         return len(self._inflight)
 
     def buffered_records(self) -> int:
@@ -282,63 +251,21 @@ class LogLayer:
         if self.crash_injector is not None:
             self.crash_injector.hit(point)
 
-    def _count_failure(self, server_id: str, kind: str) -> None:
-        per_kind = self._failures_by_server.setdefault(
-            server_id, {"stores": 0, "deletes": 0})
-        per_kind[kind] += 1
-
-    def _account_store_outcomes(self) -> None:
-        """Fold late store outcomes into the per-server failure counters.
-
-        Stores dispatched through the asynchronous path resolve after
-        submission; their failures used to vanish (only submit-time
-        ``triggered`` futures were counted). Every dispatched store that
-        was unresolved at submit time sits in the ledger until its
-        future resolves — then a failure is counted exactly once, and
-        fed to the failure detector, which the retry wrapper only feeds
-        on the synchronous path.
-        """
-        if not self._store_ledger:
-            return
-        from repro.rpc.retry import TRANSIENT_ERRORS
-
-        remaining: List[Tuple[str, object]] = []
-        for server_id, future in self._store_ledger:
-            if not future.triggered:
-                remaining.append((server_id, future))
-            elif future.exception is not None:
-                self._count_failure(server_id, "stores")
-                if self.monitor is not None:
-                    self.monitor.observe(server_id, ok=not isinstance(
-                        future.exception, TRANSIENT_ERRORS))
-        self._store_ledger = remaining
-
-    def failures(self) -> Dict[str, Dict[str, int]]:
-        """Per-server counts of failed stores and deletes.
-
-        Only operations this layer issued; the retry layer's per-attempt
-        view (including the retries that eventually succeeded) lives in
-        the transport's ``health_report``.
-        """
-        return {server_id: dict(per_kind)
-                for server_id, per_kind in self._failures_by_server.items()}
-
     def health_report(self) -> Dict[str, object]:
         """One structured health snapshot for monitors and tests.
 
-        Merges this layer's per-server failure counters with the
-        retrying transport's per-server attempt outcomes and — when a
-        failure detector is attached — its verdicts, so every consumer
-        reads the same numbers instead of scraping ad-hoc attributes.
+        Merges this layer's own state with the retrying transport's
+        per-server RPC outcomes (the one place they are counted) and —
+        when a failure detector is attached — its verdicts, so every
+        consumer reads the same numbers instead of scraping ad-hoc
+        attributes.
         """
         report: Dict[str, object] = {
             "log": {
                 "stripes_written": self.stripes_written,
-                "delete_failures": self.delete_failures,
                 "group_commit_batches": self.group_commit_batches,
                 "records_coalesced": self.records_coalesced,
                 "inflight_stripes": self.inflight_stripes(),
-                "failures_by_server": self.failures(),
                 "reforms": [dict(reform) for reform in self.reforms],
                 "group": list(self.group.servers),
                 "spares_remaining": self.placement.spares_remaining(),
@@ -576,20 +503,18 @@ class LogLayer:
         # Every image is an owned copy now, so the buffers are free.
         self._recycle_buffers(building)
         if nparity:
-            data_images = list(images)
             payloads = (acc.payloads() if acc is not None
-                        else self._engine.encode(data_images))
+                        else self._engine.encode(images))
             self.cost_hook(self._engine.name,
                            acc.consumed if acc is not None
-                           else nparity * sum(len(img) for img in data_images))
+                           else nparity * sum(len(img) for img in images))
             for slot, payload in enumerate(payloads):
                 parity_fid = make_fid(self.config.client_id, self._seq.next())
                 if parity_fid != base_fid + ndata + slot:
                     raise LogError("non-consecutive stripe FIDs (internal bug)")
                 parity = make_parity_fragment(
-                    parity_fid, self.config.client_id, data_images, base_fid,
-                    width, ndata + slot, servers, payload=payload,
-                    parity_index=parity_index)
+                    parity_fid, self.config.client_id, payload, base_fid,
+                    width, ndata + slot, servers, parity_index)
                 fragments.append(parity)
                 images.append(parity.encode())
         # Everything below the seal is durability-critical: the stripe
@@ -625,15 +550,9 @@ class LogLayer:
                 self.crash_point("scatter_dispatch")
                 futures.append(self.transport.submit(server_id, request))
             self.crash_point("post_store_pre_ack")
-        for (server_id, _request), future in zip(plan, futures):
-            if future.triggered:
-                if future.exception is not None:
-                    self._count_failure(server_id, "stores")
-            else:
-                self._store_ledger.append((server_id, future))
-            self._pending.append(future)
-        self._inflight = [t for t in self._inflight if not t.done]
-        self._inflight.append(StripeTicket(list(futures)))
+        self._pending.extend(futures)
+        self.inflight_stripes()  # drops the finished stripes
+        self._inflight.append(futures)
         self._stripe_number += 1
         self.stripes_written += 1
 
@@ -653,7 +572,7 @@ class LogLayer:
         self._drain_records()
         self._close_stripe()
         events, self._pending = self._pending, []
-        return FlushTicket(events, on_observe=self._account_store_outcomes)
+        return FlushTicket(events)
 
     # ------------------------------------------------------------------
     # Stripe-group reconfiguration
@@ -928,8 +847,8 @@ class LogLayer:
         Returns the fids whose delete failed with a server error —
         candidates for a later retry. A fragment that no server claims
         to hold, or that is already gone (``FragmentNotFoundError``),
-        is treated as deleted. Failures are counted in
-        ``delete_failures``; unexpected non-Swarm exceptions propagate.
+        is treated as deleted. The retry layer counts each delete's
+        outcome per server; unexpected non-Swarm exceptions propagate.
         """
         from repro.rpc.completion import scatter_call
 
@@ -940,12 +859,10 @@ class LogLayer:
                                         principal=self.config.principal))
             for fid, server_id in targets])
         failed: List[int] = []
-        for (fid, server_id), future in zip(targets, futures):
+        for (fid, _server_id), future in zip(targets, futures):
             if not future.ok:
                 # Already gone counts as deleted: deletion is idempotent.
                 if not isinstance(future.exception, FragmentNotFoundError):
-                    self.delete_failures += 1
-                    self._count_failure(server_id, "deletes")
                     failed.append(fid)
             self.locations.evict(fid)
         self.reconstructor.forget(fids)

@@ -84,7 +84,6 @@ from repro.log.fragment import (
     Fragment,
     FragmentHeader,
     MAX_STRIPE_WIDTH,
-    NO_PARITY,
     make_parity_fragment,
 )
 from repro.log.location import LocationCache
@@ -330,10 +329,7 @@ class Reconstructor:
                 % fid)
         base = header.stripe_base_fid
         width = header.stripe_width
-        if header.parity_index == NO_PARITY or header.parity_index >= width:
-            nparity = 0
-        else:
-            nparity = width - header.parity_index
+        nparity = header.parity_count
         missing_index = fid - base
         survivors: Dict[int, bytes] = {}
         erased = {missing_index}
@@ -445,7 +441,7 @@ class Reconstructor:
         """
         base = header.stripe_base_fid
         width = header.stripe_width
-        engine = engine_for_stripe(width, header.parity_index)
+        engine = engine_for_stripe(header.parity_count)
         if engine is None:
             raise UnrecoverableError(
                 "stripe %d..%d was written without parity; member %s "
@@ -474,9 +470,8 @@ class Reconstructor:
             for index in erased_parity:
                 payload = engine.encode_slot(data_images, index - ndata)
                 parity = make_parity_fragment(
-                    base + index, header.client_id, data_images, base,
-                    width, index, header.servers, payload=payload,
-                    parity_index=ndata)
+                    base + index, header.client_id, payload, base, width,
+                    index, header.servers, ndata)
                 rebuilt[index] = parity.encode()
         return rebuilt
 

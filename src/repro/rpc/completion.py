@@ -64,6 +64,11 @@ class CompletedFuture:
             raise self.exception
         return self.value
 
+    def add_callback(self, callback) -> None:
+        """Run ``callback(self)`` now, as a simulator event does for a
+        callback added after it resolved."""
+        callback(self)
+
 
 def capture(fn, *args) -> CompletedFuture:
     """Run ``fn(*args)`` now; its outcome captured as a completion.

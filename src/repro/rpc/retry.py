@@ -125,12 +125,15 @@ class RetryPolicy:
 
 
 class RetryingTransport(TransportWrapper):
-    """Applies a :class:`RetryPolicy` to every synchronous call.
+    """Applies a :class:`RetryPolicy` to every synchronous call, and
+    counts every RPC outcome it passes.
 
     Wraps any transport; only transient errors are retried, with the
     at-least-once resolutions described in the module docstring. A
-    running simulation's process path passes through unretried (see
-    :class:`~repro.rpc.transport.TransportWrapper`).
+    running simulation's process path passes through unretried, but
+    not unseen: each such future is scored (per-server counts and the
+    failure detector) once, when it resolves. This is the one place an
+    RPC outcome is counted.
     """
 
     def __init__(self, inner, policy: RetryPolicy, monitor=None,
@@ -164,8 +167,8 @@ class RetryingTransport(TransportWrapper):
         stats = self.per_server.get(server_id)
         if stats is None:
             stats = self.per_server[server_id] = {
-                "calls": 0, "successes": 0, "failures": 0,
-                "retries": 0, "exhausted": 0, "backoff_s": 0.0,
+                "successes": 0, "failures": 0, "retries": 0,
+                "exhausted": 0, "backoff_s": 0.0,
             }
         return stats
 
@@ -177,9 +180,7 @@ class RetryingTransport(TransportWrapper):
         are reported as successes; only transient unreachability counts
         against a server's health.
         """
-        stats = self._stats(server_id)
-        stats["calls"] += 1
-        stats["successes" if ok else "failures"] += 1
+        self._stats(server_id)["successes" if ok else "failures"] += 1
         if self.monitor is not None:
             self.monitor.observe(server_id, ok)
 
@@ -234,17 +235,26 @@ class RetryingTransport(TransportWrapper):
         return [capture(self.inner.call, server_id, request)
                 for server_id, request in plan]
 
+    def submit(self, server_id: str, request):
+        if self.submit_is_synchronous:
+            return super().submit(server_id, request)
+        return self._scored_on_resolve(server_id,
+                                       self.inner.submit(server_id, request))
+
     def submit_many(self, plan):
         """Fan out with per-operation retries, keeping the overlap.
 
         The whole plan goes to the inner transport in one scatter;
         only the operations that failed transiently are re-scattered
         (see :meth:`_retry`). A running simulation's process path passes
-        through unretried, like :meth:`submit`.
+        through unretried, like :meth:`submit`, and each of its futures
+        is observed when it resolves.
         """
         plan = list(plan)
         if not self.submit_is_synchronous:
-            return self.inner.submit_many(plan)
+            futures = self.inner.submit_many(plan)
+            return [self._scored_on_resolve(server_id, future)
+                    for (server_id, _request), future in zip(plan, futures)]
         futures = list(self.inner.submit_many(plan))
         self._observe_scatter(plan, futures)
         return self._retry(plan, futures, self.inner.submit_many, True)
@@ -297,6 +307,12 @@ class RetryingTransport(TransportWrapper):
             if _failed_transiently(future):
                 self._note_exhausted(plan[index][0])
         return futures
+
+    def _scored_on_resolve(self, server_id: str, future):
+        """``future`` (a simulator process), observed when it resolves."""
+        future.add_callback(lambda done: self._observe(
+            server_id, not _failed_transiently(done)))
+        return future
 
     def _observe_scatter(self, plan, futures) -> None:
         """Feed one scatter round's per-operation outcomes."""

@@ -199,8 +199,10 @@ class TransportWrapper(Transport):
     server list and the synchrony flag are the inner transport's, and
     a single :meth:`submit` goes through the wrapper's own ``call``
     whenever the inner transport resolves submissions synchronously.
-    A running simulation's process path passes through untouched — its
-    drivers model failure at a different layer.
+    A running simulation's process path passes through unretried (a
+    simulated process cannot be re-run from inside the run); a wrapper
+    that needs those outcomes, like the retry layer's scoring, overrides
+    :meth:`submit` and attaches a callback to each future.
     """
 
     def __init__(self, inner) -> None:

@@ -36,7 +36,6 @@ from repro.log.fragment import (
     FragmentBuilder,
     FragmentHeader,
     HEADER_SIZE,
-    NO_PARITY,
     make_parity_fragment,
 )
 from repro.log.reconstruct import Reconstructor
@@ -161,13 +160,9 @@ def check_client_log(transport, client_id: int,
     stripe_shapes: Dict[int, Tuple[int, int]] = {}
     for header in headers.values():
         stripe_shapes[header.stripe_base_fid] = (header.stripe_width,
-                                                 header.parity_index)
+                                                 header.parity_count)
 
-    for base, (width, parity_index) in sorted(stripe_shapes.items()):
-        if parity_index == NO_PARITY or parity_index >= width:
-            nparity = 0
-        else:
-            nparity = width - parity_index
+    for base, (width, nparity) in sorted(stripe_shapes.items()):
         finding = StripeFinding(base_fid=base, width=width,
                                 parity_count=nparity)
         member_images: Dict[int, bytes] = {}
@@ -183,8 +178,7 @@ def check_client_log(transport, client_id: int,
         if not finding.missing and not finding.corrupt and nparity:
             ndata = width - nparity
             data_images = [member_images[off] for off in range(ndata)]
-            engine = engine_for_stripe(width, ndata)
-            expected = engine.encode(data_images)
+            expected = engine_for_stripe(nparity).encode(data_images)
             finding.parity_valid = all(
                 bytes(Fragment.decode(member_images[ndata + slot]).payload)
                 == expected[slot]
@@ -271,7 +265,7 @@ def _complete_torn_stripe(rebuilder: Reconstructor,
     base, width = finding.base_fid, finding.width
     servers = sample.servers
     parity_index = sample.parity_index
-    ndata = width if parity_index == NO_PARITY else parity_index
+    ndata = width - sample.parity_count
     if len(servers) < width:
         return 0  # descriptor predates full-width server lists
     data_images: List[bytes] = []
@@ -286,17 +280,15 @@ def _complete_torn_stripe(rebuilder: Reconstructor,
         image = fragment.encode()
         data_images.append(image)
         fills.append((fid, image))
-    if parity_index != NO_PARITY:
-        engine = engine_for_stripe(width, ndata)
-        payloads = engine.encode(data_images)
-        for slot, payload in enumerate(payloads):
+    engine = engine_for_stripe(sample.parity_count)
+    if engine is not None:
+        for slot, payload in enumerate(engine.encode(data_images)):
             fid = base + ndata + slot
             if fid in images:
                 continue
             parity = make_parity_fragment(
-                fid, sample.client_id, data_images, base, width,
-                ndata + slot, servers, payload=payload,
-                parity_index=parity_index)
+                fid, sample.client_id, payload, base, width, ndata + slot,
+                servers, parity_index)
             fills.append((fid, parity.encode()))
     stored = 0
     for fid, image in fills:

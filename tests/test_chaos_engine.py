@@ -452,6 +452,28 @@ class TestRetryingTransport:
         # 0.1 + 0.2 of backoff plus the op's own modeled time.
         assert inner.take_deferred_time() >= 0.3
 
+    def test_faulted_scatter_in_a_running_simulation_is_scored(self):
+        """A fault decided at submit time comes back as a completed
+        future among the simulator's processes; both are scored."""
+        cluster = SimCluster(ClusterConfig(num_servers=2, num_clients=1))
+        plan = FaultPlan(1, full_spec(drop_request=1.0,
+                                      max_consecutive=10 ** 9,
+                                      pinned_victim="s0"))
+        retrying = RetryingTransport(
+            FaultyTransport(cluster.make_transport(0), plan), RetryPolicy())
+
+        def workload():
+            futures = retrying.submit_many(
+                [(sid, m.HoldsRequest(fids=())) for sid in ("s0", "s1")])
+            yield futures[1]
+            return futures
+
+        dropped, answered = cluster.sim.run_process(workload())
+        assert isinstance(dropped.exception, errors.ServerUnavailableError)
+        assert answered.ok
+        assert retrying.per_server["s0"]["failures"] == 1
+        assert retrying.per_server["s1"]["successes"] == 1
+
     def test_charge_delay_walks_wrapper_chain(self):
         cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
         inner = cluster.make_transport(0)

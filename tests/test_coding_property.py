@@ -277,11 +277,22 @@ class TestEngineSelection:
 
     def test_engine_for_stripe_geometry(self):
         from repro.log.coding import engine_for_stripe
-        from repro.log.fragment import NO_PARITY
+        from repro.log.fragment import FragmentHeader, NO_PARITY
 
-        assert engine_for_stripe(4, NO_PARITY) is None
-        assert engine_for_stripe(4, 4) is None  # m == 0 layout
-        assert isinstance(engine_for_stripe(4, 3), XorEngine)
-        rs = engine_for_stripe(6, 4)
+        def parity_count(width, parity_index):
+            return FragmentHeader(
+                fid=1, client_id=1, is_parity=False, marked=False,
+                stripe_base_fid=1, stripe_width=width, stripe_index=0,
+                parity_index=parity_index, payload_len=0, item_count=0,
+                first_lsn=0, last_lsn=0,
+                servers=("s",) * width).parity_count
+
+        assert parity_count(4, NO_PARITY) == 0
+        assert parity_count(4, 4) == 0  # m == 0 layout
+        assert parity_count(4, 3) == 1
+        assert parity_count(6, 4) == 2
+        assert engine_for_stripe(0) is None
+        assert isinstance(engine_for_stripe(1), XorEngine)
+        rs = engine_for_stripe(2)
         assert isinstance(rs, ReedSolomonEngine)
         assert rs.parity_count == 2

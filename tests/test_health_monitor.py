@@ -174,8 +174,9 @@ class TestStateMachine:
         report = monitor.health_report()
         assert report["observations"] == 7
         assert report["servers"]["s0"]["status"] == DEAD
-        assert report["servers"]["s0"]["failures"] == 6
-        assert report["servers"]["s1"]["successes"] == 1
+        assert report["servers"]["s0"]["consecutive_failures"] == 6
+        assert report["servers"]["s1"]["status"] == HEALTHY
+        assert report["servers"]["s1"]["consecutive_failures"] == 0
         assert ("s0", SUSPECT, DEAD) in report["transitions"]
 
 
@@ -227,7 +228,10 @@ class TestRetryIntegration:
         log.flush().wait()
         report = log.health_report()
         assert report["log"]["stripes_written"] == log.stripes_written
-        assert report["log"]["failures_by_server"] == {}
-        assert "servers" in report["transport"]
         assert "transitions" in report["monitor"]
-        assert log.failures() == {}
+        # Every outcome is counted once, by the retry layer, and the
+        # monitor saw each of them.
+        per_server = report["transport"]["servers"]
+        assert all(stats["failures"] == 0 for stats in per_server.values())
+        assert report["monitor"]["observations"] == sum(
+            stats["successes"] for stats in per_server.values()) > 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import CorruptFragmentError
+from repro.log.coding import XorEngine
 from repro.log.fragment import (
     BLOCK_ITEM_OVERHEAD,
     Fragment,
@@ -163,16 +164,20 @@ class TestFragmentParsing:
 class TestParityFragment:
     def test_parity_has_no_items(self):
         _b, data_fragment, _o = build_one(blocks=[b"stuff"])
-        parity = make_parity_fragment(8, 1, [data_fragment.encode()],
-                                      5, 4, 3, ("a", "b", "c", "d"))
+        payload = XorEngine().encode([data_fragment.encode()])[0]
+        parity = make_parity_fragment(8, 1, payload, 5, 4, 3,
+                                      ("a", "b", "c", "d"), 3)
         assert parity.header.is_parity
+        assert parity.header.parity_index == 3
         assert list(parity.items()) == []
 
     def test_parity_payload_is_xor_of_images(self):
         _b, f1, _o = build_one(blocks=[b"aaa"], fid=5)
         _b, f2, _o = build_one(blocks=[b"bb"], fid=6)
         images = [f1.encode(), f2.encode()]
-        parity = make_parity_fragment(7, 1, images, 5, 3, 2, ("a", "b", "c"))
+        payload = XorEngine().encode(images)[0]
+        parity = make_parity_fragment(7, 1, payload, 5, 3, 2,
+                                      ("a", "b", "c"), 2)
         length = max(len(i) for i in images)
         expected = bytes(
             (images[0][k] if k < len(images[0]) else 0)
