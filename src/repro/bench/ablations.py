@@ -153,7 +153,8 @@ def ablate_server_cache(reads: int = 10,
 
         def workload():
             for _ in range(reads):
-                yield transport.submit("s0", m.RetrieveRequest(fid=1))
+                yield transport.submit_many(
+                    [("s0", m.RetrieveRequest(fid=1))])[0]
 
         cluster.sim.run_process(workload())
         results["cached" if cached else "uncached"] = cluster.sim.now
@@ -195,8 +196,8 @@ def ablate_read_prefetch(blocks: int = 1500,
                 total = 0
                 for fid in fids:
                     server_id = driver.log.known_location(fid)
-                    response = yield driver.log.transport.submit(
-                        server_id, m.RetrieveRequest(fid=fid))
+                    response = yield driver.log.transport.submit_many(
+                        [(server_id, m.RetrieveRequest(fid=fid))])[0]
                     total += len(response.payload)
                 return total
 

@@ -76,11 +76,6 @@ def choose_kill_victims(seed: int, candidates: Sequence[str],
     return sorted(rng.sample(pool, count))
 
 
-def choose_kill_victim(seed: int, candidates: Sequence[str]) -> str:
-    """Single-victim compatibility wrapper for :func:`choose_kill_victims`."""
-    return choose_kill_victims(seed, candidates, 1)[0]
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """Fault rates and shape knobs for a :class:`FaultPlan`.

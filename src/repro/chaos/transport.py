@@ -25,12 +25,13 @@ decisions of a :class:`~repro.chaos.plan.FaultPlan`:
     A retrieve succeeds but one payload bit is silently flipped; only
     end-to-end checksum verification can notice.
 
-The wrapper sees the synchronous path (``call``) and the scatter path
-(``submit_many``, where every operation of a fan-out gets its own
-fault decision and a faulted operation fails only its own future);
-single asynchronous ``submit`` is intercepted through ``call`` whenever
-the wrapped transport resolves submissions synchronously, and passed
-through untouched on a running simulation's process path.
+The wrapper sees both entry points: the synchronous path (``call``)
+and the asynchronous one (``submit_many``, where every operation of a
+plan gets its own fault decision and a faulted operation fails only
+its own future). A single asynchronous operation is a one-op plan, so
+it is faulted the same way on every plane, a running simulation's
+process path included; there a faulted operation comes back as a
+resolved completion, decided at submit time at no simulated cost.
 """
 
 from __future__ import annotations

@@ -109,7 +109,8 @@ class SimClientDriver:
             request = m.RetrieveRequest(fid=addr.fid, offset=addr.offset,
                                         length=addr.length,
                                         principal=self.log.config.principal)
-            response = yield transport.submit(server_id, request)
+            response = yield transport.submit_many(
+                [(server_id, request)])[0]
             total += len(response.payload)
         self.bytes_read = total
         return total

@@ -46,8 +46,8 @@ class LogConfig:
     servers)."""
     pipeline_stores: bool = True
     """Dispatch a stripe's fragment stores as one ``submit_many`` plan
-    (overlapped on the simulated testbed) instead of one submit at a
-    time."""
+    (overlapped on the simulated testbed) instead of each store as its
+    own one-op plan, one at a time."""
     group_commit_bytes: int = 4096
     """Coalesce service records smaller than this into a client-side
     batch flushed before the next block append, checkpoint, or flush.

@@ -533,8 +533,7 @@ class LogLayer:
                 principal=self.config.principal, marked=marked,
                 acl_ranges=acl_ranges)))
             self.raw_bytes_written += len(image)
-        if (self.crash_injector is None and self.config.pipeline_stores
-                and len(plan) > 1):
+        if self.crash_injector is None and self.config.pipeline_stores:
             futures = self.transport.submit_many(plan)
         else:
             # One by one, in stripe order, with a crash point before
@@ -548,7 +547,8 @@ class LogLayer:
                 if request.marked:
                     self.crash_point("marked_fragment_store")
                 self.crash_point("scatter_dispatch")
-                futures.append(self.transport.submit(server_id, request))
+                futures.extend(self.transport.submit_many(
+                    [(server_id, request)]))
             self.crash_point("post_store_pre_ack")
         self._pending.extend(futures)
         self.inflight_stripes()  # drops the finished stripes

@@ -21,7 +21,7 @@ from a departed server.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 class LocationCache:
@@ -90,19 +90,6 @@ class LocationCache:
     def evict_server(self, server_id: str) -> None:
         """Drop every placement pointing at ``server_id``."""
         stale = [fid for fid, sid in self._map.items() if sid == server_id]
-        for fid in stale:
-            del self._map[fid]
-        self.evictions += len(stale)
-
-    def retain_servers(self, server_ids: Iterable[str]) -> None:
-        """Drop placements on servers outside ``server_ids``.
-
-        Used when a stripe group is reformed away from a failed server:
-        everything believed to live on departed members must be looked
-        up (or reconstructed) fresh.
-        """
-        keep = set(server_ids)
-        stale = [fid for fid, sid in self._map.items() if sid not in keep]
         for fid in stale:
             del self._map[fid]
         self.evictions += len(stale)

@@ -19,7 +19,9 @@ the four attributes the transports and the simulator already share:
 simulator's :class:`~repro.sim.core.Process`/:class:`~repro.sim.core.Event`
 both satisfy the protocol. Outside a running simulation every plane
 hands back resolved completions; inside one the simulated plane hands
-back processes, which the simulated driver yields on.
+back processes, which the simulated driver yields on. A simulated
+process may yield a resolved completion too (a fault decided at submit
+time is one): it takes the outcome at once.
 
 Combinators
 -----------
@@ -32,7 +34,8 @@ Combinators
     their futures, anything else is re-raised.
 :func:`capture`
     Run one synchronous call and keep its outcome in a completion —
-    how every synchronous ``submit`` is derived from ``call``.
+    how a plane whose operations resolve at once derives
+    ``submit_many`` from ``call``.
 """
 
 from __future__ import annotations

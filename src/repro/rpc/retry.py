@@ -235,20 +235,15 @@ class RetryingTransport(TransportWrapper):
         return [capture(self.inner.call, server_id, request)
                 for server_id, request in plan]
 
-    def submit(self, server_id: str, request):
-        if self.submit_is_synchronous:
-            return super().submit(server_id, request)
-        return self._scored_on_resolve(server_id,
-                                       self.inner.submit(server_id, request))
-
     def submit_many(self, plan):
         """Fan out with per-operation retries, keeping the overlap.
 
         The whole plan goes to the inner transport in one scatter;
         only the operations that failed transiently are re-scattered
         (see :meth:`_retry`). A running simulation's process path passes
-        through unretried, like :meth:`submit`, and each of its futures
-        is observed when it resolves.
+        through unretried (a simulated process cannot be re-run from
+        inside the run), and each of its futures is observed when it
+        resolves.
         """
         plan = list(plan)
         if not self.submit_is_synchronous:
@@ -309,7 +304,8 @@ class RetryingTransport(TransportWrapper):
         return futures
 
     def _scored_on_resolve(self, server_id: str, future):
-        """``future`` (a simulator process), observed when it resolves."""
+        """``future`` (a simulator process, or a completion a fault
+        resolved at submit time), observed when it resolves."""
         future.add_callback(lambda done: self._observe(
             server_id, not _failed_transiently(done)))
         return future

@@ -3,11 +3,13 @@
 Every plane exposes the same interface, so the log layer and every
 service above it are oblivious to whether they run in plain Python
 (correctness tests, examples), inside the discrete-event testbed
-(benchmarks) or over real sockets (:mod:`repro.rpc.net`). Asynchronous
-operations return *future-like* objects with ``triggered`` / ``ok`` /
-``value`` / ``exception`` attributes — the same shape as simulator
-events, so simulated drivers can ``yield`` them directly while
-synchronous callers just read the result.
+(benchmarks) or over real sockets (:mod:`repro.rpc.net`). It has two
+ways to run an operation: ``call`` resolves it now, and
+``submit_many(plan)`` starts a plan of them (a single operation is a
+one-op plan) and returns *future-like* objects with ``triggered`` /
+``ok`` / ``value`` / ``exception`` attributes — the same shape as
+simulator events, so simulated drivers can ``yield`` them directly
+while synchronous callers just read the result.
 
 Every plane applies a request to its server with the same
 :func:`~repro.rpc.codec.dispatch`, a lookup into the codec's verb table
@@ -54,17 +56,6 @@ class Transport(ABC):
     def call(self, server_id: str, request) -> m.Response:
         """Perform one operation synchronously; raises on error."""
 
-    def submit(self, server_id: str, request):
-        """Start one operation; returns a future-like object.
-
-        The default is the synchronous one — :meth:`call` now, outcome
-        captured — which is right for every transport whose
-        submissions resolve at once; a plane with its own shape (the
-        simulator, whose submissions inside a running simulation are
-        processes; the socket loop) overrides it.
-        """
-        return capture(self.call, server_id, request)
-
     @abstractmethod
     def server_ids(self) -> List[str]:
         """Names of all reachable servers."""
@@ -84,7 +75,7 @@ class Transport(ABC):
 
     @property
     def submit_is_synchronous(self) -> bool:
-        """Whether :meth:`submit` returns already-resolved futures.
+        """Whether :meth:`submit_many` returns already-resolved futures.
 
         True for every transport except the simulated one while its
         simulation runs. Wrapper transports (retry, fault injection)
@@ -96,18 +87,19 @@ class Transport(ABC):
     def submit_many(self, plan: Plan) -> List:
         """Start every operation of ``plan``; returns futures in order.
 
-        ``plan`` is a sequence of ``(server_id, request)`` pairs. The
-        default implementation simply submits each operation — already
-        overlapped on a running simulation's process path, where every
-        submission is a concurrent process contending for NICs, CPUs,
-        and disk arms. Transports with a cheaper batched shape (and
-        wrappers that must decide per operation) override this.
+        ``plan`` is a sequence of ``(server_id, request)`` pairs; a
+        single operation is a one-op plan. This is the one way to start
+        an operation asynchronously. The default calls each operation
+        now and captures its outcome, which is right for every
+        transport whose operations resolve at once; a plane that
+        overlaps them (the simulator's processes, the socket loop) and
+        a wrapper that must decide per operation override it.
 
         Per-operation failures are captured inside the returned
         futures; ``submit_many`` itself never raises for an RPC error,
         so one dead server cannot wedge a fan-out.
         """
-        return [self.submit(server_id, request)
+        return [capture(self.call, server_id, request)
                 for server_id, request in plan]
 
     def broadcast_holds(self, fids: Iterable[int],
@@ -194,15 +186,9 @@ class LocalTransport(Transport):
 class TransportWrapper(Transport):
     """Base for middleware (retry, fault injection) around ``inner``.
 
-    A wrapper intercepts :meth:`call` — and ``submit_many`` where it
-    must decide per operation — and inherits everything else: the
-    server list and the synchrony flag are the inner transport's, and
-    a single :meth:`submit` goes through the wrapper's own ``call``
-    whenever the inner transport resolves submissions synchronously.
-    A running simulation's process path passes through unretried (a
-    simulated process cannot be re-run from inside the run); a wrapper
-    that needs those outcomes, like the retry layer's scoring, overrides
-    :meth:`submit` and attaches a callback to each future.
+    A wrapper intercepts both entry points, :meth:`call` and
+    :meth:`submit_many`, and inherits everything else: the server list
+    and the synchrony flag are the inner transport's.
     """
 
     def __init__(self, inner) -> None:
@@ -214,11 +200,6 @@ class TransportWrapper(Transport):
     @property
     def submit_is_synchronous(self) -> bool:
         return self.inner.submit_is_synchronous
-
-    def submit(self, server_id: str, request):
-        if not self.submit_is_synchronous:
-            return self.inner.submit(server_id, request)
-        return capture(self.call, server_id, request)
 
 
 class SimTransport(Transport):
@@ -234,8 +215,8 @@ class SimTransport(Transport):
     its predecessor, which is the pipelining §2.2 describes.
 
     The simulator's state picks the shape, not a setting. Inside a
-    running simulation :meth:`submit` returns the process, for the
-    driver to ``yield``; :meth:`call` applies only the functional
+    running simulation :meth:`submit_many` returns the processes, for
+    the driver to ``yield``; :meth:`call` applies only the functional
     effect (a driver that wants the time submits). Outside one,
     :meth:`submit_many` runs its plan's processes to completion and
     adds the elapsed simulated time to a *deferred-time ledger* that
@@ -272,11 +253,6 @@ class SimTransport(Transport):
         """Return and clear the accumulated simulated service time."""
         elapsed, self.deferred_time = self.deferred_time, 0.0
         return elapsed
-
-    def submit(self, server_id: str, request):
-        if not self.sim._running:
-            return capture(self.call, server_id, request)
-        return self._start(server_id, request)
 
     def submit_many(self, plan):
         """Launch every operation of ``plan`` as a concurrent process.

@@ -2,8 +2,9 @@
 
 A :class:`Simulator` owns a virtual clock and a priority queue of pending
 events. A :class:`Process` wraps a Python generator: every value the
-generator yields must be an :class:`Event`; the process suspends until
-that event triggers, then resumes with the event's value. This is the
+generator yields must be an :class:`Event` (or an already-resolved
+completion); the process suspends until that event triggers, then
+resumes with the event's value. This is the
 same execution model as SimPy, reimplemented here because the
 environment is offline and the kernel needs only a small feature set.
 
@@ -117,7 +118,10 @@ class Process(Event):
     Wraps a generator; the process itself is an event that triggers when
     the generator returns (success, value = return value) or raises
     (failure). Processes therefore compose: one process can ``yield``
-    another to wait for its completion.
+    another to wait for its completion. It may also yield an
+    already-resolved completion (any object whose ``triggered`` is
+    true, such as a :class:`~repro.rpc.completion.CompletedFuture`),
+    and takes that outcome at once.
     """
 
     __slots__ = ("generator", "name")
@@ -148,17 +152,19 @@ class Process(Event):
                 self.fail(exc)
                 return
             if not isinstance(target, Event):
-                self.fail(SimulationError(
-                    "process %r yielded %r, expected an Event"
-                    % (self.name, target)))
+                if not getattr(target, "triggered", False):
+                    self.fail(SimulationError(
+                        "process %r yielded %r, expected an Event or"
+                        " a resolved completion"
+                        % (self.name, target)))
+                    return
+            elif not target._dispatched:
+                target.add_callback(self._resume)
                 return
-            if target._dispatched:
-                # Already resolved: loop and feed it straight back in,
-                # avoiding unbounded recursion through callbacks.
-                event = target
-                continue
-            target.add_callback(self._resume)
-            return
+            # Already resolved (a dispatched event, or a completion such
+            # as a CompletedFuture): loop and feed it straight back in,
+            # avoiding unbounded recursion through callbacks.
+            event = target
 
 
 class AllOf(Event):

@@ -14,6 +14,7 @@ from repro.cluster import (
 )
 from repro.log.fragment import Fragment, HEADER_SIZE
 from repro.rpc import RetryPolicy, RetryingTransport, messages as m
+from repro.rpc.completion import capture
 from repro.rpc.retry import charge_delay
 from repro.rpc.transport import TransportWrapper
 
@@ -245,25 +246,29 @@ class TestFaultyTransport:
 
     def test_submit_intercepted_when_synchronous(self, cluster4):
         plan, faulty = self.plan_transport(cluster4, drop_request=1.0)
-        future = faulty.submit(plan.current_victim,
-                               m.StoreRequest(fid=1, data=b"x"))
+        future = faulty.submit_many(
+            [(plan.current_victim, m.StoreRequest(fid=1, data=b"x"))])[0]
         assert future.triggered and not future.ok
         assert isinstance(future.exception, errors.ServerUnavailableError)
 
-    def test_async_sim_submit_passes_through(self):
+    def test_single_op_plan_in_a_running_simulation_is_faulted(self):
+        """A single asynchronous operation is a one-op plan, faulted on
+        a running simulation's process path like on every other plane;
+        the process yields the completion the fault resolved."""
         cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
-        inner = cluster.make_transport(0)
         plan = FaultPlan(1, full_spec(drop_request=1.0, pinned_victim="s0"))
-        faulty = FaultyTransport(inner, plan)
+        faulty = FaultyTransport(cluster.make_transport(0), plan)
 
         def workload():
             assert not faulty.submit_is_synchronous
-            response = yield faulty.submit(
-                "s0", m.StoreRequest(fid=1, data=b"x"))
-            return response.value
+            with pytest.raises(errors.ServerUnavailableError):
+                yield faulty.submit_many(
+                    [("s0", m.StoreRequest(fid=1, data=b"x"))])[0]
+            return True
 
-        assert cluster.sim.run_process(workload()) == 0
-        assert faulty.faults_applied == 0
+        assert cluster.sim.run_process(workload())
+        assert faulty.faults_applied == 1
+        assert not cluster.server_nodes["s0"].server.holds(1)
 
 
 class TestRetryPolicy:
@@ -422,7 +427,7 @@ class TestRetryingTransport:
                 if through_scatter:
                     future = retrying.submit_many([("s0", op)])[0]
                 else:
-                    future = retrying.submit("s0", op)
+                    future = capture(retrying.call, "s0", op)
                 outcomes.append(
                     (type(future.exception), future.ok
                      and (future.value.value, bytes(future.value.payload))))

@@ -106,7 +106,8 @@ def test_kill_server_replays_identically(seed):
            else "differ", first.state_digest[:12], second.state_digest[:12]))
 
 
-#: The pre-pipelining write path: per-store submits, no group commit.
+#: The pre-pipelining write path: each store its own one-op plan, no
+#: group commit.
 SERIAL_PATH = {"pipeline_stores": False, "group_commit_bytes": 0}
 
 

@@ -66,9 +66,9 @@ class TestSimTransport:
         transport = cluster.make_transport(0)
 
         def workload():
-            response = yield transport.submit(
+            response = yield transport.submit_many([(
                 "s0", m.StoreRequest(fid=1, data=b"x" * 100000,
-                                     principal="c"))
+                                     principal="c"))])[0]
             return response.value
 
         slot = cluster.sim.run_process(workload())
@@ -80,9 +80,10 @@ class TestSimTransport:
         transport = cluster.make_transport(0)
 
         def workload():
-            yield transport.submit("s0", m.StoreRequest(fid=9, data=b"abc"))
-            response = yield transport.submit(
-                "s0", m.RetrieveRequest(fid=9))
+            yield transport.submit_many(
+                [("s0", m.StoreRequest(fid=9, data=b"abc"))])[0]
+            response = yield transport.submit_many(
+                [("s0", m.RetrieveRequest(fid=9))])[0]
             return response.payload
 
         assert cluster.sim.run_process(workload()) == b"abc"
@@ -93,7 +94,8 @@ class TestSimTransport:
 
         def workload():
             with pytest.raises(errors.FragmentNotFoundError):
-                yield transport.submit("s0", m.RetrieveRequest(fid=404))
+                yield transport.submit_many(
+                    [("s0", m.RetrieveRequest(fid=404))])[0]
             return True
 
         assert cluster.sim.run_process(workload())
@@ -101,8 +103,8 @@ class TestSimTransport:
     def test_deferred_mode_accumulates_time(self):
         cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
         transport = cluster.make_transport(0)
-        future = transport.submit("s0", m.StoreRequest(fid=1,
-                                                       data=b"y" * 50000))
+        future = transport.submit_many(
+            [("s0", m.StoreRequest(fid=1, data=b"y" * 50000))])[0]
         assert future.triggered and future.ok
         assert transport.take_deferred_time() > 0
         assert transport.take_deferred_time() == 0.0
@@ -121,7 +123,7 @@ class TestSimTransport:
         in_run = driven.make_transport(0)
 
         def workload():
-            yield in_run.submit("s0", request)
+            yield in_run.submit_many([("s0", request)])[0]
 
         driven.sim.run_process(workload())
         assert call_s > 0
@@ -131,18 +133,20 @@ class TestSimTransport:
     @pytest.mark.usefixtures("two_second_allowance")
     def test_sim_futures_resolve_outside_a_run(self):
         """Outside a run every future comes back resolved; inside one a
-        submit is a process the driver yields on."""
+        submitted operation is a process the driver yields on."""
         cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
         transport = cluster.make_transport(0)
         assert transport.submit_is_synchronous
-        idle = transport.submit("s0", m.StoreRequest(fid=1, data=b"idle"))
+        idle = transport.submit_many(
+            [("s0", m.StoreRequest(fid=1, data=b"idle"))])[0]
         assert idle.triggered and idle.ok
         before = cluster.sim.now
         assert before > 0
 
         def workload():
             assert not transport.submit_is_synchronous
-            future = transport.submit("s0", m.RetrieveRequest(fid=1))
+            future = transport.submit_many(
+                [("s0", m.RetrieveRequest(fid=1))])[0]
             assert not future.triggered
             response = yield future
             return bytes(response.payload)
@@ -165,11 +169,11 @@ class TestSimTransport:
                 transport = cluster.make_transport(client)
 
                 def workload(transport=transport, client=client):
-                    futures = [transport.submit(
+                    futures = transport.submit_many([(
                         cluster.config.server_id(i % nservers),
                         m.StoreRequest(fid=make_fid(client + 1, 10 + i),
                                        data=data))
-                        for i in range(4)]
+                        for i in range(4)])
                     yield cluster.sim.all_of(futures)
 
                 processes.append(cluster.sim.process(workload()))

@@ -76,7 +76,7 @@ class TestLocationCache:
         cache.record(3, "c")
         cache.evict_server("b")
         assert cache.get(2) is None and len(cache) == 2
-        cache.retain_servers(["a"])
+        cache.evict_server("c")
         assert cache.get(3) is None and cache.get(1) == "a"
         assert cache.evictions == 2
 

@@ -14,6 +14,7 @@ replayed bit-identically per ``CHAOS_SEEDS`` seed.
 """
 
 import os
+import random
 
 import pytest
 
@@ -21,7 +22,6 @@ from repro import errors
 from repro.chaos.plan import (
     FaultPlan,
     FaultSpec,
-    choose_kill_victim,
     choose_kill_victims,
 )
 from repro.chaos.harness import replay
@@ -77,7 +77,7 @@ class TestAutoReform:
     def test_dead_member_replaced_by_spare_under_chaos(self):
         cluster = build_local_cluster(num_servers=5, fragment_size=FRAGMENT,
                                       server_slots=512)
-        victim = choose_kill_victim(5, ["s0", "s1", "s2", "s3"])
+        victim = choose_kill_victims(5, ["s0", "s1", "s2", "s3"])[0]
         plan = FaultPlan(5, FaultSpec(pinned_victim=victim))
         log, monitor = healing_log(cluster, plan=plan)
         injector = FailureInjector(cluster)
@@ -283,7 +283,7 @@ class TestMultiFailure:
         assert all(p in candidates for p in picks)
         # count=1 reproduces the historical single-victim draw.
         assert choose_kill_victims(9, candidates, 1) \
-            == [choose_kill_victim(9, candidates)]
+            == [random.Random(9 ^ 0xD1ED).choice(sorted(candidates))]
         with pytest.raises(errors.ConfigError):
             choose_kill_victims(9, candidates, 6)
 

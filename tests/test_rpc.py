@@ -263,13 +263,15 @@ class TestLocalTransport:
 
     def test_submit_returns_completed_future(self):
         transport, _ = self._transport(False)
-        future = transport.submit("s0", m.StoreRequest(fid=1, data=b"a"))
+        future = transport.submit_many(
+            [("s0", m.StoreRequest(fid=1, data=b"a"))])[0]
         assert future.triggered and future.ok
         assert future.result().value == 0  # slot 0
 
     def test_submit_failure_captured_in_future(self):
         transport, _ = self._transport(False)
-        future = transport.submit("s0", m.DeleteRequest(fid=99))
+        future = transport.submit_many(
+            [("s0", m.DeleteRequest(fid=99))])[0]
         assert future.triggered and not future.ok
         with pytest.raises(errors.FragmentNotFoundError):
             future.result()
@@ -411,3 +413,30 @@ class TestBroadcastPartialFailure:
         assert cache.get(5) is None
         servers["s1"].restart()
         assert cache.locate(5) == "s1"  # found again once it answers
+
+
+class TestOneAsynchronousEntryPoint:
+    def test_only_the_traced_tcp_alias_defines_submit(self):
+        """``submit_many`` is the one way to start an operation: no
+        transport may grow a second asynchronous entry point that its
+        wrappers would have to keep in step. ``TcpTransport.submit`` is
+        the one exception, a name the wall-clock benchmark's tracer
+        times."""
+        import importlib
+        import inspect
+
+        from repro.rpc.transport import Transport
+
+        walked, with_submit = set(), set()
+        for name in ("repro.rpc.transport", "repro.rpc.retry",
+                     "repro.rpc.net", "repro.chaos.transport"):
+            module = importlib.import_module(name)
+            for cls_name, cls in inspect.getmembers(module, inspect.isclass):
+                if cls.__module__ == name and issubclass(cls, Transport):
+                    walked.add(cls_name)
+                    if "submit" in vars(cls):
+                        with_submit.add(cls_name)
+        assert {"Transport", "TransportWrapper", "LocalTransport",
+                "SimTransport", "RetryingTransport", "TcpTransport",
+                "FaultyTransport"} <= walked
+        assert with_submit == {"TcpTransport"}

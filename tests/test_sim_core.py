@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ServerUnavailableError, SimulationError
+from repro.rpc.completion import CompletedFuture
 from repro.sim import Simulator
 from repro.sim.core import Event
 
@@ -135,6 +136,20 @@ class TestProcesses:
             return value
 
         assert sim.run_process(proc()) == "early"
+
+    def test_yield_resolved_completion(self):
+        """A resolved completion that is not an Event is taken at once:
+        its value is sent in, its failure raised inside the process."""
+        sim = Simulator()
+
+        def proc():
+            value = yield CompletedFuture(value=7)
+            with pytest.raises(ServerUnavailableError):
+                yield CompletedFuture(
+                    exception=ServerUnavailableError("down"))
+            return value, sim.now
+
+        assert sim.run_process(proc()) == (7, 0.0)
 
     def test_deadlocked_process_detected(self):
         sim = Simulator()

@@ -250,7 +250,8 @@ class TestServerCache:
 
             def reads():
                 for _ in range(10):
-                    yield transport.submit("s0", m.RetrieveRequest(fid=1))
+                    yield transport.submit_many(
+                        [("s0", m.RetrieveRequest(fid=1))])[0]
 
             cluster.sim.run_process(reads())
             return cluster.sim.now

@@ -162,16 +162,12 @@ class ManualTransport:
     def server_ids(self):
         return ["s0", "s1", "s2", "s3"]
 
-    def submit(self, server_id, request):
-        future = ManualFuture()
-        self.futures.append(future)
-        return future
-
     def submit_many(self, plan):
         plan = list(plan)
         self.plans.append(plan)
-        return [self.submit(server_id, request)
-                for server_id, request in plan]
+        futures = [ManualFuture() for _op in plan]
+        self.futures.extend(futures)
+        return futures
 
     def call(self, server_id, request):
         raise NotImplementedError
@@ -204,7 +200,7 @@ class TestWriteBehindWindow:
         transport = ManualTransport()
         log = manual_log(transport, pipeline_stores=False)
         fill_stripes(log, 2)
-        assert transport.plans == []
+        assert [len(plan) for plan in transport.plans] == [1] * 8
         assert len(transport.futures) == 8
 
     def test_window_is_advisory_when_it_cannot_block(self):
