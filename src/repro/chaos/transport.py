@@ -31,7 +31,9 @@ plan gets its own fault decision and a faulted operation fails only
 its own future). A single asynchronous operation is a one-op plan, so
 it is faulted the same way on every plane, a running simulation's
 process path included; there a faulted operation comes back as a
-resolved completion, decided at submit time at no simulated cost.
+resolved completion, decided at submit time at no simulated cost (a
+``delay`` fault decided there delays nothing and charges nothing: the
+deferred-time ledger is only charged outside a running simulation).
 """
 
 from __future__ import annotations

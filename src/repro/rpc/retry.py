@@ -75,13 +75,17 @@ def charge_delay(transport, seconds: float) -> bool:
 
     Walks wrapper chains (``.inner``) looking for a deferred-time
     ledger; returns False when the stack is purely functional (timeless)
-    and the delay is accounting-only.
+    and the delay is accounting-only. The ledger is charged only
+    outside a running simulation: it is read by the next out-of-run
+    measurement, so a delay decided inside a run would land in a
+    figure it never delayed.
     """
     node = transport
     while node is not None:
         ledger = getattr(node, "deferred_time", None)
         if ledger is not None:
-            node.deferred_time = ledger + seconds
+            if node.submit_is_synchronous:
+                node.deferred_time = ledger + seconds
             return True
         node = getattr(node, "inner", None)
     return False

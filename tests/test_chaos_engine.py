@@ -244,6 +244,27 @@ class TestFaultyTransport:
         faulty.call("s0", m.StoreRequest(fid=1, data=b"x"))
         assert inner.take_deferred_time() >= 0.5
 
+    def test_delay_inside_a_running_simulation_leaves_the_ledger(
+            self, two_second_allowance):
+        """A delay decided inside a running simulation charges nothing
+        to the deferred-time ledger, which only out-of-run measurements
+        read."""
+        cluster = SimCluster(ClusterConfig(num_servers=1, num_clients=1))
+        inner = cluster.make_transport(0)
+        plan = FaultPlan(1, full_spec(delay=1.0, delay_s=0.5,
+                                      max_consecutive=10 ** 9,
+                                      pinned_victim="s0"))
+        faulty = FaultyTransport(inner, plan)
+
+        def workload():
+            yield faulty.submit_many(
+                [("s0", m.StoreRequest(fid=1, data=b"x"))])[0]
+            return True
+
+        assert cluster.sim.run_process(workload())
+        assert faulty.faults_applied == 1
+        assert inner.take_deferred_time() == 0.0
+
     def test_submit_intercepted_when_synchronous(self, cluster4):
         plan, faulty = self.plan_transport(cluster4, drop_request=1.0)
         future = faulty.submit_many(
