@@ -46,8 +46,9 @@ def main() -> None:
 
     # ...then the client "crashes". A fresh client recovers: checkpoint
     # state plus every record written after it, in order.
-    recovered = recover_service_state(cluster.transport, client_id=1,
-                                      service_id=MY_SERVICE)
+    recovered = recover_service_state(
+        cluster.transport, client_id=1,
+        services={MY_SERVICE: False}).services[MY_SERVICE]
     creates = [r for r in recovered.records if r.rtype == RecordType.CREATE]
     print("recovered checkpoint %r with %d post-checkpoint block creations"
           % (recovered.checkpoint_state, len(creates)))

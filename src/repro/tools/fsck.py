@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SwarmError
-from repro.health.repair import RepairDaemon, list_client_fids
+from repro.health.repair import RepairDaemon
 from repro.log.coding import engine_for_stripe
 from repro.log.fragment import (
     Fragment,
@@ -38,6 +38,7 @@ from repro.log.fragment import (
     HEADER_SIZE,
     make_parity_fragment,
 )
+from repro.log.location import list_client_fids
 from repro.log.reconstruct import Reconstructor
 from repro.rpc import messages as m
 from repro.rpc.completion import scatter_call

@@ -71,8 +71,9 @@ class TestAclProtectedLog:
         log.checkpoint(SVC, b"protected-cp").wait()
         from repro.log.recovery import recover_service_state
 
-        recovered = recover_service_state(cluster.transport, 1, SVC,
-                                          principal="client-1")
+        recovered = recover_service_state(cluster.transport, 1,
+                                          {SVC: False},
+                                          principal="client-1").services[SVC]
         assert recovered.checkpoint_state == b"protected-cp"
 
     def test_reconstruction_respects_acls(self, secured):

@@ -496,12 +496,14 @@ class TestLogLayerScaleOut:
         _write_blocks(disk, 0, 6)
         stack.checkpoint(disk).wait()
         assert log.placement.view_epoch == 0
-        recovered = recover_service_state(cluster.transport, 1, SERVICE_DISK)
+        recovered = recover_service_state(cluster.transport, 1,
+                                          {SERVICE_DISK: False})
         assert recovered.view_payload is None
         log.grow_fleet(fleet[4:])
         _write_blocks(disk, 6, 6)
         stack.checkpoint(disk).wait()
-        recovered = recover_service_state(cluster.transport, 1, SERVICE_DISK)
+        recovered = recover_service_state(cluster.transport, 1,
+                                          {SERVICE_DISK: False})
         assert tuple(decode_views(recovered.view_payload)) \
             == log.placement.views()
 

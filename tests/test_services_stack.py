@@ -97,7 +97,8 @@ class TestRecordsThroughStack:
         from repro.log.recovery import recover_service_state
         from repro.log.records import decode_record_payload_block
 
-        recovered = recover_service_state(stack.log.transport, 1, 2)
+        recovered = recover_service_state(stack.log.transport, 1,
+                                          {2: False}).services[2]
         create = [r for r in recovered.records
                   if r.rtype == RecordType.CREATE][0]
         _addr, _owner, info = decode_record_payload_block(create.payload)
@@ -162,7 +163,8 @@ class TestCheckpointAll:
         stack.checkpoint_all()
         from repro.log.recovery import recover_service_state
 
+        recovered = recover_service_state(cluster4.transport, 1,
+                                          {1: False, 2: False})
         for service_id in (1, 2):
-            recovered = recover_service_state(cluster4.transport, 1,
-                                              service_id)
-            assert recovered.checkpoint_state == b"state-%d" % service_id
+            assert recovered.services[service_id].checkpoint_state \
+                == b"state-%d" % service_id
