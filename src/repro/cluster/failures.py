@@ -38,9 +38,9 @@ class FailureInjector:
         """Whether the injector currently tracks ``server_id`` as down.
 
         Kept consistent with the server's own ``available`` flag even
-        when something else (a scheduled crash, a direct ``crash()``
-        call in a test) took the server down: the ground truth is the
-        server, the list is the ledger.
+        when something else (a direct ``crash()`` call in a test) took
+        the server down: the ground truth is the server, the list is
+        the ledger.
         """
         if not self._server(server_id).available:
             self._mark_crashed(server_id)
@@ -58,23 +58,6 @@ class FailureInjector:
         self._server(server_id).restart()
         if server_id in self.crashed:
             self.crashed.remove(server_id)
-
-    def crash_server_at(self, server_id: str, sim_time: float) -> None:
-        """Schedule a server crash at a simulated time (SimCluster only).
-
-        The server is tracked as crashed only once the simulated clock
-        reaches ``sim_time`` (via :meth:`crash_server` inside the
-        process), not at scheduling time.
-        """
-        if not isinstance(self.cluster, SimCluster):
-            raise TypeError("timed crashes need a SimCluster")
-        sim = self.cluster.sim
-
-        def crash_process():
-            yield sim.timeout(sim_time - sim.now if sim_time > sim.now else 0)
-            self.crash_server(server_id)
-
-        sim.process(crash_process(), name="crash %s" % server_id)
 
     def wipe_server(self, server_id: str) -> None:
         """Simulate total media loss: crash and discard durable state.

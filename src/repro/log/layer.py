@@ -831,16 +831,6 @@ class LogLayer:
     # Deletion of whole stripes (cleaner back-end)
     # ------------------------------------------------------------------
 
-    def delete_stripe(self, base_fid: int, width: int) -> List[int]:
-        """Delete every fragment of a stripe from its servers.
-
-        Returns the fids that could *not* be deleted (their server
-        failed mid-delete), so the caller — the cleaner — can re-queue
-        them instead of leaking slots. Unlocatable fragments count as
-        already gone.
-        """
-        return self.delete_fids([base_fid + i for i in range(width)])
-
     def delete_fids(self, fids: List[int]) -> List[int]:
         """Delete fragments by fid, all deletes in one overlapped scatter.
 

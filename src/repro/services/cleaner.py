@@ -37,7 +37,6 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import CleanerError
 from repro.log.address import BlockAddress
 from repro.log.fragment import FragmentHeader, HEADER_SIZE
 from repro.log.records import (
@@ -122,13 +121,6 @@ class CleanerService(Service):
             self._live[addr.fid] = self._live.get(addr.fid, 0) - size
             self._dead.add(addr)
             self._blocks.pop(addr, None)
-
-    def fragment_utilization(self, fid: int) -> float:
-        """Live fraction of one fragment's block bytes."""
-        total = self._total.get(fid, 0)
-        if total <= 0:
-            return 0.0
-        return max(0.0, self._live.get(fid, 0) / total)
 
     # ------------------------------------------------------------------
     # Stripe discovery and eligibility
@@ -253,18 +245,6 @@ class CleanerService(Service):
     # ------------------------------------------------------------------
     # Cleaning
     # ------------------------------------------------------------------
-
-    def clean_once(self) -> int:
-        """Clean the single least-utilized eligible stripe.
-
-        Returns the number of blocks moved, or raises
-        :class:`~repro.errors.CleanerError` if nothing is eligible.
-        """
-        self._retry_deferred_deletes()
-        candidates = self.candidate_stripes()
-        if not candidates:
-            raise CleanerError("no stripe is eligible for cleaning")
-        return self._clean_batch(candidates[:1])
 
     def clean(self, target_stripes: int = 1) -> int:
         """Clean up to ``target_stripes`` stripes; returns blocks moved.

@@ -27,10 +27,6 @@ class IdGenerator:
         self._next += 1
         return value
 
-    def peek(self) -> int:
-        """Return the id that the next call to :meth:`next` would return."""
-        return self._next
-
     def advance_past(self, seen: int) -> None:
         """Ensure future ids are strictly greater than ``seen``.
 

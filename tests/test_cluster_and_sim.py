@@ -47,18 +47,6 @@ class TestFailureInjector:
         injector.restart_server("s0")
         assert cluster4.servers["s0"].list_fids() == []
 
-    def test_timed_crash_requires_sim(self, cluster4):
-        injector = FailureInjector(cluster4)
-        with pytest.raises(TypeError):
-            injector.crash_server_at("s0", 1.0)
-
-    def test_timed_crash_in_sim(self):
-        cluster = SimCluster(ClusterConfig(num_servers=2, num_clients=1))
-        injector = FailureInjector(cluster)
-        injector.crash_server_at("s0", 0.5)
-        cluster.sim.run(until=1.0)
-        assert not cluster.server_nodes["s0"].server.available
-
 
 class TestSimTransport:
     def test_operations_take_simulated_time(self):
@@ -263,15 +251,6 @@ class TestInjectorStateTracking:
         injector.restart_server("s3")
         assert not injector.is_crashed("s3")
         assert len(injector.alive_servers()) == 4
-
-    def test_timed_crash_lands_in_ledger(self):
-        cluster = SimCluster(ClusterConfig(num_servers=2, num_clients=1))
-        injector = FailureInjector(cluster)
-        injector.crash_server_at("s1", 0.5)
-        assert not injector.is_crashed("s1")  # not down yet
-        cluster.sim.run(until=1.0)
-        assert injector.is_crashed("s1")
-        assert injector.alive_servers() == ["s0"]
 
     def test_alive_servers_is_sorted_ground_truth(self, cluster4):
         injector = FailureInjector(cluster4)

@@ -140,7 +140,7 @@ class TestDeleteAndUsage:
         fids = [fid for server in cluster4.servers.values()
                 for fid in server.list_fids()]
         base = min(fids)
-        log.delete_stripe(base, 2)
+        log.delete_fids([base, base + 1])
         assert all(not server.list_fids()
                    for server in cluster4.servers.values())
 

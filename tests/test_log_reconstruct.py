@@ -290,8 +290,7 @@ class TestLongLivedCache:
         assert log.read(addr) == payloads[indices[0]]
         assert fid in log.reconstructor.cache
         header = Fragment.decode(log.reconstructor.cache[fid]).header
-        assert log.delete_stripe(header.stripe_base_fid,
-                                 header.stripe_width) == []
+        assert log.delete_fids(header.sibling_fids()) == []
         assert fid not in log.reconstructor.cache
         with pytest.raises(errors.ReconstructionError):
             log.read(addr)
