@@ -18,12 +18,13 @@ import pytest
 
 from repro import errors
 from repro.chaos.plan import FaultPlan
-from repro.chaos.harness import generate_ops
+from repro.chaos.harness import build_client, generate_ops
 from repro.chaos.runner import run_chaos
 from repro.chaos.transport import FaultyTransport
 from repro.cluster import build_local_cluster
 from repro.health import HealthMonitor
 from repro.log.address import make_fid
+from repro.log.config import LogConfig
 from repro.log.reader import LogReader
 from repro.log.reconstruct import Reconstructor
 from repro.rpc import messages as m
@@ -40,6 +41,7 @@ from repro.rpc.net import (
 from repro.rpc.retry import RetryPolicy, RetryingTransport
 from repro.server.config import ServerConfig
 from repro.server.server import StorageServer
+from repro.services.base import Service
 
 SVC = 7
 FRAG = 1 << 14
@@ -435,37 +437,81 @@ class TestTcpLogLayer:
             host.close()
 
     def test_opcounts_identical_to_local_wire(self):
-        # The wire is a transport, not a protocol: the same scan bills
-        # the same retrieve RPCs and payload bytes on either plane.
-        def scan_bill(use_tcp):
+        # The wire is a transport, not a protocol: the same scan, and
+        # the same fresh client's recovery (census headers, checkpoint
+        # discovery and scan), bill the same retrieve RPCs and payload
+        # bytes on either plane.
+        def scan_and_recovery_bills(use_tcp):
             cluster = build_local_cluster(num_servers=4, fragment_size=FRAG,
                                           server_slots=512)
             host = tcp = None
             if use_tcp:
                 host, tcp = cluster.serve_tcp()
             transport = tcp if tcp is not None else cluster.transport
-            try:
-                log = cluster.make_log(client_id=1, transport=transport)
-                for _ in range(48):
-                    log.write_block(SVC, b"\x42" * 1024)
-                log.flush().wait()
+
+            def bill_of(work):
                 before = [(server.retrieve_ops, server.bytes_retrieved)
                           for _, server in sorted(cluster.servers.items())]
-                reader = LogReader(Reconstructor(
-                    transport, log.config.principal,
-                    locations=log.locations), max_inflight=4)
-                for _ in reader.fragments_from(make_fid(1, 1)):
-                    pass
+                work()
                 after = [(server.retrieve_ops, server.bytes_retrieved)
                          for _, server in sorted(cluster.servers.items())]
                 return [(a[0] - b[0], a[1] - b[1])
                         for a, b in zip(after, before)]
+
+            try:
+                log = cluster.make_log(client_id=1, transport=transport)
+                for _ in range(24):
+                    log.write_block(SVC, b"\x42" * 1024)
+                log.checkpoint(SVC, b"state").wait()
+                for _ in range(24):
+                    log.write_block(SVC, b"\x43" * 1024)
+                log.flush().wait()
+                reader = LogReader(Reconstructor(
+                    transport, log.config.principal,
+                    locations=log.locations), max_inflight=4)
+                scan = bill_of(
+                    lambda: sum(1 for _ in reader.fragments_from(
+                        make_fid(1, 1))))
+                fresh = cluster.make_stack(client_id=1, transport=transport)
+                fresh.push(Service(SVC))
+                recovery = bill_of(fresh.recover_all)
+                return scan, recovery
             finally:
                 if tcp is not None:
                     tcp.close()
                     host.close()
 
-        assert scan_bill(use_tcp=True) == scan_bill(use_tcp=False)
+        local = scan_and_recovery_bills(use_tcp=False)
+        assert all(ops for ops, _bytes in local[1])
+        assert scan_and_recovery_bills(use_tcp=True) == local
+
+    def test_fresh_client_recovers_over_tcp_with_a_server_down(self):
+        cluster = build_local_cluster(num_servers=4, fragment_size=FRAG,
+                                      server_slots=512)
+        host, tcp = cluster.serve_tcp()
+        try:
+            def client(transport):
+                return build_client(
+                    transport, cluster.stripe_group(),
+                    LogConfig(client_id=1, fragment_size=FRAG))
+
+            first = client(tcp)
+            acked = {}
+            for block in range(40):
+                acked[block] = bytes([block]) * (700 + 13 * block)
+                first.disk.write(block, acked[block])
+                if block == 19:
+                    first.stack.checkpoint_all()
+            first.stack.flush().wait()
+            cluster.servers["s1"].crash()
+            with TcpTransport(host.addresses) as tcp2:
+                fresh = client(tcp2)
+                fresh.stack.recover_all()
+                assert {block: fresh.disk.read(block)
+                        for block in fresh.disk.block_numbers()} == acked
+        finally:
+            tcp.close()
+            host.close()
 
     def test_retry_layer_rides_the_wire(self):
         # FaultyTransport + RetryingTransport stack over TcpTransport
