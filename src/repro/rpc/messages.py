@@ -124,8 +124,9 @@ class DeleteAclRequest:
 
 @dataclass(frozen=True)
 class ListFidsRequest:
-    """Ask for every stored FID (optionally one client's): a diagnostic
-    operation used by the fsck tool, not part of the paper's op set."""
+    """Ask for every stored FID (optionally one client's). fsck, repair
+    and crash recovery's census use it; it is an addition to the
+    paper's op set (DESIGN.md §5)."""
 
     client_id: int = -1
     principal: str = ""

@@ -267,7 +267,8 @@ class StorageServer:
                             length=info["length"], marked=info["marked"])
 
     def list_fids(self) -> List[int]:
-        """All stored FIDs (diagnostics; not part of the paper's op set)."""
+        """All stored FIDs. Behind the ``ListFids`` verb that fsck, repair
+        and crash recovery's census use; the paper's op set has none."""
         self._require_available()
         return sorted(self.slots.fids())
 

@@ -7,8 +7,8 @@ This service implements the client half: an LRU block cache keyed by
 block address, plus optional whole-fragment prefetch — on a miss, the
 client fetches the entire enclosing fragment, parses its items locally,
 and caches every block in it, turning a run of sequential 4 KB reads
-into one 1 MB transfer. The read-bandwidth ablation benchmark measures
-exactly this effect.
+into one 1 MB transfer. ``ablate_read_prefetch`` models that effect
+with fragment-sized retrieves; this option itself is unmeasured.
 """
 
 from __future__ import annotations
