@@ -19,6 +19,7 @@ from repro.bench.ablations import (
     ablate_parity,
     ablate_read_prefetch,
     ablate_read_window,
+    ablate_repair,
     ablate_stripe_width,
     ablate_write_pipeline,
 )
@@ -94,6 +95,12 @@ def main(argv=None) -> int:
         print("degraded read %-18s %.1f ms vs healthy %.1f ms (%.3fx)"
               % (label, degraded["reconstruct_ms"],
                  degraded["single_retrieve_ms"], degraded["ratio"]))
+    xor_repair = ablate_repair()
+    rs_repair = ablate_repair(num_servers=6, parity=2, coding="rs")
+    print("repair onto spares: width-4 xor one down %.1f ms (%.3f B fetched "
+          "per B rebuilt), rs(4+2) two down %.1f ms (%.3f)"
+          % (xor_repair["repair_ms"], xor_repair["fetched_per_rebuilt"],
+             rs_repair["repair_ms"], rs_repair["fetched_per_rebuilt"]))
     write = ablate_write_pipeline()
     print("stripe stores: pipelined %.1f ms vs serial %.1f ms (%.3fx)"
           % (write["pipelined_flush_ms"], write["serial_flush_ms"],
