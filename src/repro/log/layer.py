@@ -521,10 +521,10 @@ class LogLayer:
         # exists only in client memory until the stores land.
         self.crash_point("stripe_seal")
         marked_flags = [b.marked for b in builders] + [False] * (width - ndata)
+        self.locations.learn(fragments[0].header)
         plan: List[Tuple[str, m.StoreRequest]] = []
         for fragment, image, marked in zip(fragments, images, marked_flags):
             server_id = servers[fragment.header.stripe_index]
-            self.locations.record(fragment.fid, server_id)
             acl_ranges = ()
             if self.config.fragment_aid:
                 acl_ranges = ((0, len(image), self.config.fragment_aid),)
@@ -855,6 +855,7 @@ class LogLayer:
                 if not isinstance(future.exception, FragmentNotFoundError):
                     failed.append(fid)
             self.locations.evict(fid)
+        self.locations.forget_stripes(fids)
         self.reconstructor.forget(fids)
         return failed
 

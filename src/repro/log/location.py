@@ -1,4 +1,4 @@
-"""Shared client-side fragment-location cache.
+"""Shared client-side fragment-location cache and stripe table.
 
 Swarm has no directory service: the cluster itself answers "who holds
 fragment N" through the broadcast ``holds`` query (§2.4.3). That makes
@@ -8,24 +8,40 @@ descriptors embedded in fetched fragment headers, and from broadcast
 answers — and batches the lookups it still has to make into one RPC per
 server.
 
+**The stripe table.** Every fragment header carries its whole stripe
+descriptor (§2.1): base fid, width, parity count and the server of
+every member. The cache keeps one header per stripe, keyed by base fid,
+and finds any fid's stripe by bisect (:meth:`LocationCache.stripe_of`),
+so a degraded read knows the stripe it must rebuild without asking the
+servers. :meth:`LocationCache.learn` fills it: the log layer once per
+stripe it seals, the census for every header it reads, and a read for
+every fragment it parses. A member with no cached placement takes its
+descriptor's server; a cached one (a repair's move, a broadcast
+answer) takes precedence. :meth:`LocationCache.forget_stripes` drops
+the stripes the client deletes, so the table is bounded by the
+client's live stripes.
+
 One cache is meant to be *shared* across everything a client runs: the
 log layer builds one and hands it to its reconstructor, and the
 sequential log reader and the repair daemon accept one, so a placement
-learned on any path is reused by all of them.
+or a stripe learned on any path is reused by all of them.
 
 The *census* (:func:`take_census`), which repair and crash recovery
 share, fills the cache the other way: every server lists the client's
 fids, and each listed fid's header is read.
 
-Invalidation: entries are dropped when a retrieve against the cached
+Invalidation: placements are dropped when a retrieve against the cached
 server fails (the placement is stale or the server is down), when a
 stripe is deleted, and when the client reforms its stripe group away
-from a departed server.
+from a departed server. A read of a table stripe's member whose
+placement was dropped goes straight to parity; a rebuild still tries
+the member at the server its descriptor names.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from bisect import bisect_right, insort
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.errors import SwarmError
 from repro.log.fragment import HEADER_SIZE, FragmentHeader
@@ -73,6 +89,8 @@ def take_census(transport, client_id: int, principal: str,
     recorded in ``locations``, then one header-sized partial retrieve
     per listed fid. A header that cannot be fetched or parsed is
     skipped; its stripe is still found through any listed sibling.
+    Every stripe found enters the stripe table, and its unlisted
+    members are lost: their placements are dropped.
     """
     placements = list_client_fids(transport, client_id, principal)
     for fid, server_id in placements.items():
@@ -93,16 +111,24 @@ def take_census(transport, client_id: int, principal: str,
         except SwarmError:
             continue
         stripes[header.stripe_base_fid] = header
+    for header in stripes.values():
+        locations.learn(header)
+        for fid in header.sibling_fids():
+            if fid not in placements:
+                locations.evict(fid)
     return Census(placements, stripes)
 
 
 class LocationCache:
-    """fid → server-id map with batched broadcast fill."""
+    """fid → server-id map with batched broadcast fill, and the stripe
+    table (see the module docstring)."""
 
     def __init__(self, transport, principal: str = "") -> None:
         self.transport = transport
         self.principal = principal
         self._map: Dict[int, str] = {}
+        self._stripes: Dict[int, FragmentHeader] = {}
+        self._bases: List[int] = []  # the table's keys, sorted
         # Statistics (read by the perf harness and tests).
         self.hits = 0
         self.misses = 0
@@ -138,11 +164,35 @@ class LocationCache:
     def learn(self, header) -> None:
         """Absorb a fragment header's whole stripe descriptor.
 
-        One fetched fragment names the server of every stripe sibling,
-        so a single read can save ``width - 1`` future broadcasts.
+        The stripe enters the table, and each member without a cached
+        placement takes the descriptor's server: one header saves
+        ``width - 1`` future broadcasts.
         """
+        base = header.stripe_base_fid
+        if base not in self._stripes:
+            insort(self._bases, base)
+        self._stripes[base] = header
         for index, server_id in enumerate(header.servers):
-            self._map[header.stripe_base_fid + index] = server_id
+            self._map.setdefault(base + index, server_id)
+
+    def stripe_of(self, fid: int) -> Optional[FragmentHeader]:
+        """The table's descriptor of the stripe holding ``fid``, or None.
+
+        A lookup the table answers counts as a hit.
+        """
+        index = bisect_right(self._bases, fid)
+        if index:
+            header = self._stripes[self._bases[index - 1]]
+            if fid < header.stripe_base_fid + header.stripe_width:
+                self.hits += 1
+                return header
+        return None
+
+    def forget_stripes(self, fids: Iterable[int]) -> None:
+        """Drop the table's stripes whose base is among deleted ``fids``."""
+        for fid in fids:
+            if self._stripes.pop(fid, None) is not None:
+                self._bases.remove(fid)
 
     def fids_on(self, server_id: str) -> List[int]:
         """Cached fids believed to live on ``server_id``, sorted.
@@ -166,17 +216,14 @@ class LocationCache:
             del self._map[fid]
         self.evictions += len(stale)
 
-    def clear(self) -> None:
-        """Forget everything (keeps statistics)."""
-        self._map.clear()
-
     # -- filling (batched broadcast) -----------------------------------------
 
-    def locate(self, fid: int) -> Optional[str]:
+    def locate(self, fid: int, trust_table: bool = False) -> Optional[str]:
         """Server holding ``fid``; broadcasts on a cache miss."""
-        return self.locate_many((fid,)).get(fid)
+        return self.locate_many((fid,), trust_table).get(fid)
 
-    def locate_many(self, fids: Sequence[int]) -> Dict[int, str]:
+    def locate_many(self, fids: Sequence[int],
+                    trust_table: bool = False) -> Dict[int, str]:
         """Locate many fragments with at most one broadcast.
 
         Cache hits are answered locally; all misses go out together in
@@ -190,16 +237,20 @@ class LocationCache:
         previously believed to be on it is suspect, and later reads
         should re-locate (or reconstruct) rather than keep retrying a
         sick server.
+
+        With ``trust_table`` (the read path) a member of a table stripe
+        that has no placement is not broadcast for: it is lost, and its
+        reader rebuilds it from the stripe's survivors.
         """
         found: Dict[int, str] = {}
         missing = []
         for fid in fids:
-            server_id = self.get(fid)
-            if server_id is None:
-                missing.append(fid)
-            else:
+            server_id = self._map.get(fid)
+            if server_id is not None:
                 found[fid] = server_id
                 self.hits += 1
+            elif not trust_table or self.stripe_of(fid) is None:
+                missing.append(fid)
         if missing:
             self.misses += len(missing)
             self.broadcasts += 1

@@ -9,6 +9,7 @@ from repro.log.fragment import Fragment
 from repro.log.reader import LogReader
 from repro.log.reconstruct import Reconstructor
 from repro.rpc import messages as m
+from repro.rpc.transport import TransportWrapper
 
 SVC = 3
 
@@ -460,3 +461,182 @@ class TestVerifiedRollforward:
                              verify_reads=True)
         fresh.stack.recover_all()
         assert read_all(fresh.disk) == oracle
+
+
+class Recording(TransportWrapper):
+    """Keeps every single call's request and every scattered plan."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls, self.plans = [], []
+
+    def call(self, server_id, request):
+        self.calls.append(request)
+        return self.inner.call(server_id, request)
+
+    def submit_many(self, plan):
+        plan = list(plan)
+        self.plans.append([request for _server_id, request in plan])
+        return self.inner.submit_many(plan)
+
+    def requests(self):
+        return self.calls + [r for plan in self.plans for r in plan]
+
+    def clear(self):
+        del self.calls[:], self.plans[:]
+
+
+def rs_stripe(cluster, **log_kwargs):
+    """One full RS(4+2) stripe over s0..s5: returns the log, its block
+    payloads and addresses, and ``(fid, server)`` per member."""
+    log, payloads, addresses = written_cluster(
+        cluster, blocks=8, group=cluster.stripe_group(
+            ["s0", "s1", "s2", "s3", "s4", "s5"]),
+        parity_fragments=2, coding="rs", **log_kwargs)
+    members = stripe_of(cluster, log, addresses[0].fid)
+    assert len(members) == 6
+    return log, payloads, addresses, members
+
+
+@pytest.fixture
+def cluster8():
+    """Eight servers: an RS(4+2) group s0..s5 plus spares s6 and s7."""
+    return build_local_cluster(num_servers=8, fragment_size=1 << 16,
+                               server_slots=512)
+
+
+@pytest.mark.usefixtures("two_second_allowance")
+class TestStripeTable:
+    """A client rebuilds a stripe it sealed, or learned in a census,
+    from the table: no descriptor probe, no location broadcast, one
+    survivor scatter, and only what was asked for."""
+
+    def test_sealed_stripe_rebuild_is_one_scatter_no_broadcast(
+            self, cluster4):
+        recording = Recording(cluster4.transport)
+        log, payloads, addresses = written_cluster(cluster4,
+                                                   transport=recording)
+        cluster4.servers[log.known_location(addresses[0].fid)].crash()
+        recording.clear()
+        assert log.read(addresses[0]) == payloads[0]
+        assert not any(isinstance(request, m.HoldsRequest)
+                       for request in recording.requests())
+        assert [len(plan) for plan in recording.plans] == [3]
+        assert all(isinstance(request, m.RetrieveRequest)
+                   for request in recording.plans[0])
+
+    def test_census_seeds_the_table_of_a_recovered_client(
+            self, cluster4, monkeypatch):
+        from repro.services.logical_disk import LogicalDiskService
+
+        stack = cluster4.make_stack(client_id=1)
+        disk = stack.push(LogicalDiskService(2))
+        blocks = {block: bytes([block + 1]) * 20000 for block in range(12)}
+        first_fid = {block: disk.write(block, data).fid
+                     for block, data in blocks.items()}[0]
+        stack.flush().wait()
+        fresh = cluster4.make_stack(client_id=1)
+        fresh_disk = fresh.push(LogicalDiskService(2))
+        fresh.recover_all()
+        cluster4.servers[fresh.log.known_location(first_fid)].crash()
+        probes = []
+        real = Reconstructor._find_stripe_descriptor
+
+        def probe(self, fid):
+            probes.append(fid)
+            return real(self, fid)
+
+        monkeypatch.setattr(Reconstructor, "_find_stripe_descriptor", probe)
+        broadcasts = fresh.log.locations.broadcasts
+        assert {block: fresh_disk.read(block) for block in blocks} == blocks
+        assert fresh.log.reconstructor.reconstructions > 0
+        assert probes == []
+        assert fresh.log.locations.broadcasts == broadcasts
+
+    def test_both_neighbours_of_a_mid_stripe_fid_in_one_scatter(
+            self, cluster8):
+        """RS(4+2): fid - 1 and fid + 1 are lost, fid is not (a third
+        erasure would exceed the parity), so no probe of a lost fid's
+        neighbours can find the descriptor at distance 1. Reading either
+        rebuilds both from the four survivors in one scatter."""
+        recording = Recording(cluster8.transport)
+        log, _payloads, _addresses, members = rs_stripe(cluster8,
+                                                        transport=recording)
+        (before, _), _middle, (after, _) = members[1:4]
+        images = {fid: bytes(cluster8.servers[server].retrieve(fid))
+                  for fid, server in members}
+        for fid in (before, after):
+            cluster8.servers[dict(members)[fid]].crash()
+        recording.clear()
+        assert log.read_fragment(before) == images[before]
+        assert log.read_fragment(after) == images[after]
+        # The lost copy's own retrieve, then one rebuild scatter to
+        # every other member; the second read is served from the cache.
+        assert [sorted(r.fid for r in plan) for plan in recording.plans] \
+            == [[before], sorted(fid for fid, _server in members
+                                 if fid != before)]
+
+    def test_data_read_rebuilds_no_parity(self, cluster8):
+        log, payloads, addresses, members = rs_stripe(cluster8)
+        data_fid, data_server = members[0]
+        parity_fid, parity_server = members[4]
+        for server in (data_server, parity_server):
+            cluster8.servers[server].crash()
+        block = next(index for index, addr in enumerate(addresses)
+                     if addr.fid == data_fid)
+        assert log.read(addresses[block]) == payloads[block]
+        assert list(log.reconstructor.cache) == [data_fid]
+        assert parity_fid not in log.reconstructor.cache
+
+    def test_repair_fetches_each_survivor_once(self, cluster8):
+        """A stripe that lost one data and one parity member: repair
+        asks for the parity first, and that one survivor fetch also
+        rebuilds the data member."""
+        from collections import Counter
+
+        from repro.health import RepairDaemon
+
+        recording = Recording(cluster8.transport)
+        log, _payloads, _addresses, members = rs_stripe(cluster8,
+                                                        transport=recording)
+        lost = [members[1], members[5]]
+        for _fid, server in lost:
+            cluster8.servers[server].crash()
+        recording.clear()
+        daemon = RepairDaemon(recording, 1, ["s6", "s7"],
+                              locations=log.locations)
+        assert daemon.run() == 2
+        whole_reads = Counter(r.fid for r in recording.requests()
+                              if isinstance(r, m.RetrieveRequest)
+                              and r.length == -1)
+        # Each of the four survivors once and each repaired copy's
+        # read-back once; the lost data member is also tried once at
+        # the home its descriptor names, in the rebuild's scatter.
+        assert whole_reads == Counter(fid for fid, _server in members) \
+            + Counter([lost[0][0]])
+        assert [type(plan[0]) for plan in recording.plans
+                if any(isinstance(r, m.HoldsRequest) for r in plan)] == \
+            [m.HoldsRequest]
+        assert {log.locations.get(fid) for fid, _server in lost} == \
+            {"s6", "s7"}
+
+    def test_short_rebuild_finds_a_moved_member_by_one_broadcast(self):
+        cluster = build_local_cluster(num_servers=5, fragment_size=1 << 16,
+                                      server_slots=512)
+        log, payloads, addresses = written_cluster(
+            cluster, group=cluster.stripe_group(["s0", "s1", "s2", "s3"]))
+        members = stripe_of(cluster, log, addresses[0].fid)
+        moved, old_home = next(member for member in members
+                               if member[0] != addresses[0].fid)
+        principal = log.config.principal
+        image = cluster.transport.call(old_home, m.RetrieveRequest(
+            fid=moved, principal=principal)).payload
+        cluster.transport.call("s4", m.StoreRequest(
+            fid=moved, data=bytes(image), principal=principal))
+        cluster.transport.call(old_home, m.DeleteRequest(
+            fid=moved, principal=principal))
+        cluster.servers[log.known_location(addresses[0].fid)].crash()
+        broadcasts = log.locations.broadcasts
+        assert log.read(addresses[0]) == payloads[0]
+        assert log.locations.broadcasts - broadcasts == 1
+        assert log.known_location(moved) == "s4"
