@@ -97,10 +97,6 @@ class ServiceError(SwarmError):
     """Base class for stacked-service failures."""
 
 
-class CleanerError(ServiceError):
-    """The cleaner could not make progress."""
-
-
 class AruError(ServiceError):
     """Atomic-recovery-unit misuse (e.g. ending an ARU that never began)."""
 

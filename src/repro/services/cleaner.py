@@ -308,9 +308,14 @@ class CleanerService(Service):
             cleanable.append(usage)
         # Make all the copies durable before destroying any original:
         # one fence for the whole batch, closing stripes through the
-        # same write-behind pipeline as ordinary appends.
+        # same write-behind pipeline as ordinary appends. Failed stores
+        # no more than the parity count leave every stripe recoverable
+        # (a store whose outcome the retry layer could not resolve is
+        # one), so the fence accepts them; more would risk the copies.
         if notifications:
-            log.flush().wait()
+            ticket = log.flush()
+            ticket.wait(allow_degraded=len(ticket.failures())
+                        <= log.placement.parity_fragments)
         # Crash boundary: the copies are durable but the doomed
         # originals still exist — a client dying here leaves duplicate
         # copies of every moved block, which rollforward must tolerate

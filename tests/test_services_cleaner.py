@@ -1,5 +1,8 @@
 """Tests for the log cleaner."""
 
+from repro import errors
+from repro.rpc import messages as m
+from repro.rpc.completion import CompletedFuture
 from repro.services.cleaner import CleanerService
 from repro.services.logical_disk import LogicalDiskService
 
@@ -60,6 +63,40 @@ class TestCleaning:
         after = used_slots(cluster4)
         assert cleaner.stripes_cleaned > 0
         assert after < before
+        for block, data in contents.items():
+            assert disk.read(block) == data
+
+    def test_fence_accepts_a_store_left_unresolved(self, cluster4,
+                                                   monkeypatch):
+        """A fence store whose outcome the retry layer could not resolve
+        (``FragmentExistsError`` after a lost reply) leaves its stripe
+        recoverable through parity: the clean completes and every block
+        reads back."""
+        stack, cleaner, disk, contents = churn_stack(cluster4, rounds=2,
+                                                     threshold=0.95)
+        stack.checkpoint_all()
+        transport = stack.log.transport
+        real_submit_many = transport.submit_many
+        unresolved = []
+
+        def first_store_unresolved(plan):
+            plan = list(plan)
+            index = next((i for i, (_sid, request) in enumerate(plan)
+                          if isinstance(request, m.StoreRequest)), None)
+            if unresolved or index is None:
+                return real_submit_many(plan)
+            fid = plan[index][1].fid
+            unresolved.append(fid)
+            futures = list(real_submit_many(plan[:index] + plan[index + 1:]))
+            futures.insert(index, CompletedFuture(exception=(
+                errors.FragmentExistsError("fragment %d already stored"
+                                           % fid))))
+            return futures
+
+        monkeypatch.setattr(transport, "submit_many", first_store_unresolved)
+        assert cleaner.clean(target_stripes=100) > 0
+        assert unresolved and cleaner.stripes_cleaned > 0
+        monkeypatch.undo()
         for block, data in contents.items():
             assert disk.read(block) == data
 
