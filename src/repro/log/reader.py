@@ -87,13 +87,18 @@ class LogReader:
                 for (_server_id, request), future in zip(plan, futures)}
 
     def fragments_from(self, start_fid: int,
-                       census: Optional[Census] = None) -> Iterator[Fragment]:
+                       census: Optional[Census] = None,
+                       known: Optional[Dict[int, Fragment]] = None,
+                       ) -> Iterator[Fragment]:
         """Yield the census's data fragments from ``start_fid`` on.
 
         Without a ``census`` the reader takes one for ``start_fid``'s
-        client. The read-ahead window refills when it drains, so
+        client. ``known`` maps fids to fragments the caller has already
+        read; they are yielded in their place and never fetched again.
+        The read-ahead window refills when it drains, so
         ``max_inflight=1`` is a one-fragment-ahead prefetch.
         """
+        known = known or {}
         if census is None:
             census = take_census(self.reconstructor.transport,
                                  fid_client(start_fid),
@@ -104,6 +109,9 @@ class LogReader:
                                  + header.stripe_width - header.parity_count)]
         window: Dict[int, Optional[bytes]] = {}
         for position, fid in enumerate(fids):
+            if fid in known:
+                yield known[fid]
+                continue
             if fid in window and window[fid] is None:
                 # A failed window retrieve: its placement pointed at a
                 # server that could not answer.
@@ -111,6 +119,8 @@ class LogReader:
             fragment = self.read_fragment(fid, window.pop(fid, None))
             if not window:
                 window = self._read_window(
-                    fids[position + 1:position + 1 + self.max_inflight])
+                    [ahead for ahead in fids[position + 1:position + 1
+                                             + self.max_inflight]
+                     if ahead not in known])
             if fragment is not None:
                 yield fragment

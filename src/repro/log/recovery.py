@@ -18,6 +18,8 @@ A client's services recover together, from one pass over the log:
    the oldest point any service needs (its checkpoint's fragment, or
    the log head for a service without a readable checkpoint). Each
    service keeps the records past its own checkpoint, in LSN order.
+   The fragments discovery read are handed to the scan, so no fragment
+   is read twice.
 
 Checkpoints are an optimization only — with none present, rollforward
 simply starts from the beginning of the client's log (FID sequence 1),
@@ -28,10 +30,11 @@ listed, so it is neither read nor mistaken for the end of the log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SwarmError
 from repro.log.address import BlockAddress, make_fid
+from repro.log.fragment import Fragment
 from repro.log.location import take_census
 from repro.log.reader import LogReader
 from repro.log.reconstruct import Reconstructor
@@ -110,10 +113,12 @@ def find_newest_marked_fid(transport, client_id: int,
     return newest
 
 
-def load_checkpoint_table(reader: LogReader, marked_fid: int,
+def load_checkpoint_table(read: Callable[[int], Optional[Fragment]],
+                          marked_fid: int,
                           ) -> Dict[int, Tuple[BlockAddress, int]]:
-    """Read the newest checkpoint-table record out of a marked fragment."""
-    fragment = reader.read_fragment(marked_fid)
+    """Read the newest checkpoint-table record out of a marked fragment
+    (``read`` is :meth:`LogReader.read_fragment` or a wrapper of it)."""
+    fragment = read(marked_fid)
     if fragment is None:
         return {}
     table: Dict[int, Tuple[BlockAddress, int]] = {}
@@ -133,12 +138,13 @@ def record_owner(record: Record) -> int:
     return record.service_id
 
 
-def _read_checkpoint(reader: LogReader, service_id: int,
-                     addr: BlockAddress) -> Optional[Record]:
+def _read_checkpoint(read: Callable[[int], Optional[Fragment]],
+                     service_id: int, addr: BlockAddress,
+                     ) -> Optional[Record]:
     """The service's CHECKPOINT record at ``addr``, or None when it
     cannot be read back (its fragment lost or torn, or the offset does
     not decode to this service's CHECKPOINT)."""
-    fragment = reader.read_fragment(addr.fid)
+    fragment = read(addr.fid)
     if fragment is None:
         return None
     try:
@@ -171,8 +177,19 @@ def recover_service_state(transport, client_id: int,
     reader = reader or LogReader(Reconstructor(transport, principal))
     census = take_census(transport, client_id, principal,
                          reader.reconstructor.locations)
+    # Discovery's fragments, handed to the scan so none is read twice.
+    discovered: Dict[int, Fragment] = {}
+
+    def read(fid: int) -> Optional[Fragment]:
+        if fid not in discovered:
+            fragment = reader.read_fragment(fid)
+            if fragment is None:
+                return None
+            discovered[fid] = fragment
+        return discovered[fid]
+
     marked_fid = find_newest_marked_fid(transport, client_id, principal)
-    table = load_checkpoint_table(reader, marked_fid) if marked_fid else {}
+    table = load_checkpoint_table(read, marked_fid) if marked_fid else {}
     head = make_fid(client_id, 1)
     result = RecoveredLog({}, checkpoint_table=table, highest_fid=max(
         [*census.placements, *(base + header.stripe_width - 1
@@ -183,7 +200,7 @@ def recover_service_state(transport, client_id: int,
         state = result.services[service_id] = RecoveredState(service_id)
         entry = table.get(service_id)
         record = (None if entry is None
-                  else _read_checkpoint(reader, service_id, entry[0]))
+                  else _read_checkpoint(read, service_id, entry[0]))
         if record is not None:
             state.checkpoint_state = record.payload
             state.checkpoint_lsn = entry[1]
@@ -193,7 +210,8 @@ def recover_service_state(transport, client_id: int,
             # its LSN without the state would skip every record up to
             # it — silent data loss. Replay from the log head.
             starts.append(head)
-    for fragment in reader.fragments_from(min(starts, default=head), census):
+    for fragment in reader.fragments_from(min(starts, default=head), census,
+                                          discovered):
         for record in fragment.records():
             result.highest_lsn = max(result.highest_lsn, record.lsn)
             if (record.service_id == SERVICE_LOG_LAYER

@@ -434,15 +434,16 @@ class TestCensus:
         assert not any(isinstance(r, m.HoldsRequest)
                        for r in recording.requests)
         # Discovery reads the newest marked fragment and each service's
-        # checkpoint; the scan reads each data member from the oldest
-        # checkpoint on once, and no parity member.
+        # checkpoint and hands them to the scan: each data member from
+        # the oldest checkpoint on is read once, and no parity member.
         table = stack.log.checkpoint_table
         start = min(addr.fid for addr, _lsn in table.values())
         data_members = [fid for base, header in census.stripes.items()
                         for fid in range(base, base + header.parity_index)]
         expected = Counter(fid for fid in data_members if fid >= start)
-        expected[find_newest_marked_fid(cluster4.transport, 1)] += 1
-        expected.update(addr.fid for addr, _lsn in table.values())
+        discovered = {find_newest_marked_fid(cluster4.transport, 1)}
+        discovered.update(addr.fid for addr, _lsn in table.values())
+        assert discovered <= set(expected)
         whole_reads = Counter(r.fid for r in recording.requests
                               if isinstance(r, m.RetrieveRequest)
                               and r.length == -1)
