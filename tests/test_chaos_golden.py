@@ -56,33 +56,33 @@ VARIANTS = {
 }
 
 GOLDEN = {
-    ("chaos", 101): "71bd3469624cf4fb",
-    ("chaos", 202): "2d80324b163d1dd9",
-    ("chaos", 4242): "c483cd48b8cdb096",
-    ("chaos-2-clients", 101): "8fa4b2cbd58b2d20",
-    ("chaos-2-clients", 202): "a33a49d3d56709a0",
-    ("chaos-2-clients", 4242): "9f1687e2283d06bf",
-    ("cleaner", 101): "3bac07f99579c066",
-    ("cleaner", 202): "020f9106e05d36d8",
-    ("cleaner", 4242): "616d7c30da5a6814",
+    ("chaos", 101): "5a598249ff9b67bf",
+    ("chaos", 202): "30010432f5719274",
+    ("chaos", 4242): "c6729e0fdfdbabb8",
+    ("chaos-2-clients", 101): "6f6f147a67e79443",
+    ("chaos-2-clients", 202): "c6d6d8dcddf0da7b",
+    ("chaos-2-clients", 4242): "505aa81cc2111357",
+    ("cleaner", 101): "eaa01dfe8a7a1a49",
+    ("cleaner", 202): "f473c1981cd819d6",
+    ("cleaner", 4242): "3680aa732b517f63",
     # Regression seed: a lost reply on the re-store that repairs a torn
     # fragment used to abort the scenario with FragmentExistsError.
     ("cleaner", 555): "e55735824246ab17",
     ("crash-sweep", 101): "3755241bbb8c63f3",
     ("crash-sweep", 202): "7760f5182703f442",
     ("crash-sweep", 4242): "36236fcc71ef10c8",
-    ("kill-2-victims", 101): "2ef1ef25297da1d6",
-    ("kill-2-victims", 202): "f76f9e40d213d241",
-    ("kill-2-victims", 4242): "2f4f3853ce903f47",
-    ("kill-64-servers", 101): "bda741ffd1d8cedc",
-    ("kill-64-servers", 202): "fb326340cd6c44fc",
-    ("kill-64-servers", 4242): "72c8e2b52d36236d",
-    ("kill-restart", 101): "e7ec45ee33dcd0d7",
-    ("kill-restart", 202): "0a55e5f0a56d6037",
-    ("kill-restart", 4242): "31dbe80a53ab3a65",
-    ("kill-server", 101): "14c9b6962e7b0bd0",
-    ("kill-server", 202): "d986f1bc1e99503f",
-    ("kill-server", 4242): "c5d04a0783ce40f2",
+    ("kill-2-victims", 101): "d725252a4644362a",
+    ("kill-2-victims", 202): "fb11f0803e8bb0a6",
+    ("kill-2-victims", 4242): "e28c73e12ef674d5",
+    ("kill-64-servers", 101): "0598cfd2ccaa73be",
+    ("kill-64-servers", 202): "992222ba6292e89f",
+    ("kill-64-servers", 4242): "9017b6746cc382bb",
+    ("kill-restart", 101): "781a81cad34e0307",
+    ("kill-restart", 202): "02014d18e38cade1",
+    ("kill-restart", 4242): "a9a3094ee1a1a58e",
+    ("kill-server", 101): "b7bc2a7894c9d07f",
+    ("kill-server", 202): "8f8217a283ada933",
+    ("kill-server", 4242): "a04ff022e3ae9af3",
 }
 
 
