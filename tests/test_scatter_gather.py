@@ -202,8 +202,8 @@ class TestReconstructLatencyBound:
             metrics["ratio"])
 
     def test_rs_double_erasure_under_three_x(self):
-        # Two of six members down: the decode needs four survivors, but
-        # they still arrive as one probe plus one overlapped scatter.
+        # Two of six members down: the decode needs four survivors,
+        # and they arrive in one overlapped scatter.
         ratio = ablate_degraded_read(
             num_servers=6, parity=2, coding="rs")["ratio"]
         assert 1.0 < ratio < 3.0, (
