@@ -5,8 +5,9 @@ Demonstrates §2.4.3 end to end:
 
 1. a client stripes data over four servers with rotated parity;
 2. a server suffers total media loss (not just a crash);
-3. reads keep working — the client broadcasts for stripe neighbors,
-   learns the stripe layout from their headers, and XORs the survivors;
+3. reads keep working — the client's stripe table, learned from the
+   headers of the stripes it wrote, names the survivors, and the client
+   XORs them;
 4. a ``RepairDaemon`` repairs the cluster by re-materializing every lost
    fragment onto a replacement server, after which a *second* failure
    elsewhere is still survivable.
@@ -51,7 +52,7 @@ def main() -> None:
     cluster.transport.add_server(replacement)
     daemon = RepairDaemon(cluster.transport, client_id=3, replacement="s1b",
                           locations=log.locations)
-    repaired = daemon.run(dead_server=victim)
+    repaired = daemon.run()
     assert repaired == len(lost_fids)
     assert sorted(replacement.list_fids()) == lost_fids
     print("re-materialized %d fragments onto s1b (%d by XOR)"

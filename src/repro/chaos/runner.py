@@ -265,7 +265,7 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
                     # background repair onto the spares and interleave it
                     # with the remaining foreground ops — wire faults on.
                     start_daemon(client)
-                    client.daemon.discover(dead_server=victim)
+                    client.daemon.discover()
             if (reform_gap_ops < 0
                     and all(len(c.log.reforms) >= victims for c in clients)):
                 reform_gap_ops = ops_since_crash
@@ -302,7 +302,7 @@ def run_kill_server(seed: int, ops: Optional[Sequence[Op]] = None,
             if client.daemon is None and client.log.reforms:
                 start_daemon(client)
             if client.daemon is not None:
-                client.daemon.discover(dead_server=victim)
+                client.daemon.discover()
                 while not client.daemon.done:
                     client.daemon.step()
         daemons = [c.daemon for c in clients if c.daemon is not None]

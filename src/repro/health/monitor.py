@@ -154,11 +154,6 @@ class HealthMonitor:
         """Whether new stripes may be placed on ``server_id``."""
         return self._state(server_id).status in (HEALTHY, SUSPECT)
 
-    def dead_servers(self) -> List[str]:
-        """Servers currently under a ``dead`` verdict, sorted."""
-        return sorted(sid for sid, st in self._servers.items()
-                      if st.status == DEAD)
-
     def health_report(self) -> Dict[str, object]:
         """Structured snapshot: per-server verdict state, transitions,
         and the number of outcomes observed."""

@@ -10,11 +10,12 @@ redundancy is spent until the lost member is rebuilt somewhere. The
    shares): one scatter lists every reachable server's fids for the
    client, one scatter fetches just the fragment *headers* (stripe
    descriptors), and the stripes with absent members fall out. The
-   candidates are cross-checked with a ``broadcast_holds`` sweep so a
-   fragment that survived on a restarted server is not rebuilt twice.
-   Everything learned seeds the shared
-   :class:`~repro.log.location.LocationCache`, its stripe table
-   included.
+   census is the whole candidate list: nothing is seeded from what the
+   client remembers placing on a dead server. The candidates are
+   cross-checked with a ``broadcast_holds`` sweep so a fragment that
+   survived on a restarted server is not rebuilt twice. Everything
+   learned seeds the shared :class:`~repro.log.location.LocationCache`,
+   whose stripe table is the daemon's only map of stripe shapes.
 2. **Repair** — :meth:`RepairDaemon.step` rebuilds a batch of lost
    fragments one fid at a time, highest first, through
    :meth:`~repro.log.reconstruct.Reconstructor.rebuild_to_server`:
@@ -22,8 +23,9 @@ redundancy is spent until the lost member is rebuilt somewhere. The
    survivor scatter with no probe, and asking for a stripe's lost
    parity first lets that one fetch rebuild its lost data members too.
    The one verified store (preallocate, store, CRC read-back) writes
-   the image to its replacement. fsck's repair queues its degraded
-   stripes through the same :meth:`RepairDaemon.enqueue`.
+   the image to its replacement. fsck's repair learns its scrub's
+   headers into the daemon's table and queues its degraded stripes
+   through the same :meth:`RepairDaemon.enqueue`.
 3. **Throttle** — a repair-bandwidth budget converts repaired bytes
    into simulated seconds charged to the transport's deferred-time
    ledger, so on the simulated testbed repair traffic and foreground
@@ -39,7 +41,7 @@ reconstruction), and released as each stripe returns to full strength.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.log.location import LocationCache, take_census
 from repro.log.reconstruct import Reconstructor
@@ -91,7 +93,6 @@ class RepairDaemon:
         if resume:
             self.completed.update(int(fid) for fid
                                   in resume.get("completed", ()))
-        self._stripe_of: Dict[int, Tuple[int, int]] = {}
         self._held_bases: Set[int] = set()
         # Statistics.
         self.fragments_repaired = 0
@@ -128,46 +129,25 @@ class RepairDaemon:
     # Discovery
     # ------------------------------------------------------------------
 
-    def discover(self, dead_server: Optional[str] = None) -> List[int]:
+    def discover(self) -> List[int]:
         """Find lost fragments; returns the newly queued fids.
 
-        ``dead_server`` seeds the candidate list with the location
-        cache's memory of what lived there (cheap, no network); the
-        full inventory sweep then finds everything else, including
-        losses the cache never knew about.
+        The census names every stripe with a listed member, and each
+        member no server lists is a candidate. The candidates are
+        cross-checked with one broadcast: a fragment that is actually
+        held somewhere (a restarted server, a concurrent repair) needs
+        no rebuild.
         """
         self.sweeps += 1
-        suspects: Set[int] = set()
-        if dead_server is not None:
-            suspects.update(self.locations.fids_on(dead_server))
         present, stripes = take_census(self.transport, self.client_id,
                                        self.principal, self.locations)
-        missing: Set[int] = set(suspects)
-        for base, header in stripes.items():
-            width = header.stripe_width
-            for offset in range(width):
-                fid = base + offset
-                self._stripe_of[fid] = (base, width)
-                if fid not in present:
-                    missing.add(fid)
-        missing -= set(present)
-        # Cross-check with the broadcast sweep: a fragment that is
-        # actually held somewhere (restarted server, concurrent repair)
-        # needs no rebuild. Stale cached placements (they point at the
-        # dead server) must be evicted first, or the cache would answer
-        # the broadcast for the cluster.
-        for fid in missing:
-            self.locations.evict(fid)
-        still_lost = missing - set(self.locations.locate_many(
-            sorted(missing)))
-        # A fid whose stripe no surviving sibling names has nothing to
-        # be rebuilt from (and nothing to rebuild — the cache entry was
-        # for a fragment deleted everywhere).
-        return self.enqueue({fid: self._stripe_of[fid] for fid in still_lost
-                             if fid in self._stripe_of})
+        missing = {fid for header in stripes.values()
+                   for fid in header.sibling_fids() if fid not in present}
+        return self.enqueue(missing - set(self.locations.locate_many(
+            sorted(missing))))
 
-    def enqueue(self, lost: Dict[int, Tuple[int, int]]) -> List[int]:
-        """Queue lost fids, each with its stripe's ``(base, width)``.
+    def enqueue(self, fids: Iterable[int]) -> List[int]:
+        """Queue lost fids of stripes in the location cache's table.
 
         Fids already queued or repaired are skipped; the stripes of the
         rest are held from the cleaner. Returns the newly queued fids,
@@ -176,8 +156,7 @@ class RepairDaemon:
         that re-encodes it also rebuilds (and caches) the stripe's lost
         data members.
         """
-        self._stripe_of.update(lost)
-        fresh = [fid for fid in sorted(lost, reverse=True)
+        fresh = [fid for fid in sorted(set(fids), reverse=True)
                  if fid not in self.completed and fid not in self.pending]
         self.pending.extend(fresh)
         self._hold_for_repair(fresh)
@@ -222,10 +201,11 @@ class RepairDaemon:
         self.bytes_repaired += repaired_bytes
         return repaired
 
-    def run(self, dead_server: Optional[str] = None) -> int:
-        """Discover (if needed) and repair everything; returns count."""
-        if dead_server is not None or not self.pending:
-            self.discover(dead_server)
+    def run(self) -> int:
+        """Discover (if nothing is queued) and repair everything; returns
+        the count."""
+        if not self.pending:
+            self.discover()
         total = 0
         while self.pending:
             total += self.step()
@@ -248,13 +228,11 @@ class RepairDaemon:
         """
         if len(self.replacements) == 1:
             return self.replacements[0]
-        shape = self._stripe_of.get(fid)
-        if shape is None:
+        header = self.locations.stripe_of(fid)
+        if header is None:
             return self.replacements[0]
-        base, width = shape
-        lost = sorted(f for f in range(base, base + width)
-                      if f == fid or f in self.completed
-                      or f in self.pending)
+        lost = [f for f in header.sibling_fids()
+                if f == fid or f in self.completed or f in self.pending]
         return self.replacements[lost.index(fid) % len(self.replacements)]
 
     # ------------------------------------------------------------------
@@ -262,9 +240,9 @@ class RepairDaemon:
     # ------------------------------------------------------------------
 
     def _hold_for_repair(self, fids: Iterable[int]) -> None:
-        bases = {self._stripe_of[fid][0] for fid in fids
-                 if fid in self._stripe_of}
-        bases -= self._held_bases
+        headers = [self.locations.stripe_of(fid) for fid in fids]
+        bases = {header.stripe_base_fid for header in headers
+                 if header is not None} - self._held_bases
         if not bases:
             return
         self._held_bases.update(bases)
@@ -273,16 +251,12 @@ class RepairDaemon:
 
     def _release_if_whole(self, fid: int) -> None:
         """Release a stripe's cleaner hold once all its members exist."""
-        shape = self._stripe_of.get(fid)
-        if shape is None:
+        header = self.locations.stripe_of(fid)
+        if header is None or header.stripe_base_fid not in self._held_bases:
             return
-        base, width = shape
-        if base not in self._held_bases:
+        if any(member in self.pending for member in header.sibling_fids()):
             return
-        outstanding = any(base + offset in self.pending
-                          for offset in range(width))
-        if outstanding:
-            return
+        base = header.stripe_base_fid
         self._held_bases.discard(base)
         if self.cleaner is not None:
             self.cleaner.release_repair_hold((base,))

@@ -108,10 +108,6 @@ class FragmentHeader:
             return 0
         return self.stripe_width - self.parity_index
 
-    def server_of_index(self, index: int) -> str:
-        """Name of the server holding stripe member ``index``."""
-        return self.servers[index]
-
     def sibling_fids(self) -> List[int]:
         """FIDs of every fragment in this stripe, in stripe order."""
         return [self.stripe_base_fid + i for i in range(self.stripe_width)]

@@ -28,7 +28,10 @@ or a stripe learned on any path is reused by all of them.
 
 The *census* (:func:`take_census`), which repair and crash recovery
 share, fills the cache the other way: every server lists the client's
-fids, and each listed fid's header is read.
+fids, and each listed fid's header is read. Headers are read one way,
+:func:`read_headers`: the census reads the listed fids through it, and
+the reconstructor's probe (a fid no table stripe covers, such as
+another client's) reads the fids around the one it must rebuild.
 
 Invalidation: placements are dropped when a retrieve against the cached
 server fails (the placement is stale or the server is down), when a
@@ -81,41 +84,45 @@ class Census(NamedTuple):
     stripes: Dict[int, FragmentHeader]
 
 
-def take_census(transport, client_id: int, principal: str,
-                locations: LocationCache) -> Census:
-    """List the client's fids, then fetch every listed fid's header.
+def read_headers(transport, placements: Dict[int, str],
+                 principal: str) -> List[FragmentHeader]:
+    """Read the header of every fid in ``placements`` (fid → server).
 
-    Two scatters: :func:`list_client_fids`, whose placements are
-    recorded in ``locations``, then one header-sized partial retrieve
-    per listed fid. A header that cannot be fetched or parsed is
-    skipped; its stripe is still found through any listed sibling.
-    Every stripe found enters the stripe table, and its unlisted
-    members are lost: their placements are dropped.
+    One scatter of header-sized partial retrieves. Returns the headers
+    that came back and parse, in fid order; one that cannot be fetched
+    or parsed is skipped. The census and the reconstructor's stripe
+    probe both learn stripes through it.
     """
-    placements = list_client_fids(transport, client_id, principal)
-    for fid, server_id in placements.items():
-        locations.record(fid, server_id)
-    plan = sorted(placements.items())
     futures = scatter_call(
         transport,
         [(server_id, m.RetrieveRequest(fid=fid, offset=0,
                                        length=HEADER_SIZE,
                                        principal=principal))
-         for fid, server_id in plan])
-    stripes: Dict[int, FragmentHeader] = {}
+         for fid, server_id in sorted(placements.items())])
+    headers: List[FragmentHeader] = []
     for future in futures:
         if not future.ok:
             continue
         try:
-            header = FragmentHeader.decode(future.value.payload)
+            headers.append(FragmentHeader.decode(future.value.payload))
         except SwarmError:
             continue
-        stripes[header.stripe_base_fid] = header
-    for header in stripes.values():
-        locations.learn(header)
-        for fid in header.sibling_fids():
-            if fid not in placements:
-                locations.evict(fid)
+    return headers
+
+
+def take_census(transport, client_id: int, principal: str,
+                locations: LocationCache) -> Census:
+    """List the client's fids, then fetch every listed fid's header.
+
+    Two scatters: :func:`list_client_fids`, then :func:`read_headers`
+    over every listed fid. A header that cannot be fetched or parsed is
+    skipped; its stripe is still found through any listed sibling.
+    What was found enters ``locations`` (:meth:`LocationCache.learn_listing`).
+    """
+    placements = list_client_fids(transport, client_id, principal)
+    stripes = {header.stripe_base_fid: header for header
+               in read_headers(transport, placements, principal)}
+    locations.learn_listing(placements, stripes.values())
     return Census(placements, stripes)
 
 
@@ -175,16 +182,40 @@ class LocationCache:
         for index, server_id in enumerate(header.servers):
             self._map.setdefault(base + index, server_id)
 
+    def learn_listing(self, placements: Dict[int, str],
+                      headers: Iterable[FragmentHeader]) -> None:
+        """Absorb a listing of the client's fids and one header read off
+        it per stripe.
+
+        Each listed fid takes its listed server, and each header's
+        stripe enters the table. A stripe member no server listed is
+        lost: its placement is dropped.
+        """
+        for fid, server_id in placements.items():
+            self.record(fid, server_id)
+        for header in headers:
+            self.learn(header)
+            for fid in header.sibling_fids():
+                if fid not in placements:
+                    self.evict(fid)
+
     def stripe_of(self, fid: int) -> Optional[FragmentHeader]:
         """The table's descriptor of the stripe holding ``fid``, or None.
 
         A lookup the table answers counts as a hit.
         """
+        header = self.covering(fid)
+        if header is not None:
+            self.hits += 1
+        return header
+
+    def covering(self, fid: int) -> Optional[FragmentHeader]:
+        """:meth:`stripe_of` without counting a hit: for bookkeeping
+        that is not a lookup, such as bounding a stripe probe."""
         index = bisect_right(self._bases, fid)
         if index:
             header = self._stripes[self._bases[index - 1]]
             if fid < header.stripe_base_fid + header.stripe_width:
-                self.hits += 1
                 return header
         return None
 
@@ -193,16 +224,6 @@ class LocationCache:
         for fid in fids:
             if self._stripes.pop(fid, None) is not None:
                 self._bases.remove(fid)
-
-    def fids_on(self, server_id: str) -> List[int]:
-        """Cached fids believed to live on ``server_id``, sorted.
-
-        The repair daemon's first candidate list after a server dies:
-        everything the client remembers placing (or locating) there is
-        a stripe that now needs a member re-materialized.
-        """
-        return sorted(fid for fid, sid in self._map.items()
-                      if sid == server_id)
 
     def evict(self, fid: int) -> None:
         """Drop a placement (observed to be stale or deleted)."""

@@ -10,12 +10,15 @@ fragment ``fid``, :meth:`Reconstructor.fetch` tries, in order:
 3. the located server — the location cache, else a broadcast; a member
    of a stripe in the location cache's stripe table that has no
    placement is lost, and skips straight to step 4;
-4. a rebuild from parity.
+4. a rebuild from parity, over the stripe the table names or, for a
+   fid no table stripe covers, the stripe one probe finds (see
+   "Reconstruction itself" below).
 
 **The one check.** A copy is good when
 ``Fragment.decode(image, verify_crc=verify)`` accepts it: the header
 checksum and length are always checked, the payload CRC only when the
-reconstructor verifies. Survivors (and probes) pass the same check.
+reconstructor verifies. Survivors pass the same check; a probe reads
+headers only, and skips one whose checksum fails.
 
 **Corrupt is an erasure.** A copy that fails the check counts in
 ``corruptions_detected``, has its placement evicted, and is treated
@@ -40,13 +43,15 @@ it — reconstruction is *transparent to the servers, not the clients*:
    table gives the lost fragment's stripe and each member's server
    without a message (a cached placement, such as a repair's move,
    wins over the descriptor's).
-2. Only for a fid no table entry covers (a fresh reconstructor with
-   its own cache) does the client probe: fragments of a stripe have
-   consecutive FIDs, so fragment N−1 or N+1 is in the same stripe, and
-   their headers carry the descriptor. It *broadcasts* to all storage
-   servers asking who holds them — no directory service exists or is
-   needed (Swarm is self-hosting) — and widens the ring while none
-   answers.
+2. Only for a fid no table entry covers (another client's fragment,
+   or a fresh reconstructor with its own cache) does the client probe:
+   fragments of a stripe have consecutive FIDs, so the stripe's other
+   members lie within ``MAX_STRIPE_WIDTH − 1`` of fragment N, and their
+   headers carry the descriptor. One *broadcast* asks all storage
+   servers who holds the uncovered fids of that window — no directory
+   service exists or is needed (Swarm is self-hosting) — and one
+   scatter reads their headers, the same header read the census makes
+   (:func:`~repro.log.location.read_headers`).
 3. The client fetches every other member in one scatter, each from
    its cached placement or else the server its descriptor names, and
    decodes from the first ``k`` copies that pass the check, data
@@ -101,9 +106,10 @@ from repro.log.fragment import (
     MAX_STRIPE_WIDTH,
     make_parity_fragment,
 )
-from repro.log.location import LocationCache
+from repro.log.location import LocationCache, read_headers
 from repro.rpc import messages as m
 from repro.rpc.completion import scatter_call
+from repro.util.fids import fid_client
 
 
 class Reconstructor:
@@ -330,41 +336,34 @@ class Reconstructor:
         """Rebuild fragment ``fid`` from the rest of its stripe.
 
         The stripe comes from the table (:meth:`LocationCache.stripe_of`)
-        or, for a fid no table entry covers, from a neighbour probe.
-        Every other member is fetched in one scatter, from its cached
-        placement or else the server its descriptor names, so a rebuild
-        costs one overlapped round trip; probed neighbours are reused,
-        not fetched twice. Only when fewer than ``k`` (the data
-        member count) copies pass the check are the rest re-located, by
-        one broadcast. The decode uses the first ``k`` copies, data
-        members first, and any erasure pattern of at most ``m`` members
-        (the stripe's parity count) is recoverable.
+        or, for a fid no table entry covers, from :meth:`_probe_stripe`;
+        when neither finds one, :class:`~repro.errors.ReconstructionError`
+        is raised. Every other member is fetched in one scatter, from its
+        cached placement or else the server its descriptor names, so a
+        rebuild costs one overlapped round trip. Only when fewer than
+        ``k`` (the data member count) copies pass the check are the rest
+        re-located, by one broadcast. The decode uses the first ``k``
+        copies, data members first, and any erasure pattern of at most
+        ``m`` members (the stripe's parity count) is recoverable.
 
         A data member's read rebuilds the erased data members only; the
         erased parity members are re-encoded only when one of them is
         asked for (a repair). Everything rebuilt is cached, the requested
         image last, as the most recently used.
         """
-        header = self.locations.stripe_of(fid)
-        probed: Dict[int, Optional[bytes]] = {}
+        header = self.locations.stripe_of(fid) or self._probe_stripe(fid)
         if header is None:
-            header, probed = self._find_stripe_descriptor(fid)
-            if header is None:
-                raise ReconstructionError(
-                    "no stripe neighbor of fragment %d found; cannot "
-                    "reconstruct" % fid)
+            raise ReconstructionError(
+                "no stripe of fragment %d found; cannot reconstruct" % fid)
         base = header.stripe_base_fid
         width = header.stripe_width
         nparity = header.parity_count
         ndata = width - nparity
         siblings = [base + index for index in range(width)
                     if base + index != fid]
-        copies = {sibling: probed[sibling] for sibling in siblings
-                  if sibling in probed}
-        copies.update(self._scatter_fetch(
+        copies = self._scatter_fetch(
             [(sibling, self.locations.get(sibling)
-              or header.servers[sibling - base]) for sibling in siblings
-             if sibling not in probed]))
+              or header.servers[sibling - base]) for sibling in siblings])
         if nparity and sum(image is not None
                            for image in copies.values()) < ndata:
             # Short of survivors: a member may have moved (a repair, a
@@ -393,46 +392,33 @@ class Reconstructor:
         self._remember(fid, image)
         return image
 
-    def _find_stripe_descriptor(
-            self, fid: int,
-    ) -> Tuple[Optional[FragmentHeader], Dict[int, Optional[bytes]]]:
-        """Race ``fid``'s neighbors for a stripe descriptor.
+    def _probe_stripe(self, fid: int) -> Optional[FragmentHeader]:
+        """Learn the stripe of a fid no table entry covers, or None.
 
-        Fragments of a stripe have consecutive FIDs, so some fragment
-        within ``MAX_STRIPE_WIDTH − 1`` of ``fid`` carries the
-        descriptor. The nearest candidates (``fid±1``) are fetched
-        *concurrently* and the first (lowest-fid) parseable same-stripe
-        header wins — deterministically, so a replayed chaos schedule
-        makes identical choices. When both immediate neighbors are down
-        too (multi-erasure stripes), the probe ring widens one distance
-        at a time — the single-failure fast path costs exactly the two
-        probes it always did. Returns the header (None when no
-        neighbor answers) plus every probe's :meth:`_scatter_fetch`
-        outcome, keyed by fid, so the caller reuses in-stripe neighbors
-        as survivors (or erasures) instead of fetching them again.
+        Fragments of a stripe have consecutive FIDs, so the stripe's
+        other members lie within ``MAX_STRIPE_WIDTH - 1`` of ``fid``.
+        The window is the client's own fids there that no table stripe
+        covers: one :meth:`LocationCache.locate_many` finds them, one
+        :func:`~repro.log.location.read_headers` scatter reads their
+        headers, and the lowest-fid header whose stripe holds ``fid``
+        enters the table (deterministic, so a replayed chaos schedule
+        makes identical choices).
         """
-        probed_all: Dict[int, Optional[bytes]] = {}
-        for distance in range(1, MAX_STRIPE_WIDTH):
-            neighbors = [n for n in (fid - distance, fid + distance)
-                         if n > 0]
-            if not neighbors:
-                continue
-            found = self.locations.locate_many(neighbors)
-            probed = self._scatter_fetch(sorted(found.items()))
-            probed_all.update(probed)
-            for neighbor in sorted(probed):
-                if probed[neighbor] is None:
-                    continue
-                header = FragmentHeader.decode(probed[neighbor])
-                if header.stripe_base_fid <= fid < (header.stripe_base_fid
-                                                    + header.stripe_width):
-                    self.locations.learn(header)
-                    # The fragment being reconstructed is missing or
-                    # corrupt — do not resurrect its placement from the
-                    # descriptor we learned.
-                    self.locations.evict(fid)
-                    return header, probed_all
-        return None, probed_all
+        client = fid_client(fid)
+        low = max(1, fid - MAX_STRIPE_WIDTH + 1)
+        window = [neighbor for neighbor in range(low, fid + MAX_STRIPE_WIDTH)
+                  if neighbor != fid and fid_client(neighbor) == client
+                  and self.locations.covering(neighbor) is None]
+        located = self.locations.locate_many(window)
+        for header in read_headers(self.transport, located, self.principal):
+            if header.stripe_base_fid <= fid < (header.stripe_base_fid
+                                                + header.stripe_width):
+                self.locations.learn(header)
+                # The fragment being reconstructed is missing or corrupt:
+                # do not resurrect its placement from the descriptor.
+                self.locations.evict(fid)
+                return header
+        return None
 
     def _decode_erased(self, header: FragmentHeader,
                        survivors: Dict[int, bytes],

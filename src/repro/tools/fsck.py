@@ -90,6 +90,9 @@ class FsckReport:
     stripes: List[StripeFinding] = field(default_factory=list)
     locations: Dict[int, str] = field(default_factory=dict)
     """Where the scrub found each fid (the listing sweep's answer)."""
+    headers: Dict[int, FragmentHeader] = field(default_factory=dict)
+    """Each scrubbed stripe's descriptor by base fid: the header of its
+    highest-fid member that parsed."""
 
     @property
     def healthy(self) -> bool:
@@ -143,7 +146,6 @@ def check_client_log(transport, client_id: int,
     fetched = _fetch_all(transport, report.locations, principal)
     # Parse what is present; learn stripe shapes from headers.
     images: Dict[int, bytes] = {}
-    headers: Dict[int, FragmentHeader] = {}
     corrupt: Set[int] = set()
     for fid, image in sorted(fetched.items()):
         report.fragments_checked += 1
@@ -153,17 +155,14 @@ def check_client_log(transport, client_id: int,
             corrupt.add(fid)
             continue
         images[fid] = image
-        headers[fid] = fragment.header
+        # Group into stripes by descriptor. A corrupt fragment cannot
+        # name its own stripe, but a surviving sibling's descriptor
+        # covers it (consecutive FIDs), so known stripes absorb corrupt
+        # members below.
+        report.headers[fragment.header.stripe_base_fid] = fragment.header
 
-    # Group into stripes by descriptor. A corrupt fragment cannot name
-    # its own stripe, but a surviving sibling's descriptor covers it
-    # (consecutive FIDs), so known stripes absorb corrupt members below.
-    stripe_shapes: Dict[int, Tuple[int, int]] = {}
-    for header in headers.values():
-        stripe_shapes[header.stripe_base_fid] = (header.stripe_width,
-                                                 header.parity_count)
-
-    for base, (width, nparity) in sorted(stripe_shapes.items()):
+    for base, header in sorted(report.headers.items()):
+        width, nparity = header.stripe_width, header.parity_count
         finding = StripeFinding(base_fid=base, width=width,
                                 parity_count=nparity)
         member_images: Dict[int, bytes] = {}
@@ -217,10 +216,10 @@ def repair_client_log(transport, client_id: int,
     daemon = RepairDaemon(transport, client_id, target_server,
                           principal=principal)
     report = check_client_log(transport, client_id, principal)
-    # The scrub's listing seeds the daemon's location cache, so the
-    # reconstructions below need no further broadcasts.
-    for fid, server_id in report.locations.items():
-        daemon.locations.record(fid, server_id)
+    # The scrub's listing and headers seed the daemon's location cache
+    # and stripe table, so the rebuilds below neither broadcast nor
+    # probe.
+    daemon.locations.learn_listing(report.locations, report.headers.values())
     degraded = report.by_status("degraded")
     # Purge every corrupt fragment in one scatter before rebuilding: a
     # rebuilt image must never race its damaged predecessor.
@@ -233,8 +232,7 @@ def repair_client_log(transport, client_id: int,
     for fid, _server_id in purge:
         daemon.locations.evict(fid)
     for finding in degraded:
-        daemon.enqueue({fid: (finding.base_fid, finding.width)
-                        for fid in finding.corrupt + finding.missing})
+        daemon.enqueue(finding.corrupt + finding.missing)
     restored = 0
     while daemon.pending:
         restored += daemon.step()

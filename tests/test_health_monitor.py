@@ -62,7 +62,6 @@ class TestStateMachine:
         fail(monitor, "s0", times=3)
         assert monitor.status("s0") == DEAD
         assert not monitor.is_usable("s0")
-        assert monitor.dead_servers() == ["s0"]
 
     def test_one_success_resets_the_consecutive_count(self):
         monitor = HealthMonitor()

@@ -48,7 +48,7 @@ class TestDiscovery:
         log, _payloads, _addresses = written_group(cluster5)
         lost, daemon = kill_and_daemon(cluster5, log)
         assert lost
-        found = daemon.discover(dead_server="s1")
+        found = daemon.discover()
         assert sorted(found) == sorted(lost)
         assert sorted(daemon.pending) == sorted(lost)
 
@@ -72,8 +72,8 @@ class TestDiscovery:
     def test_discovery_is_idempotent(self, cluster5):
         log, _payloads, _addresses = written_group(cluster5)
         lost, daemon = kill_and_daemon(cluster5, log)
-        daemon.discover(dead_server="s1")
-        assert daemon.discover(dead_server="s1") == []
+        daemon.discover()
+        assert daemon.discover() == []
         assert sorted(daemon.pending) == sorted(lost)
 
 
@@ -81,7 +81,7 @@ class TestRepair:
     def test_rematerializes_everything_onto_replacement(self, cluster5):
         log, payloads, addresses = written_group(cluster5)
         lost, daemon = kill_and_daemon(cluster5, log)
-        repaired = daemon.run(dead_server="s1")
+        repaired = daemon.run()
         assert repaired == len(lost)
         assert daemon.done
         spare = cluster5.servers["s4"]
@@ -107,29 +107,31 @@ class TestRepair:
 
         log, _payloads, _addresses = written_group(cluster5, blocks=200)
         lost, daemon = kill_and_daemon(cluster5, log)
-        assert daemon.run(dead_server="s1") == len(lost) > MAX_STRIPE_WIDTH
+        assert daemon.run() == len(lost) > MAX_STRIPE_WIDTH
         assert daemon.reconstructor.reconstructions == len(lost)
         assert 0 < len(daemon.reconstructor.cache) <= MAX_STRIPE_WIDTH
 
     def test_location_cache_updated_to_replacement(self, cluster5):
         log, _payloads, _addresses = written_group(cluster5)
         lost, daemon = kill_and_daemon(cluster5, log)
-        daemon.run(dead_server="s1")
+        daemon.run()
         for fid in lost:
             assert log.locations.get(fid) == "s4"
-        assert log.locations.fids_on("s1") == []
+        survivors = [fid for sid in ("s0", "s2", "s3")
+                     for fid in cluster5.servers[sid].list_fids()]
+        assert "s1" not in {log.locations.get(fid) for fid in survivors}
 
     def test_step_respects_batch_size(self, cluster5):
         log, _payloads, _addresses = written_group(cluster5)
         lost, daemon = kill_and_daemon(cluster5, log)
-        daemon.discover(dead_server="s1")
+        daemon.discover()
         assert daemon.step(max_fragments=2) == min(2, len(lost))
         assert len(daemon.pending) == len(lost) - min(2, len(lost))
 
     def test_throttle_charges_repair_bandwidth(self, cluster5):
         log, _payloads, _addresses = written_group(cluster5)
         lost, daemon = kill_and_daemon(cluster5, log)
-        daemon.run(dead_server="s1")
+        daemon.run()
         assert daemon.bytes_repaired > 0
         assert daemon.throttle_charged_s == pytest.approx(
             daemon.bytes_repaired / float(THROTTLE_BYTES_PER_S))
@@ -152,7 +154,7 @@ class TestRepair:
                 break
         assert victim is not None
         lost, daemon = kill_and_daemon(cluster5, stack.log, victim=victim)
-        daemon.run(dead_server=victim)
+        daemon.run()
         spare = cluster5.servers["s4"]
         for fid in marked_fids:
             assert spare.fragment_info(fid).marked
@@ -162,7 +164,7 @@ class TestResume:
     def test_progress_roundtrip_skips_completed_work(self, cluster5):
         log, _payloads, _addresses = written_group(cluster5)
         lost, daemon = kill_and_daemon(cluster5, log)
-        daemon.discover(dead_server="s1")
+        daemon.discover()
         daemon.step(max_fragments=1)  # repair exactly one, then "crash"
         snapshot = daemon.progress()
         assert len(snapshot["completed"]) == 1
@@ -170,7 +172,7 @@ class TestResume:
         successor = RepairDaemon(cluster5.transport, client_id=1,
                                  replacement="s4", locations=log.locations,
                                  resume=snapshot)
-        successor.discover(dead_server="s1")
+        successor.discover()
         assert sorted(successor.pending) == sorted(
             set(lost) - set(snapshot["completed"]))
         successor.run()
@@ -191,7 +193,7 @@ class TestResume:
                             locations=log.locations)
         image = rec.rebuild_to_server(fid, "s4")
         assert rec.rebuild_to_server(fid, "s4") == image
-        daemon.run(dead_server="s1")
+        daemon.run()
         assert check_client_log(cluster5.transport, 1).healthy
 
 
@@ -250,7 +252,7 @@ class TestCleanerCoordination:
         log, _payloads, _addresses = written_group(cluster5)
         recorder = RecordingCleaner()
         lost, daemon = kill_and_daemon(cluster5, log, cleaner=recorder)
-        daemon.discover(dead_server="s1")
+        daemon.discover()
         assert recorder.held  # stripes under repair are on hold
         assert not recorder.released
         daemon.run()

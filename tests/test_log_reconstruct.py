@@ -540,13 +540,13 @@ class TestStripeTable:
         fresh.recover_all()
         cluster4.servers[fresh.log.known_location(first_fid)].crash()
         probes = []
-        real = Reconstructor._find_stripe_descriptor
+        real = Reconstructor._probe_stripe
 
         def probe(self, fid):
             probes.append(fid)
             return real(self, fid)
 
-        monkeypatch.setattr(Reconstructor, "_find_stripe_descriptor", probe)
+        monkeypatch.setattr(Reconstructor, "_probe_stripe", probe)
         broadcasts = fresh.log.locations.broadcasts
         assert {block: fresh_disk.read(block) for block in blocks} == blocks
         assert fresh.log.reconstructor.reconstructions > 0
@@ -619,6 +619,65 @@ class TestStripeTable:
             [m.HoldsRequest]
         assert {log.locations.get(fid) for fid, _server in lost} == \
             {"s6", "s7"}
+
+    def test_a_read_past_the_end_costs_two_broadcasts(self):
+        """Every stripe below the fid is in the table, so the probe's
+        window is the fids above it: the read's own locate and the
+        window make one broadcast each, no header is read, and no
+        table lookup is counted as a hit."""
+        from collections import Counter
+
+        from repro.bench.ablations import _fill_stripes
+
+        cluster, log, _addresses = _fill_stripes(4, 1 << 16, stripes=4)
+        last = max(fid for node in cluster.server_nodes.values()
+                   for fid in node.server.list_fids())
+        recording = Recording(log.transport)
+        log.locations.transport = log.reconstructor.transport = recording
+        log.transport.take_deferred_time()
+        hits = log.locations.hits
+        with pytest.raises(errors.ReconstructionError):
+            log.read_fragment(last + 1)
+        assert Counter(type(request).__name__
+                       for request in recording.requests()) == \
+            {"HoldsRequest": 8}
+        assert log.transport.take_deferred_time() < 0.01
+        # Bounding the window by the table is not a lookup.
+        assert log.locations.hits == hits
+
+    def test_the_probe_ring_never_widens(self):
+        """A fresh reconstructor (empty table) rebuilds member 0 of a
+        stripe whose members 0 and 1 are lost: one broadcast for the
+        fid, one for the probe window, one header scatter and one
+        survivor scatter."""
+        from collections import Counter
+
+        from repro.bench.ablations import _fill_stripes
+        from repro.log.fragment import HEADER_SIZE
+
+        cluster, log, _addresses = _fill_stripes(
+            6, 1 << 16, stripes=3, parity_fragments=2, coding="rs")
+        fids = sorted(fid for node in cluster.server_nodes.values()
+                      for fid in node.server.list_fids())
+        assert len(fids) == 18
+        target = fids[6]
+        image = bytes(cluster.server_nodes[log.known_location(
+            target)].server.retrieve(target))
+        header = Fragment.decode(image).header
+        assert header.stripe_base_fid == target
+        for server in header.servers[:2]:
+            cluster.crash_server(server)
+        recording = Recording(log.transport)
+        rebuilder = Reconstructor(recording, log.config.principal)
+        log.transport.take_deferred_time()
+        assert rebuilder.fetch(target) == image
+        assert [Counter(type(request).__name__ for request in plan)
+                for plan in recording.plans] == [
+            {"HoldsRequest": 6}, {"HoldsRequest": 6},
+            {"RetrieveRequest": 12}, {"RetrieveRequest": 5}]
+        assert all(request.length == HEADER_SIZE
+                   for request in recording.plans[2])
+        assert log.transport.take_deferred_time() < 0.12
 
     def test_short_rebuild_finds_a_moved_member_by_one_broadcast(self):
         cluster = build_local_cluster(num_servers=5, fragment_size=1 << 16,

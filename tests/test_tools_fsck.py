@@ -177,8 +177,8 @@ class TestOneRepairPath:
                                          monkeypatch):
         header = tear_last_two(cluster4)
         first = header.sibling_fids()[-2]
-        completer = cluster4.servers[header.server_of_index(
-            first - header.stripe_base_fid)]
+        completer = cluster4.servers[header.servers[
+            first - header.stripe_base_fid]]
         write_slot = completer.backend.write_slot
         monkeypatch.setattr(
             completer.backend, "write_slot",
@@ -191,6 +191,36 @@ class TestOneRepairPath:
         monkeypatch.undo()
         assert repair_client_log(cluster4.transport, 1, "s0") == 2
         assert check_client_log(cluster4.transport, 1).healthy
+
+    def test_rebuilds_take_stripes_from_the_scrub(self, monkeypatch):
+        """The scrub's headers fill the daemon's stripe table: no
+        rebuild broadcasts or probes for its stripe."""
+        from repro.cluster import build_local_cluster
+        from repro.log.reconstruct import Reconstructor
+
+        cluster = build_local_cluster(num_servers=5, fragment_size=1 << 16,
+                                      server_slots=512)
+        log = cluster.make_log(client_id=1, group=cluster.stripe_group(
+            ["s0", "s1", "s2", "s3"]))
+        for i in range(12):
+            log.write_block(SVC, bytes([i + 1]) * 22000)
+        log.flush().wait()
+        lost = cluster.servers["s1"].list_fids()
+        cluster.servers["s1"].crash()
+        probes = []
+        real = Reconstructor._probe_stripe
+
+        def probe(self, fid):
+            probes.append(fid)
+            return real(self, fid)
+
+        monkeypatch.setattr(Reconstructor, "_probe_stripe", probe)
+        counting = CountingTransport(cluster.transport)
+        assert repair_client_log(counting, 1, "s4") == len(lost)
+        assert counting.sent[m.HoldsRequest] == 0
+        assert probes == []
+        assert sorted(cluster.servers["s4"].list_fids()) == sorted(lost)
+        assert check_client_log(cluster.transport, 1).healthy
 
 
 class TestServerCache:
