@@ -20,15 +20,25 @@ space runs low the cleaner *demands* fresh checkpoints from the
 services; one that refuses eventually has its records reclaimed anyway,
 "at its own peril".
 
-The read side is pipelined like the write side: candidate discovery
-reads every fragment header in one batched multi-range scatter, a
-cleaning pass harvests the live bytes of *all* its stripes in another
-(one ``MultiRetrieveRequest`` per server), re-appends them through the
-log layer's pipelined write-behind path, and pays a single durability
-fence for the whole batch — never one blocking stripe close per stripe.
-The live-block index that makes the harvest addressable (owner and
-``create_info`` per live address, fed by the log layer's usage events)
-replaces the old whole-fragment decode and creation-record lookahead.
+Candidate discovery sends no RPC. The client's stripe table (the log's
+:class:`~repro.log.location.LocationCache`, filled as stripes seal or
+from the recovery census) gives each tracked fragment's stripe, and a
+client appends its log strictly in LSN order, so a stripe whose last
+data member lies below the fid of the oldest checkpoint record holds
+only records older than that checkpoint. The table learns a stripe
+when it seals, before its stores land, so no pass runs while any
+stripe's stores are still in flight: a member is never deleted before
+it is stored.
+
+The read side is pipelined like the write side: a cleaning pass
+harvests the live bytes of *all* its stripes in one batched multi-range
+scatter (one ``MultiRetrieveRequest`` per server), re-appends them
+through the log layer's pipelined write-behind path, and pays a single
+durability fence for the whole batch — never one blocking stripe close
+per stripe. The live-block index that makes the harvest addressable
+(owner and ``create_info`` per live address, per fragment, fed by the
+log layer's usage events) replaces the old whole-fragment decode and
+creation-record lookahead.
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.log.address import BlockAddress
-from repro.log.fragment import FragmentHeader, HEADER_SIZE
 from repro.log.records import (
     Record,
     RecordType,
@@ -50,6 +59,11 @@ from repro.services.base import Service
 _ADDR = struct.Struct(">QII")
 
 
+def _in_fragment_order(addr: BlockAddress) -> Tuple[int, int]:
+    """Sort key of the addresses of one fragment: by offset."""
+    return addr.offset, addr.length
+
+
 @dataclass
 class StripeUsage:
     """Cleaning statistics for one stripe (keyed by its base FID)."""
@@ -58,7 +72,6 @@ class StripeUsage:
     width: int
     live_bytes: int
     total_bytes: int
-    max_lsn: int
 
     @property
     def utilization(self) -> float:
@@ -79,16 +92,18 @@ class CleanerService(Service):
                  utilization_threshold: float = 0.75) -> None:
         super().__init__(service_id, "cleaner")
         self.utilization_threshold = utilization_threshold
-        # Per-fragment accounting, folded into stripes lazily (the
-        # stripe shape is only known from fragment headers).
+        # Per-fragment accounting, folded into stripes by the log's
+        # stripe table when candidates are chosen.
         self._live: Dict[int, int] = {}       # fid -> live bytes
         self._total: Dict[int, int] = {}      # fid -> total block bytes
-        self._dead: Set[BlockAddress] = set()
-        # Live-block index: address -> (owner service, create_info).
-        # This is what lets a cleaning pass harvest exactly the live
-        # byte ranges of a stripe in one multi-range scatter instead of
-        # decoding whole fragments hunting for creation records.
-        self._blocks: Dict[BlockAddress, Tuple[int, bytes]] = {}
+        self._dead: Dict[int, Set[BlockAddress]] = {}  # fid -> addresses
+        # Live-block index: fid -> {address: (owner service,
+        # create_info)}. This is what lets a cleaning pass harvest
+        # exactly the live byte ranges of a stripe in one multi-range
+        # scatter instead of decoding whole fragments hunting for
+        # creation records; keyed by fid, so a stripe's blocks are its
+        # members' entries and forgetting a stripe pops them.
+        self._blocks: Dict[int, Dict[BlockAddress, Tuple[int, bytes]]] = {}
         # Fragments whose deletes failed transiently; retried on the
         # next cleaning pass rather than leaking disk forever.
         self._deferred_deletes: Set[int] = set()
@@ -112,93 +127,62 @@ class CleanerService(Service):
 
     def _on_usage(self, event: str, addr: BlockAddress, size: int,
                   owner: int = 0, info: bytes = b"") -> None:
+        fid = addr.fid
         if event == "create":
-            self._live[addr.fid] = self._live.get(addr.fid, 0) + size
-            self._total[addr.fid] = self._total.get(addr.fid, 0) + size
-            self._dead.discard(addr)
-            self._blocks[addr] = (owner, info)
+            self._live[fid] = self._live.get(fid, 0) + size
+            self._total[fid] = self._total.get(fid, 0) + size
+            if fid in self._dead:
+                self._dead[fid].discard(addr)
+            self._blocks.setdefault(fid, {})[addr] = (owner, info)
         elif event == "delete":
-            self._live[addr.fid] = self._live.get(addr.fid, 0) - size
-            self._dead.add(addr)
-            self._blocks.pop(addr, None)
+            self._live[fid] = self._live.get(fid, 0) - size
+            self._dead.setdefault(fid, set()).add(addr)
+            if fid in self._blocks:
+                self._blocks[fid].pop(addr, None)
 
     # ------------------------------------------------------------------
     # Stripe discovery and eligibility
     # ------------------------------------------------------------------
 
-    def _min_checkpoint_lsn(self) -> int:
-        """Oldest checkpoint LSN across all services (0 = none yet)."""
-        table = self.stack.log.checkpoint_table
-        if not table:
-            return 0
-        return min(lsn for _addr, lsn in table.values())
-
-    def _read_headers(
-            self, fids: List[int]) -> Dict[int, Optional[FragmentHeader]]:
-        """Decode the headers of ``fids`` via one batched range read.
-
-        All the headers travel as a single multi-range scatter (one
-        ``MultiRetrieveRequest`` per server) instead of one synchronous
-        round trip per fragment; unreadable or undecodable headers map
-        to ``None``.
-        """
-        headers: Dict[int, Optional[FragmentHeader]] = {}
-        if not fids:
-            return headers
-        images = self.stack.log.read_ranges(
-            [(fid, 0, HEADER_SIZE) for fid in fids])
-        for fid, image in zip(fids, images):
-            if image is None:
-                headers[fid] = None
-                continue
-            try:
-                headers[fid] = FragmentHeader.decode(image)
-            except Exception:
-                headers[fid] = None
-        return headers
-
     def candidate_stripes(self) -> List[StripeUsage]:
         """Stripes eligible for cleaning, least-utilized first.
 
-        A stripe qualifies when (a) its records are all older than the
-        oldest service checkpoint and (b) its live fraction is below the
-        threshold.
+        A stripe qualifies when (a) its last data member lies below the
+        fid of the oldest checkpoint record — the log is appended in
+        LSN order, so every record it holds is older than every service
+        checkpoint — and (b) its live fraction is below the threshold.
+        Each tracked fragment's stripe comes from the client's stripe
+        table; no RPC is made.
         """
-        min_ckpt = self._min_checkpoint_lsn()
-        if min_ckpt <= 0:
+        log = self.stack.log
+        table = log.checkpoint_table
+        if not table:
             return []
-        fids = sorted(self._total)
-        headers = self._read_headers(fids)
-        # Stripe descriptors may reference members (e.g. parity) that
-        # hold no tracked blocks; fetch those headers in a second batch.
-        extra: Set[int] = set()
-        for fid in fids:
-            header = headers.get(fid)
-            if header is None or header.is_parity:
-                continue
-            base = header.stripe_base_fid
-            for index in range(header.stripe_width):
-                if base + index not in headers:
-                    extra.add(base + index)
-        headers.update(self._read_headers(sorted(extra)))
-        seen_bases: Set[int] = set()
+        oldest_fid = min(table.values(), key=lambda entry: entry[1])[0].fid
         stripes: List[StripeUsage] = []
-        for fid in fids:
-            header = headers.get(fid)
-            if header is None or header.is_parity:
+        stripe_end = 0
+        for fid in sorted(self._total):
+            if fid < stripe_end:
                 continue
-            base = header.stripe_base_fid
-            if base in seen_bases or base in self._repair_hold:
+            header = log.locations.covering(fid)
+            if header is None:
                 continue
-            seen_bases.add(base)
-            usage = self._stripe_usage(header, headers)
-            if usage is None:
+            base, width = header.stripe_base_fid, header.stripe_width
+            stripe_end = base + width
+            # parity_index is the stripe's *first* parity member: every
+            # index at or past it is parity (one for XOR, several for
+            # Reed-Solomon) and carries no live blocks.
+            data = range(base, base + min(width, header.parity_index))
+            if base in self._repair_hold or data[-1] >= oldest_fid:
                 continue
-            if usage.max_lsn >= min_ckpt:
-                continue
-            if usage.utilization >= self.utilization_threshold:
-                continue
-            stripes.append(usage)
+            usage = StripeUsage(
+                base_fid=base, width=width,
+                live_bytes=sum(max(0, self._live.get(member, 0))
+                               for member in data),
+                total_bytes=sum(self._total.get(member, 0)
+                                for member in data))
+            if usage.utilization < self.utilization_threshold:
+                stripes.append(usage)
         stripes.sort(key=lambda s: s.utilization)
         return stripes
 
@@ -216,32 +200,6 @@ class CleanerService(Service):
         """Make repaired stripes eligible for cleaning again."""
         self._repair_hold.difference_update(base_fids)
 
-    def _stripe_usage(
-            self, header: FragmentHeader,
-            headers: Dict[int, Optional[FragmentHeader]],
-    ) -> Optional[StripeUsage]:
-        base, width = header.stripe_base_fid, header.stripe_width
-        live = total = 0
-        max_lsn = 0
-        for index in range(width):
-            # parity_index is the stripe's *first* parity member: every
-            # index at or past it is parity (one for XOR, several for
-            # Reed-Solomon) and carries no live blocks.
-            if index >= header.parity_index:
-                continue
-            member = headers.get(base + index)
-            if member is None:
-                if base + index == header.fid:
-                    return None
-                continue
-            if member.is_parity:
-                continue
-            live += max(0, self._live.get(base + index, 0))
-            total += self._total.get(base + index, 0)
-            max_lsn = max(max_lsn, member.last_lsn)
-        return StripeUsage(base_fid=base, width=width, live_bytes=live,
-                           total_bytes=total, max_lsn=max_lsn)
-
     # ------------------------------------------------------------------
     # Cleaning
     # ------------------------------------------------------------------
@@ -253,8 +211,13 @@ class CleanerService(Service):
         service (the paper's on-demand checkpoint mechanism) and retries
         once. All selected stripes are cleaned as one batch: one
         multi-range harvest, pipelined re-appends, one durability fence.
+        While any stripe's stores are still in flight the pass does
+        nothing: the stripe table already holds such a stripe, and its
+        members must be stored before they may be deleted.
         """
         self._retry_deferred_deletes()
+        if self.stack.log.inflight_stripes():
+            return 0
         candidates = self.candidate_stripes()
         if not candidates:
             self.stack.demand_checkpoints()
@@ -279,10 +242,11 @@ class CleanerService(Service):
         harvests: List[Tuple[StripeUsage,
                              List[Tuple[BlockAddress, int, bytes]]]] = []
         for usage in stripes:
-            targets = sorted(
-                (addr, owner, info)
-                for addr, (owner, info) in self._blocks.items()
-                if usage.base_fid <= addr.fid < usage.base_fid + usage.width)
+            targets = []
+            for fid in range(usage.base_fid, usage.base_fid + usage.width):
+                blocks = self._blocks.get(fid, {})
+                targets.extend((addr,) + blocks[addr] for addr in
+                               sorted(blocks, key=_in_fragment_order))
             harvests.append((usage, targets))
         all_ranges = [(addr.fid, addr.offset, addr.length)
                       for _usage, targets in harvests
@@ -349,16 +313,9 @@ class CleanerService(Service):
             self.stack.log.delete_fids(pending))
 
     def _forget_stripe(self, usage: StripeUsage) -> None:
-        for index in range(usage.width):
-            fid = usage.base_fid + index
-            self._live.pop(fid, None)
-            self._total.pop(fid, None)
-        self._dead = {addr for addr in self._dead
-                      if not (usage.base_fid <= addr.fid
-                              < usage.base_fid + usage.width)}
-        self._blocks = {addr: value for addr, value in self._blocks.items()
-                        if not (usage.base_fid <= addr.fid
-                                < usage.base_fid + usage.width)}
+        for fid in range(usage.base_fid, usage.base_fid + usage.width):
+            for ledger in (self._live, self._total, self._dead, self._blocks):
+                ledger.pop(fid, None)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -366,25 +323,29 @@ class CleanerService(Service):
 
     def checkpoint_state(self) -> bytes:
         live_items = sorted(self._total)
-        out = [struct.pack(">II", len(live_items), len(self._dead))]
+        dead = [addr for fid in sorted(self._dead)
+                for addr in sorted(self._dead[fid], key=_in_fragment_order)]
+        out = [struct.pack(">II", len(live_items), len(dead))]
         for fid in live_items:
             out.append(struct.pack(">Qqq", fid, self._live.get(fid, 0),
                                    self._total[fid]))
-        for addr in sorted(self._dead):
+        for addr in dead:
             out.append(_ADDR.pack(addr.fid, addr.offset, addr.length))
         # Live-block index: address, owner, and create_info per block,
         # so a recovered cleaner can harvest stripes that were written
         # entirely before this checkpoint.
-        out.append(struct.pack(">I", len(self._blocks)))
-        for addr in sorted(self._blocks):
-            owner, info = self._blocks[addr]
-            out.append(_ADDR.pack(addr.fid, addr.offset, addr.length))
-            out.append(struct.pack(">QI", owner, len(info)))
-            out.append(info)
+        out.append(struct.pack(">I", sum(map(len, self._blocks.values()))))
+        for fid in sorted(self._blocks):
+            blocks = self._blocks[fid]
+            for addr in sorted(blocks, key=_in_fragment_order):
+                owner, info = blocks[addr]
+                out.append(_ADDR.pack(addr.fid, addr.offset, addr.length))
+                out.append(struct.pack(">QI", owner, len(info)))
+                out.append(info)
         return b"".join(out)
 
     def restore(self, state: Optional[bytes], records: List[Record]) -> None:
-        self._live, self._total, self._dead = {}, {}, set()
+        self._live, self._total, self._dead = {}, {}, {}
         self._blocks = {}
         if state:
             nfrag, ndead = struct.unpack_from(">II", state, 0)
@@ -395,20 +356,20 @@ class CleanerService(Service):
                 self._total[fid] = total
                 pos += 24
             for _ in range(ndead):
-                fid, offset, length = _ADDR.unpack_from(state, pos)
-                self._dead.add(BlockAddress(fid, offset, length))
+                addr = BlockAddress(*_ADDR.unpack_from(state, pos))
+                self._dead.setdefault(addr.fid, set()).add(addr)
                 pos += _ADDR.size
             if pos + 4 <= len(state):
                 (nblocks,) = struct.unpack_from(">I", state, pos)
                 pos += 4
                 for _ in range(nblocks):
-                    fid, offset, length = _ADDR.unpack_from(state, pos)
+                    addr = BlockAddress(*_ADDR.unpack_from(state, pos))
                     pos += _ADDR.size
                     owner, info_len = struct.unpack_from(">QI", state, pos)
                     pos += 12
                     info = state[pos:pos + info_len]
                     pos += info_len
-                    self._blocks[BlockAddress(fid, offset, length)] = (
+                    self._blocks.setdefault(addr.fid, {})[addr] = (
                         owner, info)
         for record in records:
             if record.service_id != SERVICE_LOG_LAYER:

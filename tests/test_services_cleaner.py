@@ -1,6 +1,7 @@
 """Tests for the log cleaner."""
 
 from repro import errors
+from repro.log.location import read_headers
 from repro.rpc import messages as m
 from repro.rpc.completion import CompletedFuture
 from repro.services.cleaner import CleanerService
@@ -25,6 +26,14 @@ def churn_stack(cluster, rounds=6, files=40, threshold=0.6, **log_overrides):
             disk.write(block, data)
             contents[block] = data
     return stack, cleaner, disk, contents
+
+
+def server_headers(stack, fids):
+    """fid -> header of each of ``fids``, read back from its server."""
+    log = stack.log
+    placements = {fid: log.known_location(fid) for fid in fids}
+    return {header.fid: header for header in
+            read_headers(log.transport, placements, log.config.principal)}
 
 
 def used_slots(cluster):
@@ -141,8 +150,15 @@ class TestCleaning:
         stack.checkpoint_all()
         min_ckpt = min(lsn for _addr, lsn in
                        stack.log.checkpoint_table.values())
-        for candidate in cleaner.candidate_stripes():
-            assert candidate.max_lsn < min_ckpt
+        candidates = cleaner.candidate_stripes()
+        assert candidates
+        for candidate in candidates:
+            members = range(candidate.base_fid,
+                            candidate.base_fid + candidate.width)
+            headers = server_headers(stack, members)
+            assert sorted(headers) == list(members)
+            assert max(header.last_lsn for header in headers.values()
+                       if not header.is_parity) < min_ckpt
 
     def test_demand_checkpoints_unblocks_cleaning(self, cluster4):
         stack, cleaner, disk, contents = churn_stack(cluster4)
