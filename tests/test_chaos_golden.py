@@ -62,12 +62,12 @@ GOLDEN = {
     ("chaos-2-clients", 101): "6f6f147a67e79443",
     ("chaos-2-clients", 202): "c6d6d8dcddf0da7b",
     ("chaos-2-clients", 4242): "505aa81cc2111357",
-    ("cleaner", 101): "eaa01dfe8a7a1a49",
-    ("cleaner", 202): "f473c1981cd819d6",
-    ("cleaner", 4242): "3680aa732b517f63",
+    ("cleaner", 101): "e670f923b192a695",
+    ("cleaner", 202): "31ab1e3daa08504b",
+    ("cleaner", 4242): "6e541b5f0e1e89d5",
     # Regression seed: a lost reply on the re-store that repairs a torn
     # fragment used to abort the scenario with FragmentExistsError.
-    ("cleaner", 555): "e55735824246ab17",
+    ("cleaner", 555): "86c00912a63cc01d",
     ("crash-sweep", 101): "3755241bbb8c63f3",
     ("crash-sweep", 202): "7760f5182703f442",
     ("crash-sweep", 4242): "36236fcc71ef10c8",
