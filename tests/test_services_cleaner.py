@@ -1,9 +1,13 @@
 """Tests for the log cleaner."""
 
+import pytest
+
 from repro import errors
+from repro.cluster import build_local_cluster
 from repro.log.location import read_headers
 from repro.rpc import messages as m
 from repro.rpc.completion import CompletedFuture
+from repro.rpc.transport import TransportWrapper
 from repro.services.cleaner import CleanerService
 from repro.services.logical_disk import LogicalDiskService
 
@@ -193,6 +197,200 @@ class TestCleaning:
         cleaner.clean(target_stripes=10)
         for block in range(10):
             assert disk.read(block) == bytes([block]) * 2000
+
+
+def candidates_from_headers(stack, cleaner):
+    """The candidate list worked out from fragment headers read back
+    from the servers: a tracked fid's stripe qualifies when every data
+    member's ``last_lsn`` is below the oldest checkpoint LSN and its
+    live fraction is below the threshold; least-utilized first."""
+    min_ckpt = min(lsn for _addr, lsn in
+                   stack.log.checkpoint_table.values())
+    tracked = sorted(cleaner._total)
+    headers = server_headers(stack, tracked)
+    expected, seen = [], set()
+    for fid in tracked:
+        header = headers[fid]
+        base, width = header.stripe_base_fid, header.stripe_width
+        if base in seen:
+            continue
+        seen.add(base)
+        data = range(base, base + min(width, header.parity_index))
+        members = server_headers(stack, data)
+        assert sorted(members) == list(data)
+        if max(member.last_lsn for member in members.values()) >= min_ckpt:
+            continue
+        live = sum(max(0, cleaner._live.get(fid, 0)) for fid in data)
+        total = sum(cleaner._total.get(fid, 0) for fid in data)
+        utilization = live / total if total > 0 else 0.0
+        if utilization < cleaner.utilization_threshold:
+            expected.append((utilization, base, width))
+    expected.sort(key=lambda entry: entry[0])
+    return expected
+
+
+def retrieve_ops(cluster):
+    return sum(server.retrieve_ops for server in cluster.servers.values())
+
+
+LAYOUTS = {
+    "xor": (4, {}),
+    "rs-4+2": (6, {"parity_fragments": 2, "coding": "rs"}),
+}
+
+
+@pytest.mark.usefixtures("two_second_allowance")
+class TestCandidatesFromTheStripeTable:
+    """Candidates come from the client's stripe table, with no RPC, and
+    match what the fragment headers on the servers say."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_table_rule_matches_the_header_rule(self, layout):
+        num_servers, overrides = LAYOUTS[layout]
+        cluster = build_local_cluster(num_servers=num_servers,
+                                      fragment_size=1 << 16,
+                                      server_slots=512)
+        stack, cleaner, disk, _contents = churn_stack(
+            cluster, rounds=4, threshold=0.9, **overrides)
+        stack.checkpoint_all()
+        # Stripes written between the cleaner's checkpoint (the oldest)
+        # and the disk's newer one must not qualify.
+        for round_no in range(2):
+            for block in range(0, 40, 3):
+                disk.write(block, bytes([200 + round_no]) * 2600)
+        stack.checkpoint(disk).wait()
+        for block in range(1, 40, 3):
+            disk.write(block, b"\x07" * 2600)
+        stack.flush().wait()
+
+        expected = candidates_from_headers(stack, cleaner)
+        assert expected
+        oldest_fid = min(stack.log.checkpoint_table.values(),
+                         key=lambda entry: entry[1])[0].fid
+        assert max(cleaner._total) > oldest_fid
+        before = retrieve_ops(cluster)
+        got = [(c.utilization, c.base_fid, c.width)
+               for c in cleaner.candidate_stripes()]
+        assert retrieve_ops(cluster) == before
+        assert got == expected
+
+        # A fresh client learns its table from the recovery census.
+        stack2 = cluster.make_stack(client_id=1, **overrides)
+        cleaner2 = stack2.push(CleanerService(1, utilization_threshold=0.9))
+        stack2.push(LogicalDiskService(2))
+        stack2.recover_all()
+        expected2 = candidates_from_headers(stack2, cleaner2)
+        assert expected2
+        assert [(c.utilization, c.base_fid, c.width)
+                for c in cleaner2.candidate_stripes()] == expected2
+
+    def test_a_pass_that_finds_nothing_reads_nothing(self, cluster4):
+        """Nothing is eligible even after the demanded checkpoints: the
+        pass makes no retrieve at all."""
+        stack = cluster4.make_stack(client_id=1)
+        cleaner = stack.push(CleanerService(1, utilization_threshold=0.5))
+        disk = stack.push(LogicalDiskService(2))
+        for block in range(10):
+            disk.write(block, bytes([block]) * 2000)  # no overwrites
+        stack.checkpoint_all()
+        ckpt_lsns = sorted(lsn for _addr, lsn in
+                           stack.log.checkpoint_table.values())
+        before = retrieve_ops(cluster4)
+        assert cleaner.clean(target_stripes=10) == 0
+        assert retrieve_ops(cluster4) == before
+        assert cleaner.stripes_cleaned == 0
+        # The pass did demand fresh checkpoints.
+        assert sorted(lsn for _addr, lsn in
+                      stack.log.checkpoint_table.values()) > ckpt_lsns
+
+
+class HoldingTransport(TransportWrapper):
+    """Holds every store while :attr:`holding` is set, until
+    :meth:`release`; records each delete of a fid not stored yet."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.holding = False
+        self.held = []
+        self.stored = set()
+        self.unstored_deletes = []
+
+    def call(self, server_id, request):
+        return self.submit_many([(server_id, request)])[0].result()
+
+    def submit_many(self, plan):
+        futures = []
+        for server_id, request in plan:
+            if self.holding and isinstance(request, m.StoreRequest):
+                future = CompletedFuture()
+                future.triggered = False
+                self.held.append((future, server_id, request))
+            else:
+                if (isinstance(request, m.DeleteRequest)
+                        and request.fid not in self.stored):
+                    self.unstored_deletes.append(request.fid)
+                future = self._forward(server_id, request)
+            futures.append(future)
+        return futures
+
+    def _forward(self, server_id, request):
+        future = self.inner.submit_many([(server_id, request)])[0]
+        if isinstance(request, m.StoreRequest) and future.ok:
+            self.stored.add(request.fid)
+        return future
+
+    def release(self) -> None:
+        for future, server_id, request in self.held:
+            outcome = self._forward(server_id, request)
+            future.value, future.exception = outcome.value, outcome.exception
+            future.triggered = True
+        self.held = []
+
+
+class TestInflightStripes:
+    @pytest.mark.usefixtures("two_second_allowance")
+    def test_no_member_is_deleted_before_it_is_stored(self, cluster4):
+        """The table holds a stripe from its seal, before its stores
+        land, so an in-flight stripe can qualify; the pass waits until
+        its stores are done rather than deleting what is not stored."""
+        transport = HoldingTransport(cluster4.transport)
+        stack = cluster4.make_stack(client_id=1, transport=transport)
+        cleaner = stack.push(CleanerService(1, utilization_threshold=0.6))
+        disk = stack.push(LogicalDiskService(2))
+        for round_no in range(3):
+            for block in range(40):
+                disk.write(block, bytes([round_no]) * (2000 + 41 * block))
+        stack.checkpoint_all()
+        # One stripe whose stores stay in flight; a flush ticket claims
+        # them and nobody waits on it.
+        transport.holding = True
+        for block in range(8):
+            disk.write(block, b"\x55" * 3000)
+        stack.log.flush()
+        transport.holding = False
+        inflight = {request.fid for _f, _s, request in transport.held}
+        assert inflight and stack.log.inflight_stripes() == 1
+        stack.checkpoint_all()
+        # Overwrite the in-flight stripe's blocks: it is wholly dead.
+        for block in range(8):
+            disk.write(block, b"\x66" * 3000)
+        stack.flush().wait()
+        assert min(inflight) in {c.base_fid
+                                 for c in cleaner.candidate_stripes()}
+
+        assert cleaner.clean(target_stripes=100) == 0
+        assert cleaner.stripes_cleaned == 0
+        transport.release()
+        cleaner.clean(target_stripes=100)
+        assert cleaner.stripes_cleaned > 0
+        assert transport.unstored_deletes == []
+        held_now = {fid for server in cluster4.servers.values()
+                    for fid in server.list_fids()}
+        assert not inflight & held_now
+        for block in range(40):
+            expected = (b"\x66" * 3000 if block < 8
+                        else bytes([2]) * (2000 + 41 * block))
+            assert disk.read(block) == expected
 
 
 class TestSpilledCreationRecords:
